@@ -11,9 +11,9 @@ with the base indices descending.  Integer digits a_{N-1} ... a_0 carry the
 weights 1, beta_0, beta_1 beta_0, and so on.
 
 Digit extraction needs floors, ceilings, and comparisons against 1 that are
-actually correct, so a base can carry an exact backend: rational arithmetic
-when every beta is a fraction, or arithmetic in a real algebraic number
-field when the betas come from a Perron eigenvector.  Without a backend the
+actually correct, so a base can carry an exact backend: arithmetic in a real
+algebraic number field, which is Q(lambda) when the betas come from a Perron
+eigenvector and Q[x]/(x) when every beta is a fraction.  Without a backend the
 base still works through outward-rounded intervals, but any decision the
 intervals cannot settle raises instead of guessing.
 """
@@ -25,71 +25,14 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import CeilUndecidable, FloorUndecidable, Undecidable
-from .numerics import Dyadic, IntervalReal
+from .numerics import Dyadic, IntervalReal, IntPoly, IsolatedRoot
 from .numerics.algebraic import Elem, RealAlgebraicField
+from .numerics.intervals import DEFAULT_PREC
 from .words import UPWord
 
 Rational = Union[int, Fraction]
 
-DEFAULT_PREC = 64
 ONE = Dyadic(1)
-
-
-class RationalOps:
-    """Exact arithmetic for bases whose betas are all rational."""
-
-    exact = True
-
-    def __init__(self, betas: Sequence[Rational]):
-        # betas[i] = beta_i, ascending index
-        self.betas = tuple(Fraction(b) for b in betas)
-
-    @property
-    def p(self) -> int:
-        return len(self.betas)
-
-    def lift(self, q: Rational) -> Fraction:
-        return Fraction(q)
-
-    def beta(self, i: int) -> Fraction:
-        return self.betas[i % self.p]
-
-    def delta(self) -> Fraction:
-        return math.prod(self.betas)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-    def sign(self, a) -> int:
-        return (a > 0) - (a < 0)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def floor(self, a) -> int:
-        return math.floor(a)
-
-    def ceil(self, a) -> int:
-        return math.ceil(a)
-
-    def enclosure(self, a, prec: int = DEFAULT_PREC) -> IntervalReal:
-        return IntervalReal.from_fraction(a, prec)
-
-    def beta_enclosures(self, prec: int) -> tuple[IntervalReal, ...]:
-        return tuple(IntervalReal.from_fraction(b, prec) for b in self.betas)
-
-    def shifted(self, i: int) -> "RationalOps":
-        p = self.p
-        return RationalOps(tuple(self.betas[(j + i) % p] for j in range(p)))
 
 
 class FieldOps:
@@ -273,8 +216,10 @@ class AlternateBase:
     ) -> "AlternateBase":
         """Base from rational betas given in display order (beta_{p-1},...,beta_0)."""
         display = [Fraction(b) for b in betas]
-        asc = tuple(reversed(display))
-        return cls(display, ops=RationalOps(asc), prec=prec)
+        # rationals are the constants of Q[x]/(x), evaluated at the root 0
+        field = RealAlgebraicField(IsolatedRoot(IntPoly([0, 1]), Dyadic(0), Dyadic(0)))
+        asc = tuple(field.from_fraction(b) for b in reversed(display))
+        return cls(display, ops=FieldOps(field, asc), prec=prec)
 
     @classmethod
     def from_fixed_point(

@@ -93,13 +93,18 @@ def cmd_validate(ns) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
+def _reject_inadmissible(ns, lst: ExpansionList, depth: Optional[int]) -> bool:
+    """Print the violation report and return True when lst fails Parry."""
+    report = check_parry(lst, depth=depth)
+    if not report.ok:
+        _emit(ns, _report_payload(report), _report_lines(report))
+    return not report.ok
+
+
 def cmd_synthesize(ns) -> int:
     lst = _parse_list(ns.words, ns.p)
-    if not ns.skip_parry:
-        report = check_parry(lst, depth=ns.depth)
-        if not report.ok:
-            _emit(ns, _report_payload(report), _report_lines(report))
-            return EXIT_INVALID
+    if not ns.skip_parry and _reject_inadmissible(ns, lst, ns.depth):
+        return EXIT_INVALID
     base, _ = synthesize_periodic(lst, tol_bits=ns.tol)
     cert = certify(lst, base)
     payload = certificate_json(base, cert)
@@ -150,6 +155,9 @@ def cmd_code(ns) -> int:
     else:
         texts = _gather_words(ns.base)
         lst = ExpansionList(tuple(parse_word(t) for t in texts))
+        # --depth is the gap-table depth here, so Parry runs at its own default
+        if _reject_inadmissible(ns, lst, None):
+            return EXIT_INVALID
         base, _ = synthesize_periodic(lst, tol_bits=ns.tol)
         word = faithful_coding(base, ns.len, depth=ns.depth)
         if ns.check:

@@ -29,10 +29,6 @@ class NoSignChange(AltBaseError):
     """Root bisection was started on an interval without a sign change."""
 
 
-class SingularAfterRefinement(AltBaseError):
-    """Eigenvector direction could not be separated at the precision cap."""
-
-
 class NotPrimitive(AltBaseError):
     """No rotation of the period product is a primitive matrix."""
 
@@ -80,7 +76,3 @@ class NoLimit(AltBaseError):
 
 class DLessThanN(AltBaseError):
     """Continued-fraction digit smaller than the scheme parameter N."""
-
-
-class PeriodNotMultipleOfP(AltBaseError):
-    """Internal alignment error: block length not a multiple of the base period."""

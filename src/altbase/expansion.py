@@ -19,7 +19,7 @@ from math import lcm
 from typing import Optional, Union
 
 from .bases import AlternateBase, IntervalOps
-from .errors import PeriodNotMultipleOfP, Undecidable
+from .errors import Undecidable
 from .numerics import IntervalReal
 from .words import UPWord, shift_suffix
 
@@ -29,8 +29,6 @@ def _val_word(ops, shift: int, w: UPWord):
     ell = len(w.preperiod)
     m = len(w.period)
     mm = lcm(m, ops.p)
-    if mm % ops.p:
-        raise PeriodNotMultipleOfP(f"aligned period {mm} not a multiple of {ops.p}")
     # value of the periodic tail, seen at shift s = shift - ell
     s = shift - ell
     acc = ops.lift(0)

@@ -1,40 +1,33 @@
 """Validated numerics: dyadic intervals, exact polynomials, algebraic reals."""
 
-from .intervals import DEFAULT_PREC, Dyadic, IntervalReal, interval_arith
+from .intervals import DEFAULT_PREC, Dyadic, IntervalReal
 from .polynomials import (
     IntPoly,
     IsolatedRoot,
     alpha_root,
-    charpoly,
     faddeev_leverrier,
     int_poly_gcd,
     isolate_dominant,
-    perron_root,
     refine_root_bisect,
     squarefree_part,
     sturm_chain,
     sturm_count,
 )
 from .algebraic import RealAlgebraicField
-from .linalg import linear_solve_enclosure
 
 __all__ = [
     "DEFAULT_PREC",
     "Dyadic",
     "IntervalReal",
-    "interval_arith",
     "IntPoly",
     "IsolatedRoot",
     "alpha_root",
-    "charpoly",
     "faddeev_leverrier",
     "int_poly_gcd",
     "isolate_dominant",
-    "perron_root",
     "refine_root_bisect",
     "squarefree_part",
     "sturm_chain",
     "sturm_count",
     "RealAlgebraicField",
-    "linear_solve_enclosure",
 ]

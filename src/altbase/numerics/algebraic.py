@@ -12,16 +12,20 @@ terminates because exact zeros are recognised first.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
 from typing import Sequence
 
+from ..errors import Undecidable
 from .intervals import Dyadic, IntervalReal
 from .polynomials import (
     IntPoly,
     IsolatedRoot,
     _content,
+    clear_denominators,
     exact_div,
     int_poly_gcd,
+    qdivmod,
+    qmul,
+    qsub,
     squarefree_part,
     sturm_chain,
     sturm_count,
@@ -30,76 +34,14 @@ from .polynomials import (
 Elem = tuple[Fraction, ...]
 
 
-def _clear_denominators(coeffs: Sequence[Fraction]) -> IntPoly:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    return IntPoly([int(c * den) for c in coeffs])
-
-
-def _fraction_rem(num: list[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
-    num = list(num)
-    while num and num[-1] == 0:
-        num.pop()
-    d = len(den) - 1
-    while len(num) - 1 >= d:
-        q = num[-1] / den[-1]
-        k = len(num) - 1 - d
-        for i, dv in enumerate(den):
-            num[k + i] -= q * dv
-        num.pop()
-        while num and num[-1] == 0:
-            num.pop()
-    return num
-
-
 def _fraction_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     """Return (g, s) with s*a = g modulo b and g = gcd(a, b), monic."""
-
-    def poly_divmod(x: list[Fraction], y: list[Fraction]):
-        q = [Fraction(0)] * max(1, len(x) - len(y) + 1)
-        r = list(x)
-        while r and r[-1] == 0:
-            r.pop()
-        dy = len(y) - 1
-        while len(r) - 1 >= dy and r:
-            c = r[-1] / y[-1]
-            k = len(r) - 1 - dy
-            q[k] = c
-            for i, yv in enumerate(y):
-                r[k + i] -= c * yv
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-        return q, r
-
-    def poly_mul(x, y):
-        out = [Fraction(0)] * (len(x) + len(y) - 1) if x and y else []
-        for i, xv in enumerate(x):
-            if xv == 0:
-                continue
-            for j, yv in enumerate(y):
-                out[i + j] += xv * yv
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def poly_sub(x, y):
-        out = [Fraction(0)] * max(len(x), len(y))
-        for i, v in enumerate(x):
-            out[i] += v
-        for i, v in enumerate(y):
-            out[i] -= v
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
     r0, r1 = list(a), list(b)
     s0, s1 = [Fraction(1)], []
     while r1:
-        q, r = poly_divmod(r0, r1)
+        q, r = qdivmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
+        s0, s1 = s1, qsub(s0, qmul(q, s1))
     if not r0:
         return [], []
     lead = r0[-1]
@@ -135,8 +77,7 @@ class RealAlgebraicField:
         return self.reduce([Fraction(0), Fraction(1)])
 
     def reduce(self, coeffs: Sequence[Fraction]) -> Elem:
-        den = [Fraction(c) for c in self.modulus.coeffs]
-        rem = _fraction_rem([Fraction(c) for c in coeffs], den)
+        _, rem = qdivmod(coeffs, self.modulus.coeffs)
         return tuple(rem) if rem else (Fraction(0),)
 
     # -- ring operations ---------------------------------------------------
@@ -151,22 +92,10 @@ class RealAlgebraicField:
         return self.reduce(out)
 
     def sub(self, a: Elem, b: Elem) -> Elem:
-        n = max(len(a), len(b))
-        out = [Fraction(0)] * n
-        for i, v in enumerate(a):
-            out[i] += v
-        for i, v in enumerate(b):
-            out[i] -= v
-        return self.reduce(out)
+        return self.reduce(qsub(a, b))
 
     def mul(self, a: Elem, b: Elem) -> Elem:
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, av in enumerate(a):
-            if av == 0:
-                continue
-            for j, bv in enumerate(b):
-                out[i + j] += av * bv
-        return self.reduce(out)
+        return self.reduce(qmul(a, b))
 
     def scalar_mul(self, q: Fraction | int, a: Elem) -> Elem:
         q = Fraction(q)
@@ -176,7 +105,7 @@ class RealAlgebraicField:
         a = self.reduce(a)
         if all(v == 0 for v in a):
             return True
-        g = int_poly_gcd(_clear_denominators(a), self.modulus)
+        g = int_poly_gcd(clear_denominators(a), self.modulus)
         if g.degree < 1:
             return False
         return self._has_root_in_bracket(g)
@@ -201,9 +130,9 @@ class RealAlgebraicField:
             if s != 0:
                 return s
             prec *= 2
-            self.root.refine(prec)
             if prec > 1 << 16:
-                raise AssertionError("sign refinement failed on a non-zero element")
+                raise Undecidable(f"sign of a non-zero element unresolved at {prec // 2} bits")
+            self.root.refine(prec)
 
     def inv(self, a: Elem) -> Elem:
         if self.is_zero(a):
@@ -216,8 +145,7 @@ class RealAlgebraicField:
                 return self.reduce([v / g[0] for v in s])
             # nontrivial common factor; it cannot vanish at the root since
             # the element does not, so divide it out of the modulus.
-            g_int = _clear_denominators(g)
-            g_int = IntPoly([v // _content(g_int.coeffs) for v in g_int.coeffs])
+            g_int = clear_denominators(g)
             assert not self._has_root_in_bracket(g_int), "factor vanishes at root"
             self._shrink_modulus(exact_div(self.modulus, g_int))
 
@@ -248,9 +176,9 @@ class RealAlgebraicField:
             if not refine_until or acc.width() <= target:
                 return acc
             bits *= 2
-            self.root.refine(bits)
             if bits > 1 << 20:
-                raise AssertionError("element enclosure refinement stalled")
+                raise Undecidable(f"element enclosure stalled at {bits // 2} bits")
+            self.root.refine(bits)
 
     def compare_int(self, a: Elem, n: int) -> int:
         """Exact trichotomy of the element against an integer."""

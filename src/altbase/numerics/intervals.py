@@ -13,9 +13,9 @@ from typing import Union
 
 from ..errors import DivisionByEnclosedZero
 
-#: default number of fractional bits kept by rounding operations; chosen so
-#: that the package-wide default target width 2^-64 has headroom.
-DEFAULT_PREC = 128
+#: default number of fractional bits kept by rounding operations, and the
+#: package-wide default target width 2^-64 of an enclosure.
+DEFAULT_PREC = 64
 
 Rational = Union[int, Fraction]
 
@@ -123,9 +123,6 @@ class Dyadic:
 
     def sign(self) -> int:
         return (self.m > 0) - (self.m < 0)
-
-    def is_integer(self) -> bool:
-        return self.e >= 0
 
     def __float__(self) -> float:
         try:
@@ -237,11 +234,6 @@ class IntervalReal:
             return None
         return IntervalReal(lo, hi)
 
-    def hull(self, other: "IntervalReal") -> "IntervalReal":
-        lo = self.lo if self.lo <= other.lo else other.lo
-        hi = self.hi if self.hi >= other.hi else other.hi
-        return IntervalReal(lo, hi)
-
     # -- arithmetic ----------------------------------------------------
 
     def _rounded(self, lo: Dyadic, hi: Dyadic, prec: int | None) -> "IntervalReal":
@@ -277,22 +269,8 @@ class IntervalReal:
             Dyadic.from_fraction_ceil(max(quots), prec),
         )
 
-    def scale(self, k: int) -> "IntervalReal":
-        d = Dyadic(k)
-        if k >= 0:
-            return IntervalReal(self.lo * d, self.hi * d)
-        return IntervalReal(self.hi * d, self.lo * d)
-
     def neg(self) -> "IntervalReal":
         return IntervalReal(-self.hi, -self.lo)
-
-    def pow_int(self, n: int, prec: int | None = None) -> "IntervalReal":
-        if n < 0:
-            raise ValueError("negative powers not supported; divide instead")
-        out = IntervalReal.exact(1)
-        for _ in range(n):
-            out = out.mul(self, prec)
-        return out
 
     def inflate(self, radius: Rational, prec: int = DEFAULT_PREC) -> "IntervalReal":
         r = Fraction(radius)
@@ -333,16 +311,3 @@ class IntervalReal:
 
     def to_json(self) -> dict:
         return {"lo": self.lo.to_json(), "hi": self.hi.to_json()}
-
-
-def interval_arith(a: IntervalReal, b: IntervalReal, op: str, prec: int | None = None) -> IntervalReal:
-    """Dispatch helper: op is one of '+', '-', '*', '/'."""
-    if op == "+":
-        return a.add(b, prec)
-    if op == "-":
-        return a.sub(b, prec)
-    if op == "*":
-        return a.mul(b, prec)
-    if op == "/":
-        return a.div(b, DEFAULT_PREC if prec is None else prec)
-    raise ValueError(f"unknown operation {op!r}")

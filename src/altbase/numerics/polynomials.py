@@ -71,12 +71,6 @@ class IntPoly:
         v = self.eval_fraction(x.as_fraction())
         return (v > 0) - (v < 0)
 
-    def eval_interval(self, x: IntervalReal, prec: int | None = None) -> IntervalReal:
-        acc = IntervalReal.exact(0)
-        for c in reversed(self.coeffs):
-            acc = acc.mul(x, prec).add(IntervalReal.exact(c), prec)
-        return acc
-
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -134,9 +128,68 @@ def faddeev_leverrier(m: Matrix) -> tuple[IntPoly, list[list[list[int]]]]:
     return IntPoly(coeffs), adj
 
 
-def charpoly(m: Matrix) -> IntPoly:
-    """det(xI - m) with exact integer coefficients."""
-    return faddeev_leverrier(m)[0]
+# -- Q[x] kernel: ascending Fraction coefficient lists --------------------------
+
+
+def qmul(x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
+    """Product of two coefficient lists (an empty list is the zero polynomial)."""
+    if not x or not y:
+        return []
+    out = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, xv in enumerate(x):
+        if xv == 0:
+            continue
+        for j, yv in enumerate(y):
+            out[i + j] += xv * yv
+    return out
+
+
+def qsub(x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
+    """Difference of two coefficient lists, trailing zeros kept."""
+    out = [Fraction(0)] * max(len(x), len(y))
+    for i, v in enumerate(x):
+        out[i] += v
+    for i, v in enumerate(y):
+        out[i] -= v
+    return out
+
+
+def qdivmod(
+    num: Sequence[Fraction | int], den: Sequence[Fraction | int]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of num by den over Q, so num = q*den + r.
+
+    Coefficients may be ints or Fractions; den must end in a non-zero
+    leading coefficient.  The remainder has its trailing zeros stripped, so
+    deg r < deg den and the zero remainder is the empty list.
+    """
+    r = list(num)
+    while r and r[-1] == 0:
+        r.pop()
+    d = len(den) - 1
+    lead = den[-1]
+    q = [Fraction(0)] * max(0, len(r) - d)
+    while len(r) > d:
+        c = Fraction(r[-1], lead)
+        k = len(r) - 1 - d
+        q[k] = c
+        # the leading term cancels exactly, so only the lower ones change
+        for i in range(d):
+            r[k + i] -= c * den[i]
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def clear_denominators(coeffs: Sequence[Fraction]) -> IntPoly:
+    """Primitive integer polynomial that is a positive multiple of coeffs."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    g = _content(ints) or 1
+    return IntPoly([v // g for v in ints])
 
 
 # -- gcd machinery -----------------------------------------------------------
@@ -195,27 +248,13 @@ def int_poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
 
 
 def exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
-    """Quotient p / d, asserting the division is exact over Q."""
-    num = [Fraction(c) for c in p.coeffs]
-    den = [Fraction(c) for c in d.coeffs]
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        k = len(num) - len(den)
-        q = num[-1] / den[-1]
-        out[k] = q
-        for i, dv in enumerate(den):
-            num[k + i] -= q * dv
-        num.pop()
-    assert all(v == 0 for v in num), "division was not exact"
-    ints = []
-    for v in out:
-        assert v.denominator == 1, "quotient not integral"
-        ints.append(v.numerator)
-    return IntPoly(ints)
+    """Quotient p / d; raises ArithmeticError unless it is exact and integral."""
+    q, r = qdivmod(p.coeffs, d.coeffs)
+    if r:
+        raise ArithmeticError("polynomial division was not exact")
+    if any(v.denominator != 1 for v in q):
+        raise ArithmeticError("polynomial quotient is not integral")
+    return IntPoly(v.numerator for v in q)
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
@@ -233,36 +272,11 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
     sf = squarefree_part(p)
     chain = [sf, sf.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
-        rem = _poly_rem_fraction(chain[-2], chain[-1])
+        _, rem = qdivmod(chain[-2].coeffs, chain[-1].coeffs)
         if not rem:
             break
-        neg = [-v for v in rem]
-        # clear denominators and content, preserving sign
-        den = 1
-        for v in neg:
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = [int(v * den) for v in neg]
-        g = _content(ints)
-        chain.append(IntPoly([v // g for v in ints]))
+        chain.append(clear_denominators([-v for v in rem]))
     return [c for c in chain if not c.is_zero()]
-
-
-def _poly_rem_fraction(a: IntPoly, b: IntPoly) -> list[Fraction]:
-    num = [Fraction(c) for c in a.coeffs]
-    den = [Fraction(c) for c in b.coeffs]
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        k = len(num) - len(den)
-        q = num[-1] / den[-1]
-        for i, dv in enumerate(den):
-            num[k + i] -= q * dv
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return num
 
 
 def _variations(chain: Sequence[IntPoly], x: Fraction) -> int:
@@ -359,16 +373,6 @@ def refine_root_bisect(p: IntPoly, lo: Dyadic, hi: Dyadic, prec: int) -> Interva
         else:
             hi = mid
     return IntervalReal(lo, hi)
-
-
-def perron_root(p: IntPoly, search: tuple[Dyadic, Dyadic], prec: int = 64) -> IntervalReal:
-    """Certified enclosure of the unique simple real root dominating `search`.
-
-    The caller guarantees that the search interval brackets exactly one
-    simple root; the bisection then refines to width <= 2**-prec.
-    """
-    lo, hi = search
-    return refine_root_bisect(p, lo, hi, prec)
 
 
 class IsolatedRoot:

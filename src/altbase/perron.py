@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
 
-from .errors import NotPrimitive, ZeroLeadDigit
+from .errors import NotPrimitive, Undecidable, ZeroLeadDigit
 from .numerics import IntervalReal, RealAlgebraicField, faddeev_leverrier, isolate_dominant
 from .numerics.algebraic import Elem
 from .words import ExpansionList, UPWord
@@ -285,7 +285,8 @@ def _certified_enclosure(
         if enc.lo.sign() == sign:
             return enc
         bits *= 2
-        assert bits <= 1 << 20, "sign certification stalled"
+        if bits > 1 << 20:
+            raise Undecidable(f"sign certification stalled at {bits // 2} bits")
 
 
 def _enclose_fixed_point(

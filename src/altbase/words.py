@@ -421,7 +421,3 @@ def format_word(u: UPWord) -> str:
         return f"({per})"
     pre = ",".join(str(d) for d in u.preperiod)
     return f"[{pre}]({per})"
-
-
-def parse_expansion_list(texts: Sequence[str], digit_max: int = DEFAULT_DIGIT_MAX) -> ExpansionList:
-    return ExpansionList(tuple(parse_word(t, digit_max) for t in texts), digit_max)

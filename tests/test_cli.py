@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,6 +149,13 @@ def test_code_base_two(capsys):
     assert out == "00000\n"
 
 
+def test_code_base_rejects_inadmissible_list(capsys):
+    code, out, err = run(capsys, "code", "--base", "(3)", "(1)", "--len", "20")
+    assert code == 1
+    assert "parry: FAIL" in out and "violation:" in out
+    assert err == ""
+
+
 def test_code_two_block_directive(capsys):
     code, out, _ = run(capsys, "code", "--directive", "2,2;1,1", "--len", "20")
     assert code == 0
@@ -186,3 +196,19 @@ def test_byte_identical_output(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def test_optimized_interpreter_matches(capsys):
+    # python -O strips assert statements; no answer may depend on them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in (
+        ("synthesize", "-p", "2", "(21)", "(12)", "--format", "json"),
+        ("code", "--directive", "1,1", "--len", "200", "--check"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "altbase.cli", *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        code, out, _ = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (code, out)

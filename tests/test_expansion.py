@@ -198,7 +198,7 @@ def rational_bases(draw):
 
 
 def reconstruct(base: AlternateBase, e: GreedyExpansion) -> tuple[Fraction, Fraction]:
-    asc = base.ops.betas  # exact rationals, ascending index
+    asc = [e[0] for e in base.ops.beta_elems]  # constants of Q[x]/(x), ascending
     p = len(asc)
     val = Fraction(0)
     weight = Fraction(1)
@@ -260,7 +260,7 @@ def test_qg_wide_interval_base_raises():
 def test_qg_partial_sums_bracket_one(base, shift):
     count = 30
     digits = quasi_greedy_expand_one(base, shift, count)
-    asc = base.ops.betas
+    asc = [e[0] for e in base.ops.beta_elems]
     p = len(asc)
     total = Fraction(0)
     prod = Fraction(1)

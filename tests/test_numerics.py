@@ -4,26 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from altbase.errors import DivisionByEnclosedZero, SingularAfterRefinement
+from altbase.errors import DivisionByEnclosedZero, Undecidable
 from altbase.numerics import (
     Dyadic,
     IntervalReal,
     IntPoly,
     RealAlgebraicField,
     alpha_root,
-    charpoly,
     faddeev_leverrier,
     int_poly_gcd,
-    interval_arith,
     isolate_dominant,
-    linear_solve_enclosure,
-    perron_root,
     refine_root_bisect,
     squarefree_part,
     sturm_chain,
     sturm_count,
 )
-from altbase.numerics.polynomials import IsolatedRoot
+from altbase.numerics.polynomials import IsolatedRoot, exact_div, qdivmod
+from altbase.perron import _certified_enclosure
 
 
 def brackets_root(enc: IntervalReal, poly: IntPoly) -> bool:
@@ -58,13 +55,11 @@ def test_dyadic_rounding_brackets(x, prec):
 def test_interval_examples():
     one = IntervalReal.exact(1)
     two = IntervalReal.exact(2)
-    s = interval_arith(one, two, "+")
+    s = one.add(two)
     assert s.lo == Dyadic(3) and s.hi == Dyadic(3)
-    prod = interval_arith(
-        IntervalReal(Dyadic(1), Dyadic(2)), IntervalReal(Dyadic(-1), Dyadic(1)), "*"
-    )
+    prod = IntervalReal(Dyadic(1), Dyadic(2)).mul(IntervalReal(Dyadic(-1), Dyadic(1)))
     assert prod.lo == Dyadic(-2) and prod.hi == Dyadic(2)
-    third = interval_arith(one, IntervalReal.exact(3), "/", prec=8)
+    third = one.div(IntervalReal.exact(3), 8)
     assert third.contains(Fraction(1, 3))
     assert third.width().as_fraction() <= Fraction(1, 2**8)
 
@@ -84,11 +79,12 @@ def test_interval_ops_enclose_pointwise(a1, a2, b1, b2, op):
     b_lo, b_hi = min(b1, b2), max(b1, b2)
     a = IntervalReal.from_fractions(a_lo, a_hi)
     b = IntervalReal.from_fractions(b_lo, b_hi)
+    apply = {"+": a.add, "-": a.sub, "*": a.mul, "/": a.div}[op]
     if op == "/" and b_lo <= 0 <= b_hi:
         with pytest.raises(DivisionByEnclosedZero):
-            interval_arith(a, b, op)
+            apply(b)
         return
-    out = interval_arith(a, b, op)
+    out = apply(b)
     for x in (a_lo, a_hi, (a_lo + a_hi) / 2):
         for y in (b_lo, b_hi, (b_lo + b_hi) / 2):
             exact = {"+": x + y, "-": x - y, "*": x * y, "/": None}[op]
@@ -101,13 +97,13 @@ def test_interval_ops_enclose_pointwise(a1, a2, b1, b2, op):
 
 
 def test_charpoly_identity():
-    chi = charpoly([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    chi = faddeev_leverrier([[1, 0, 0], [0, 1, 0], [0, 0, 1]])[0]
     assert chi.coeffs == (-1, 3, -3, 1)
 
 
 def test_charpoly_examples():
-    assert charpoly([[2, 1, 2], [1, 0, 1], [0, 1, 0]]).coeffs == (0, -2, -2, 1)
-    assert charpoly([[1, 1], [1, 0]]).coeffs == (-1, -1, 1)
+    assert faddeev_leverrier([[2, 1, 2], [1, 0, 1], [0, 1, 0]])[0].coeffs == (0, -2, -2, 1)
+    assert faddeev_leverrier([[1, 1], [1, 0]])[0].coeffs == (-1, -1, 1)
 
 
 small_matrix = st.integers(0, 4)
@@ -123,8 +119,8 @@ def test_charpoly_block_triangular(a, c):
         [0, 0] + c[0],
         [0, 0] + c[1],
     ]
-    chi = charpoly(block)
-    ca, cc = charpoly(a), charpoly(c)
+    chi = faddeev_leverrier(block)[0]
+    ca, cc = faddeev_leverrier(a)[0], faddeev_leverrier(c)[0]
     prod = [0] * 5
     for i, x in enumerate(ca.coeffs):
         for j, y in enumerate(cc.coeffs):
@@ -180,14 +176,14 @@ def test_sturm_counts():
 
 
 def test_perron_root_golden():
-    enc = perron_root(GOLDEN, (Dyadic(1), Dyadic(2)), prec=64)
+    enc = refine_root_bisect(GOLDEN, Dyadic(1), Dyadic(2), 64)
     assert brackets_root(enc, GOLDEN)
     assert enc.width().as_fraction() <= Fraction(1, 10**12)
 
 
 def test_perron_root_one_plus_sqrt3():
     p = IntPoly([-2, -2, 1])  # root 1 + sqrt3
-    enc = perron_root(p, (Dyadic(2), Dyadic(3)), prec=64)
+    enc = refine_root_bisect(p, Dyadic(2), Dyadic(3), 64)
     assert brackets_root(enc, p)
 
 
@@ -258,29 +254,36 @@ def test_field_modulus_shrinks_on_reducible_input():
     assert f.degree == 2
 
 
-# -- eigenvector enclosures ----------------------------------------------------------
+def test_certified_enclosure_budget_raises():
+    # a sign that can never be certified must hit the bit budget, not hang
+    f = RealAlgebraicField(IsolatedRoot(IntPoly([0, 1]), Dyadic(0), Dyadic(0)))
+    with pytest.raises(Undecidable):
+        _certified_enclosure(f, f.from_fraction(1), -1, 64)
 
 
-def test_eigenvector_fibonacci():
-    m = [[1, 1], [1, 0]]
-    root = isolate_dominant(charpoly(m), 2)
-    f = linear_solve_enclosure(m, root.enclosure(), root, prec=64)
-    assert f[0].is_point() and f[0].lo == Dyadic(1)
-    assert brackets_root(f[1], GOLDEN_CONJ)
-    assert f[1].width().as_fraction() <= Fraction(1, 2**64)
+# -- the Q[x] kernel -------------------------------------------------------------
+
+qcoeff = st.integers(-20, 20) | st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
-def test_eigenvector_identity_fails():
-    with pytest.raises(SingularAfterRefinement):
-        linear_solve_enclosure([[1, 0], [0, 1]], IntervalReal.exact(1), None)
+@given(st.lists(qcoeff, max_size=7), st.lists(qcoeff, max_size=3), qcoeff.filter(bool))
+@settings(max_examples=100)
+def test_qdivmod_identity(num, den_low, den_lead):
+    den = den_low + [den_lead]
+    q, r = qdivmod(num, den)
+    assert len(r) < len(den) and (not r or r[-1] != 0)
+    back = [Fraction(0)] * max(len(num), len(q) + len(den) - 1, len(r), 1)
+    for i, qv in enumerate(q):
+        for j, dv in enumerate(den):
+            back[i + j] += qv * dv
+    for i, rv in enumerate(r):
+        back[i] += rv
+    assert back[: len(num)] == list(num) and not any(back[len(num):])
 
 
-def test_eigenvector_with_zero_entry():
-    # rotated product from the worked 3-periodic example; second entry is 0
-    m = [[4, 0, 2], [2, 0, 1], [1, 0, 1]]
-    root = isolate_dominant(charpoly(m), 7)
-    f = linear_solve_enclosure(m, root.enclosure(), root, prec=64)
-    assert f[1].is_point() and f[1].lo == Dyadic(0)
-    assert brackets_root(f[2], SQRT17_SHIFT)
-    for entry in f:
-        assert entry.lo.sign() >= 0
+def test_exact_div_raises_on_inexact_quotient():
+    assert exact_div(IntPoly([-1, 0, 1]), IntPoly([1, 1])).coeffs == (-1, 1)
+    with pytest.raises(ArithmeticError):
+        exact_div(IntPoly([1, 0, 1]), IntPoly([1, 1]))  # x^2 + 1 = (x+1)(x-1) + 2
+    with pytest.raises(ArithmeticError):
+        exact_div(IntPoly([1, 1]), IntPoly([2, 2]))  # exact, but the quotient is 1/2
