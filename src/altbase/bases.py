@@ -209,6 +209,8 @@ class AlternateBase:
             if len(qg_words) != len(display):
                 raise ValueError("need one quasi-greedy word per shift")
         self.qg_words = qg_words
+        # coding.gap_table memo, keyed by (shift mod p, depth)
+        self._gap_tables: dict[tuple[int, int], object] = {}
 
     @classmethod
     def from_rationals(

@@ -12,6 +12,7 @@ arise from alternate bases.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -20,6 +21,7 @@ from .bases import AlternateBase
 from .errors import (
     ClassingUndecidable,
     CodingMismatch,
+    DepthExhausted,
     DLessThanN,
     NoLimit,
     Undecidable,
@@ -313,8 +315,16 @@ def _qg_digit_source(base: AlternateBase):
 
 @dataclass(frozen=True)
 class BInteger:
-    value: IntervalReal
+    """A B-integer: its integer-part digits and its value in the base's backend."""
+
     digits: tuple[int, ...]  # a_{N-1} ... a_0, empty for zero
+    exact: object = dataclasses.field(compare=False, repr=False)
+    base: AlternateBase = dataclasses.field(compare=False, repr=False)
+
+    @property
+    def value(self) -> IntervalReal:
+        """Enclosure of the value at base.prec, computed on access."""
+        return self.base.value_ops().enclosure(self.exact, self.base.prec)
 
 
 def _word_below_qg(word: tuple[int, ...], qg_digit, shift: int, scan_cap: int = 10_000) -> bool:
@@ -332,7 +342,7 @@ def _word_below_qg(word: tuple[int, ...], qg_digit, shift: int, scan_cap: int = 
 
 
 def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...]:
-    """The `count` smallest B-integers with their integer-part digit words.
+    """The `count` smallest B-integers with their digit words and exact values.
 
     Words are generated in radix order (length, then lexicographic), which
     for admissible words coincides with value order; a length-N word
@@ -343,7 +353,7 @@ def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...
         raise ValueError("count must be at least 1")
     ops = base.value_ops()
     qg_digit = _qg_digit_source(base)
-    out = [BInteger(ops.enclosure(ops.lift(0), base.prec), ())]
+    out = [BInteger((), ops.lift(0), base)]
     # suffix-admissible words of the current length, leading zeros allowed,
     # in lexicographic order, paired with their backend values
     level: list[tuple[tuple[int, ...], object]] = [((), ops.lift(0))]
@@ -354,14 +364,15 @@ def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...
         cap = qg_digit(n, 1)
         nxt: list[tuple[tuple[int, ...], object]] = []
         for lead in range(cap + 1):
+            step = ops.mul(ops.lift(lead), weight) if lead else None
             for word, value in level:
                 grown = (lead,) + word
                 if lead and not _word_below_qg(grown, qg_digit, n):
                     continue
-                v = ops.add(value, ops.mul(ops.lift(lead), weight)) if lead else value
+                v = ops.add(value, step) if lead else value
                 nxt.append((grown, v))
                 if lead and len(out) < count:
-                    out.append(BInteger(ops.enclosure(v, base.prec), grown))
+                    out.append(BInteger(grown, v, base))
         level = nxt
         weight = ops.mul(weight, ops.beta(n - 1))
     return tuple(out[:count])
@@ -378,6 +389,7 @@ class GapTable:
     deltas: tuple[IntervalReal, ...]
     pi: tuple[int, ...]  # pi[n] = first row with the same value
     alphabet: tuple[int, ...]  # representative rows, in order of appearance
+    values: tuple = dataclasses.field(compare=False, repr=False)  # backend row values
 
     def to_json(self) -> dict:
         return {
@@ -388,8 +400,24 @@ class GapTable:
         }
 
 
-def _delta_values(base: AlternateBase, m: int, depth: int):
-    """Backend values and tail words of Delta_{m,n} for n < depth."""
+def gap_table(base: AlternateBase, m: int = 0, depth: int = 16) -> GapTable:
+    """Delta_{m,n} for n < depth, classed by exact value equality.
+
+    With an exact backend equality is decided in the number field; without
+    one, equal tail words decide equality and anything else raises
+    ClassingUndecidable rather than merging classes on overlap.  Every
+    index is taken mod p, so the base keeps one table per shift residue
+    and depth, and a shift m >= p gets that table relabelled with m.
+    """
+    key = (m % base.p, depth)
+    table = base._gap_tables.get(key)
+    if table is None:
+        table = _build_gap_table(base, key[0], depth)
+        base._gap_tables[key] = table
+    return table if table.m == m else dataclasses.replace(table, m=m)
+
+
+def _build_gap_table(base: AlternateBase, m: int, depth: int) -> GapTable:
     ops = base.value_ops()
     words = _resolve_qg_words(base)
     vals = []
@@ -398,17 +426,6 @@ def _delta_values(base: AlternateBase, m: int, depth: int):
         tail = shift_suffix(words[(m + n) % base.p], n)
         tails.append(tail)
         vals.append(_val_word(ops, m, tail))
-    return ops, vals, tails
-
-
-def gap_table(base: AlternateBase, m: int = 0, depth: int = 16) -> GapTable:
-    """Delta_{m,n} for n < depth, classed by exact value equality.
-
-    With an exact backend equality is decided in the number field; without
-    one, equal tail words decide equality and anything else raises
-    ClassingUndecidable rather than merging classes on overlap.
-    """
-    ops, vals, tails = _delta_values(base, m, depth)
     if ops.exact and ops.sign(ops.sub(vals[0], ops.lift(1))) != 0:
         raise ValueError("quasi-greedy data does not give value 1; bad base")
     pi: list[int] = []
@@ -435,7 +452,7 @@ def gap_table(base: AlternateBase, m: int = 0, depth: int = 16) -> GapTable:
         pi.append(n if hit is None else hit)
     alphabet = tuple(n for n, r in enumerate(pi) if r == n)
     deltas = tuple(ops.enclosure(v, base.prec) for v in vals)
-    return GapTable(m, deltas, tuple(pi), alphabet)
+    return GapTable(m, deltas, tuple(pi), alphabet, tuple(vals))
 
 
 def gap_substitution(
@@ -453,28 +470,40 @@ def gap_substitution(
     images = {}
     for n in table_next.alphabet:
         if n + 1 >= depth:
-            raise ClassingUndecidable("gap table too shallow for the alphabet")
+            raise DepthExhausted(
+                f"gap table of depth {depth} is too shallow for the alphabet "
+                f"of shift {m + 1}; raise --depth",
+                depth=depth,
+            )
         images[n] = (0,) * qg_digit(m + n + 1, n + 1) + (table_m.pi[n + 1],)
     return Substitution.from_map(images)
 
 
 def _class_gaps(base: AlternateBase, table: GapTable, length: int) -> tuple[int, ...]:
-    """Direct coding: class the consecutive gaps of the first B-integers."""
+    """Direct coding: class the consecutive gaps of the first B-integers.
+
+    Every gap equals some Delta_{0,n}, so a gap that matches no table row
+    means the table depth ran out.
+    """
     ops = base.value_ops()
     ints = enumerate_b_integers(base, length + 1)
-    _, vals, _ = _delta_values(base, table.m, len(table.deltas))
+    # exact backend: equal reduced coefficient tuples are the same element
+    # of Q[x]/(modulus), so a gap seen before keeps its letter
+    seen: dict = {}
     word: list[int] = []
     for a, b in zip(ints, ints[1:]):
-        # recompute backend values from the digit words to stay exact
-        gap = ops.sub(_int_value(ops, b.digits), _int_value(ops, a.digits))
+        gap = ops.sub(b.exact, a.exact)
         letter = None
-        for r in table.alphabet:
-            if ops.exact:
-                if ops.is_zero(ops.sub(gap, vals[r])):
-                    letter = r
-                    break
-            else:
-                enc = ops.enclosure(gap, base.prec)
+        if ops.exact:
+            letter = seen.get(gap)
+            if letter is None:
+                for r in table.alphabet:
+                    if ops.is_zero(ops.sub(gap, table.values[r])):
+                        letter = seen[gap] = r
+                        break
+        else:
+            enc = ops.enclosure(gap, base.prec)
+            for r in table.alphabet:
                 if not enc.certainly_disjoint(table.deltas[r]):
                     if letter is not None:
                         raise ClassingUndecidable(
@@ -482,19 +511,13 @@ def _class_gaps(base: AlternateBase, table: GapTable, length: int) -> tuple[int,
                         )
                     letter = r
         if letter is None:
-            raise CodingMismatch("a gap value is missing from the table")
+            raise DepthExhausted(
+                f"a gap value is missing from the gap table of depth "
+                f"{len(table.deltas)}; raise --depth",
+                depth=len(table.deltas),
+            )
         word.append(letter)
     return tuple(word)
-
-
-def _int_value(ops, digits: tuple[int, ...]):
-    v = ops.lift(0)
-    weight = ops.lift(1)
-    for n, a in enumerate(reversed(digits)):
-        if a:
-            v = ops.add(v, ops.mul(ops.lift(a), weight))
-        weight = ops.mul(weight, ops.beta(n))
-    return v
 
 
 def faithful_coding(base: AlternateBase, length: int, depth: int = 16) -> tuple[int, ...]:

@@ -42,7 +42,11 @@ class NoSecondNonzero(AltBaseError):
 
 
 class DepthExhausted(AltBaseError):
-    """Iterative synthesis hit max_depth before enclosures stabilised."""
+    """A depth limit ran out.
+
+    Iterative synthesis hit max_depth before enclosures stabilised, or a
+    gap table has too few rows to class every gap of a coding.
+    """
 
     def __init__(self, message, best=None, depth=None):
         super().__init__(message)

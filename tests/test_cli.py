@@ -173,6 +173,18 @@ def test_code_json(capsys):
     assert blob == {"check": "ok", "length": 5, "word": [0, 1, 0, 0, 1]}
 
 
+@pytest.mark.parametrize("depth", ["1", "2"])
+def test_code_shallow_table_exits_depth(capsys, depth):
+    # depth 1 misses a gap value, depth 2 misses a row the alphabet needs
+    code, out, err = run(
+        capsys, "code", "--directive", "1,1", "--len", "50", "--depth", depth,
+        "--check",
+    )
+    assert code == 3
+    assert out == ""
+    assert "--depth" in err
+
+
 def test_code_requires_one_source(capsys):
     code, _, err = run(capsys, "code", "--len", "5")
     assert code == 2

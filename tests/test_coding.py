@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from altbase import coding
 from altbase.bases import AlternateBase
 from altbase.coding import (
     BInteger,
@@ -22,9 +23,10 @@ from altbase.coding import (
     ncf_to_eta,
     sadic_limit,
 )
-from altbase.errors import CodingMismatch, DLessThanN, NoLimit
+from altbase.errors import DepthExhausted, DLessThanN, NoLimit
 from altbase.expansion import is_greedy, val_up
 from altbase.numerics import Dyadic, IntPoly
+from altbase.numerics.algebraic import RealAlgebraicField
 from altbase.synthesis import synthesize_periodic
 from altbase.words import ExpansionList, UPWord, parse_word
 
@@ -203,6 +205,44 @@ def test_enumerate_values_increase():
             assert a.value.certainly_lt(b.value)
 
 
+def _digit_value(ops, digits):
+    """Reference value sum a_n beta_{n-1} ... beta_0, rebuilt from the digits."""
+    v = ops.lift(0)
+    weight = ops.lift(1)
+    for n, a in enumerate(reversed(digits)):
+        if a:
+            v = ops.add(v, ops.mul(ops.lift(a), weight))
+        weight = ops.mul(weight, ops.beta(n))
+    return v
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: base_from_directive(Directive(((1, 1),))),
+        lambda: base_from_directive(Directive(((1, 1, 1),))),
+        lambda: base_from_directive(Directive(((2, 2), (1, 1)))),
+        lambda: AlternateBase.from_rationals([3, 2]),
+    ],
+    ids=["golden", "tribonacci", "22-11", "rational-3-2"],
+)
+def test_enumerate_exact_values_match_digits(make):
+    base = make()
+    ops = base.value_ops()
+    for b in enumerate_b_integers(base, 200):
+        assert ops.is_zero(ops.sub(b.exact, _digit_value(ops, b.digits)))
+
+
+def test_binteger_value_encloses_exact():
+    base = base_from_directive(Directive(((1, 1),)))
+    b = enumerate_b_integers(base, 5)[4]
+    assert b.value.width() <= Dyadic(1, -base.prec)
+    assert b.value.contains_interval(base.value_ops().enclosure(b.exact, 2 * base.prec))
+    # equality and repr go by the digits only
+    assert b == BInteger(b.digits, None, base)
+    assert "exact" not in repr(b)
+
+
 def test_enumerate_rejects_zero_count():
     with pytest.raises(ValueError):
         enumerate_b_integers(AlternateBase.from_rationals([2]), 0)
@@ -275,6 +315,22 @@ def test_gap_table_shift_periodic():
     base = base_from_directive(Directive(((2, 2), (1, 1))))
     a, b = gap_table(base, 0), gap_table(base, 2)
     assert a.pi == b.pi and a.alphabet == b.alphabet
+
+
+def test_gap_table_memo_per_shift(monkeypatch):
+    calls = []
+    real = coding._val_word
+    monkeypatch.setattr(coding, "_val_word", lambda *a: calls.append(a) or real(*a))
+    base = base_from_directive(Directive(((2, 2), (1, 1))))
+    t0 = gap_table(base, 0)
+    t2 = gap_table(base, 2)
+    assert t2.m == 2
+    assert (t2.pi, t2.alphabet, t2.deltas) == (t0.pi, t0.alphabet, t0.deltas)
+    built = len(calls)
+    assert built == 16
+    assert gap_table(base, 0) == t0 and gap_table(base, 2) == t2
+    assert len(calls) == built
+    assert base.shifted(1)._gap_tables == {}
 
 
 def test_gap_table_rejects_bad_value_data():
@@ -350,9 +406,30 @@ def test_coding_pair_base_constant():
     assert faithful_coding(base, 200) == (0,) * 200
 
 
+def test_coding_mul_and_row_counts(monkeypatch):
+    base = base_from_directive(Directive(((1, 1),)))
+    counts = {"mul": 0, "val_word": 0}
+    real_mul = RealAlgebraicField.mul
+    real_val_word = coding._val_word
+
+    def mul(self, a, b):
+        counts["mul"] += 1
+        return real_mul(self, a, b)
+
+    def val_word(*args):
+        counts["val_word"] += 1
+        return real_val_word(*args)
+
+    monkeypatch.setattr(RealAlgebraicField, "mul", mul)
+    monkeypatch.setattr(coding, "_val_word", val_word)
+    faithful_coding(base, 1000)
+    assert counts["mul"] <= 4 * 1000
+    assert counts["val_word"] == base.p * 16
+
+
 def test_coding_shallow_table_raises():
     base = base_from_directive(Directive(((1, 1, 1),)))
-    with pytest.raises(CodingMismatch):
+    with pytest.raises(DepthExhausted):
         faithful_coding(base, 30, depth=2)
 
 
