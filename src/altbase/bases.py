@@ -43,6 +43,10 @@ class FieldOps:
     def __init__(self, field: RealAlgebraicField, beta_elems: Sequence[Elem]):
         self.field = field
         self.beta_elems = tuple(beta_elems)
+        # divisor -> inverse.  An inverse stays valid when the field shrinks
+        # its modulus: the new modulus divides the old one, and mul reduces
+        # the product by it.
+        self._inverses: dict[Elem, Elem] = {}
 
     @property
     def p(self) -> int:
@@ -70,7 +74,10 @@ class FieldOps:
         return self.field.mul(a, b)
 
     def div(self, a, b):
-        return self.field.div(a, b)
+        inv = self._inverses.get(b)
+        if inv is None:
+            inv = self._inverses[b] = self.field.inv(b)
+        return self.field.mul(a, inv)
 
     def sign(self, a) -> int:
         return self.field.sign(a)

@@ -80,6 +80,14 @@ class RealAlgebraicField:
         _, rem = qdivmod(coeffs, self.modulus.coeffs)
         return tuple(rem) if rem else (Fraction(0),)
 
+    def _reduced(self, a: Sequence[Fraction]) -> Elem:
+        """a itself when it is already a remainder by the modulus, else reduce(a)."""
+        if type(a) is tuple and 0 < len(a) < len(self.modulus.coeffs) and (
+            a[-1] != 0 or len(a) == 1
+        ):
+            return a
+        return self.reduce(a)
+
     # -- ring operations ---------------------------------------------------
 
     def add(self, a: Elem, b: Elem) -> Elem:
@@ -102,7 +110,7 @@ class RealAlgebraicField:
         return self.reduce([q * v for v in a])
 
     def is_zero(self, a: Elem) -> bool:
-        a = self.reduce(a)
+        a = self._reduced(a)
         if all(v == 0 for v in a):
             return True
         g = int_poly_gcd(clear_denominators(a), self.modulus)
@@ -115,10 +123,9 @@ class RealAlgebraicField:
         if chain is None:
             chain = sturm_chain(g)
             self._chain_cache[g.coeffs] = chain
-        lo, hi = self.root.lo.as_fraction(), self.root.hi.as_fraction()
-        if lo == hi:
-            return g.eval_fraction(lo) == 0
-        return sturm_count(chain, lo, hi) >= 1
+        if self.root.is_exact():
+            return g.eval_dyadic_sign(self.root.lo) == 0
+        return sturm_count(chain, self.root.lo.as_fraction(), self.root.hi.as_fraction()) >= 1
 
     def sign(self, a: Elem) -> int:
         if self.is_zero(a):
@@ -138,7 +145,7 @@ class RealAlgebraicField:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero element")
         while True:
-            a = self.reduce(a)
+            a = self._reduced(a)
             mod = [Fraction(c) for c in self.modulus.coeffs]
             g, s = _fraction_xgcd(list(a), mod)
             if len(g) == 1:
@@ -165,7 +172,7 @@ class RealAlgebraicField:
 
     def enclosure(self, a: Elem, prec: int = 64, refine_until: bool = True) -> IntervalReal:
         """Interval around the element's value, width <= 2**-prec if refining."""
-        a = self.reduce(a)
+        a = self._reduced(a)
         target = Dyadic(1, -prec)
         bits = max(prec + 16, 48)
         while True:

@@ -1,8 +1,8 @@
 """Exact integer polynomials, characteristic polynomials and root isolation.
 
 Coefficients are stored in ascending order.  Root work is done with exact
-sign evaluations at dyadic points plus Sturm-sequence counting, so every
-returned enclosure is certified.
+sign evaluations at rational points, in integers only, plus Sturm-sequence
+counting, so every returned enclosure is certified.
 """
 
 from __future__ import annotations
@@ -11,8 +11,18 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from ..errors import NoSignChange
+from ..errors import NoSignChange, Undecidable
 from .intervals import Dyadic, IntervalReal
+
+
+def _sign_at(coeffs: Sequence[int], n: int, d: int) -> int:
+    """Sign of p(n/d) for d > 0: homogeneous Horner on d**deg * p(n/d) in ints."""
+    acc = 0
+    dk = 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
 
 
 def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -68,8 +78,9 @@ class IntPoly:
         return acc
 
     def eval_dyadic_sign(self, x: Dyadic) -> int:
-        v = self.eval_fraction(x.as_fraction())
-        return (v > 0) - (v < 0)
+        if x.e >= 0:
+            return _sign_at(self.coeffs, x.m << x.e, 1)
+        return _sign_at(self.coeffs, x.m, 1 << -x.e)
 
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -100,7 +111,7 @@ def faddeev_leverrier(m: Matrix) -> tuple[IntPoly, list[list[list[int]]]]:
 
     Returns (chi, adj) where chi = det(xI - m) and adj is a matrix of
     ascending coefficient lists with adj(x) = adjugate(xI - m).  All the
-    interior integer divisions are exact; this is asserted.
+    interior integer divisions are exact; ArithmeticError if one is not.
     """
     n = len(m)
     a = [[int(v) for v in row] for row in m]
@@ -116,7 +127,8 @@ def faddeev_leverrier(m: Matrix) -> tuple[IntPoly, list[list[list[int]]]]:
         am = _mat_mul(a, mk)
         tr = sum(am[i][i] for i in range(n))
         q, r = divmod(-tr, k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact"
+        if r:
+            raise ArithmeticError("Faddeev-LeVerrier division was not exact")
         coeffs[n - k] = q
         if k < n:
             mk = [[am[i][j] + (q if i == j else 0) for j in range(n)] for i in range(n)]
@@ -280,12 +292,8 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
 
 
 def _variations(chain: Sequence[IntPoly], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = poly.eval_fraction(x)
-        s = (v > 0) - (v < 0)
-        if s != 0:
-            signs.append(s)
+    n, d = x.numerator, x.denominator
+    signs = [s for s in (_sign_at(poly.coeffs, n, d) for poly in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -296,23 +304,30 @@ def sturm_count(chain: Sequence[IntPoly], a: Fraction, b: Fraction) -> int:
     return _variations(chain, a) - _variations(chain, b)
 
 
-# -- dominant-root isolation and bisection -----------------------------------
+# -- dominant-root isolation and refinement -----------------------------------
+
+#: refine_root_bisect bisects to a bracket this many bits wide before its
+#: Newton guess; the guess's fixed-point steps carry _GUARD_BITS extra bits.
+_NEWTON_BITS = 40
+_GUARD_BITS = 32
+#: isolate_dominant gives up on a dyadic bracket finer than this.
+_BRACKET_BITS_MAX = 4096
 
 
 def _nonroot_near(p: IntPoly, x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     """A point near x inside [lo, hi] where p does not vanish."""
-    if p.eval_fraction(x) != 0:
+    if _sign_at(p.coeffs, x.numerator, x.denominator) != 0:
         return x
     span = hi - lo
     k = 4
     while True:
         for delta in (span / 2**k, -span / 2**k):
             cand = x + delta
-            if lo <= cand <= hi and p.eval_fraction(cand) != 0:
+            if lo <= cand <= hi and _sign_at(p.coeffs, cand.numerator, cand.denominator) != 0:
                 return cand
         k += 1
         if k > 512:
-            raise AssertionError("could not step off a root cluster")
+            raise Undecidable(f"could not step off a root cluster at {k - 1} bits below the span")
 
 
 def isolate_largest_root(p: IntPoly, upper: int) -> tuple[Fraction, Fraction]:
@@ -324,7 +339,7 @@ def isolate_largest_root(p: IntPoly, upper: int) -> tuple[Fraction, Fraction]:
     stripped, _ = p.shift_out_zero_roots()
     chain = sturm_chain(stripped)
     a, b = Fraction(0), Fraction(upper)
-    while stripped.eval_fraction(b) == 0:
+    while _sign_at(stripped.coeffs, b.numerator, b.denominator) == 0:
         b += 1
     total = sturm_count(chain, a, b)
     if total < 1:
@@ -345,14 +360,86 @@ def integer_roots_in(p: IntPoly, a: Fraction, b: Fraction) -> list[int]:
 
     lo = math.floor(a) + 1
     hi = math.floor(b)
-    return [n for n in range(lo, hi + 1) if p.eval_fraction(n) == 0]
+    return [n for n in range(lo, hi + 1) if _sign_at(p.coeffs, n, 1) == 0]
+
+
+def _newton_guess(p: IntPoly, lo: Dyadic, hi: Dyadic, prec: int) -> Dyadic | None:
+    """A point near the root in [lo, hi], about 2**-prec off, or None.
+
+    Fixed-point Newton from the midpoint, doubling the working bits up to
+    prec plus a guard (plus the bits that truncated Horner loses to |x|^deg).
+    Gives up when p' evaluates to 0 or an iterate leaves [lo, hi].  This is
+    only a guess: nothing certified rests on it.
+    """
+    w = hi - lo
+    have = -(w.e + w.m.bit_length())  # the bracket pins about this many bits
+    bits_list = []
+    b = prec
+    while b > have // 2:
+        bits_list.append(b)
+        b = (b + 1) // 2
+    top = max(abs(v.m) >> -v.e if v.e < 0 else abs(v.m) << v.e for v in (lo, hi)) + 1
+    extra = _GUARD_BITS + p.degree * top.bit_length()
+    coeffs = p.coeffs
+    x = Dyadic((lo + hi).m, (lo + hi).e - 1)
+    for b in reversed(bits_list):
+        bits = b + extra
+        s = x.e + bits
+        big = x.m << s if s >= 0 else x.m >> -s
+        f, df = coeffs[-1] << bits, 0
+        for c in coeffs[-2::-1]:
+            df = (df * big >> bits) + f
+            f = (f * big >> bits) + (c << bits)
+        if df == 0:
+            return None
+        x = Dyadic(big - (f << bits) // df, -bits)
+        if not lo <= x <= hi:
+            return None
+    return x
+
+
+def _snap(p: IntPoly, lo: Dyadic, slo: int, cell: Dyadic, x: Dyadic) -> IntervalReal | None:
+    """The cell of the grid lo + j*cell that holds the root, found near x, or None.
+
+    Starts at the grid point nearest x and walks at most two points toward
+    the root; every step is an exact sign evaluation.  Returns a point
+    interval when a grid point is the root.  With exactly one root in the
+    bracket, the sign at a point tells which side of the root it lies on,
+    and the walk cannot pass the bracket's ends, whose signs differ.
+    """
+    t = x - lo
+    sh = t.e - cell.e + 1
+    twice = (t.m << sh) // cell.m if sh >= 0 else t.m // (cell.m << -sh)
+    j = (twice + 1) // 2
+    prev, sprev, step = None, 0, 0
+    for _ in range(3):
+        g = lo + Dyadic(j * cell.m, cell.e)
+        s = p.eval_dyadic_sign(g)
+        if s == 0:
+            return IntervalReal(g, g)
+        if prev is not None and s != sprev:
+            return IntervalReal(prev, g) if step > 0 else IntervalReal(g, prev)
+        step = 1 if s == slo else -1
+        prev, sprev = g, s
+        j += step
+    return None
 
 
 def refine_root_bisect(p: IntPoly, lo: Dyadic, hi: Dyadic, prec: int) -> IntervalReal:
     """Shrink a sign-changing bracket [lo, hi] to width <= 2**-prec.
 
-    If a dyadic midpoint is an exact root, the exact point interval is
-    returned.  Raises NoSignChange when the bracket does not bracket.
+    Returns what bisection returns: after the n halvings that bring the
+    width to <= 2**-prec, the cell lo + [j, j+1] * (hi - lo) / 2**n that
+    holds the root, or the point interval when a grid point lo + j * (hi -
+    lo) / 2**n is the root.  It gets there by guess, snap and verify: bisect
+    to a 2**-40 bracket, take a fixed-point Newton guess, snap it to the
+    grid and check the signs at the grid points around it exactly.  When
+    no cell verifies, bisection goes on from the 2**-40 bracket.
+
+    Requires [lo, hi] to hold exactly one root of p, and a simple one: an
+    IsolatedRoot bracket (Sturm count 1) or alpha_root's (one positive
+    root by Descartes' rule).  Then the verified cell is the bisection cell.
+    Raises NoSignChange when the bracket does not bracket.
     """
     slo = p.eval_dyadic_sign(lo)
     shi = p.eval_dyadic_sign(hi)
@@ -362,8 +449,18 @@ def refine_root_bisect(p: IntPoly, lo: Dyadic, hi: Dyadic, prec: int) -> Interva
         return IntervalReal(hi, hi)
     if slo == shi:
         raise NoSignChange(f"no sign change on [{lo.decimal()}, {hi.decimal()}]")
-    target = Dyadic(1, -prec)
-    while (hi - lo) > target:
+    w = hi - lo
+    n = max(0, w.e + prec + (w.m - 1).bit_length())
+    cell = Dyadic(w.m, w.e - n)
+    start = Dyadic(1, -_NEWTON_BITS)
+    guessed = False
+    while n > 0:
+        if not guessed and hi - lo <= start:
+            guessed = True
+            x = _newton_guess(p, lo, hi, prec)
+            got = _snap(p, lo, slo, cell, x) if x is not None else None
+            if got is not None:
+                return got
         mid = Dyadic((lo + hi).m, (lo + hi).e - 1)
         smid = p.eval_dyadic_sign(mid)
         if smid == 0:
@@ -372,14 +469,18 @@ def refine_root_bisect(p: IntPoly, lo: Dyadic, hi: Dyadic, prec: int) -> Interva
             lo = mid
         else:
             hi = mid
+        n -= 1
     return IntervalReal(lo, hi)
 
 
 class IsolatedRoot:
     """A single simple real root held by a sign-changing dyadic bracket.
 
-    refine() bisects in place, so successive enclosures are nested; exact
-    dyadic hits collapse the bracket to a point.
+    The bracket holds no other root.  refine() narrows it in place with
+    refine_root_bisect (a Newton guess snapped onto the bisection grid and
+    verified by exact integer signs), so successive enclosures are nested
+    and equal to what plain bisection gives; exact dyadic hits collapse the
+    bracket to a point.
     """
 
     __slots__ = ("poly", "lo", "hi")
@@ -427,8 +528,8 @@ def isolate_dominant(p: IntPoly, upper: int, prec: int = 64) -> IsolatedRoot:
         ):
             break
         prec0 *= 2
-        if prec0 > 4096:
-            raise AssertionError("failed to form a dyadic isolation bracket")
+        if prec0 > _BRACKET_BITS_MAX:
+            raise Undecidable(f"failed to form a dyadic isolation bracket at {prec0 // 2} bits")
     root = IsolatedRoot(sf, dlo, dhi)
     root.refine(prec)
     return root

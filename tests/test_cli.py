@@ -217,6 +217,7 @@ def test_optimized_interpreter_matches(capsys):
     for argv in (
         ("synthesize", "-p", "2", "(21)", "(12)", "--format", "json"),
         ("code", "--directive", "1,1", "--len", "200", "--check"),
+        ("synthesize", "-p", "1", "(21)", "--format", "json", "--tol", "4096"),
     ):
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "altbase.cli", *argv],
@@ -224,3 +225,13 @@ def test_optimized_interpreter_matches(capsys):
         )
         code, out, _ = run(capsys, *argv)
         assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_refinement_sign_evaluation_count(capsys, monkeypatch):
+    # a Newton guess snapped to the bisection grid: a few dozen exact signs, not one per bit
+    calls = []
+    real = IntPoly.eval_dyadic_sign
+    monkeypatch.setattr(IntPoly, "eval_dyadic_sign", lambda self, x: calls.append(x) or real(self, x))
+    code, _, _ = run(capsys, "synthesize", "-p", "1", "(21)", "--format", "json", "--tol", "4096")
+    assert code == 0
+    assert len(calls) <= 200

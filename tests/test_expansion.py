@@ -311,3 +311,38 @@ def test_is_greedy_undecidable_on_interval_base():
 def test_digit_too_large_is_caught():
     v = is_greedy(BASE2, words((2,), (0,)))
     assert not v.ok and v.violation_k == 1
+
+
+# -- exact backend bookkeeping -------------------------------------------------
+
+
+def test_field_ops_inverts_each_divisor_once(monkeypatch):
+    calls = []
+    real_inv = RealAlgebraicField.inv
+    monkeypatch.setattr(RealAlgebraicField, "inv", lambda self, a: calls.append(a) or real_inv(self, a))
+    # (x^2-x-1)(x-3) with the bracket on the golden ratio
+    field = RealAlgebraicField(IsolatedRoot(IntPoly([3, 2, -4, 1]), Dyadic(3, -1), Dyadic(7, -2)))
+    phi = field.generator()
+    ops = FieldOps(field, (phi,))
+    one = ops.lift(1)
+    ops.div(one, phi)  # inverted modulo the cubic
+    ops.div(one, field.reduce([Fraction(-3), Fraction(1)]))  # x - 3 shrinks the modulus
+    assert field.degree == 2
+    # the cached inverse, reduced by the new modulus, is 1/phi = phi - 1
+    assert ops.div(one, phi) == (Fraction(-1), Fraction(1))
+    assert len(calls) == 2
+
+
+def test_field_skips_reduce_of_remainders(monkeypatch):
+    field = RealAlgebraicField(IsolatedRoot(GOLDEN, Dyadic(1), Dyadic(2)))
+    phi = field.generator()
+    calls = []
+    real_reduce = RealAlgebraicField.reduce
+    monkeypatch.setattr(RealAlgebraicField, "reduce", lambda self, c: calls.append(c) or real_reduce(self, c))
+    assert not field.is_zero(phi)
+    assert field.is_zero(field.from_fraction(0))
+    assert field.enclosure(phi, 64).width() <= Dyadic(1, -64)
+    assert calls == []
+    # phi^2 - phi - 1 written out is not a remainder, so it is reduced
+    assert field.is_zero((Fraction(-1), Fraction(-1), Fraction(1)))
+    assert len(calls) == 1

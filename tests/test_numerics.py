@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -19,7 +19,8 @@ from altbase.numerics import (
     sturm_chain,
     sturm_count,
 )
-from altbase.numerics.polynomials import IsolatedRoot, exact_div, qdivmod
+from altbase.numerics import polynomials
+from altbase.numerics.polynomials import IsolatedRoot, _nonroot_near, exact_div, qdivmod
 from altbase.perron import _certified_enclosure
 
 
@@ -215,6 +216,141 @@ def test_isolate_dominant_exact_integer():
     root = isolate_dominant(IntPoly([0, -2, 1]), 5)  # x(x-2)
     assert root.is_exact()
     assert root.enclosure().lo == Dyadic(2)
+
+
+@given(st.lists(st.integers(-50, 50), max_size=8), st.integers(-2**40, 2**40), st.integers(-90, 20))
+@settings(max_examples=200)
+def test_eval_dyadic_sign_matches_fraction(coeffs, m, e):
+    p, x = IntPoly(coeffs), Dyadic(m, e)
+    v = p.eval_fraction(x.as_fraction())
+    assert p.eval_dyadic_sign(x) == (v > 0) - (v < 0)
+
+
+def test_nonroot_near_gives_up_with_undecidable():
+    with pytest.raises(Undecidable, match="512 bits"):
+        _nonroot_near(IntPoly([]), Fraction(1), Fraction(0), Fraction(2))
+
+
+def test_isolate_dominant_bracket_cap_raises_undecidable(monkeypatch):
+    # roots 5/3 and 5/3 + 2^-20: no 16-bit dyadic bracket separates them
+    p = IntPoly([5 * (5 * 2**20 + 3), -(30 * 2**20 + 9), 9 * 2**20])
+    assert isolate_dominant(p, 2).enclosure().lo.as_fraction() > Fraction(5, 3)
+    monkeypatch.setattr(polynomials, "_BRACKET_BITS_MAX", 16)
+    with pytest.raises(Undecidable, match="16 bits"):
+        isolate_dominant(p, 2)
+
+
+def test_faddeev_leverrier_inexact_division_raises(monkeypatch):
+    monkeypatch.setattr(polynomials, "_mat_mul", lambda a, b: [[1, 0], [0, 0]])
+    with pytest.raises(ArithmeticError):
+        faddeev_leverrier([[0, 1], [1, 0]])
+
+
+# -- refinement against plain bisection -------------------------------------------
+
+
+def _bisect_reference(p: IntPoly, lo: Dyadic, hi: Dyadic, prec: int) -> IntervalReal:
+    """One exact sign per output bit: the bisection refine_root_bisect must match."""
+    slo = p.eval_dyadic_sign(lo)
+    shi = p.eval_dyadic_sign(hi)
+    if slo == 0:
+        return IntervalReal(lo, lo)
+    if shi == 0:
+        return IntervalReal(hi, hi)
+    target = Dyadic(1, -prec)
+    while (hi - lo) > target:
+        mid = Dyadic((lo + hi).m, (lo + hi).e - 1)
+        smid = p.eval_dyadic_sign(mid)
+        if smid == 0:
+            return IntervalReal(mid, mid)
+        if smid == slo:
+            lo = mid
+        else:
+            hi = mid
+    return IntervalReal(lo, hi)
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+_factor = st.one_of(
+    # 2^k x - a: a root on a dyadic grid
+    st.tuples(st.integers(-2**70, 2**70), st.integers(0, 70)).map(lambda t: [-t[0], 2 ** t[1]]),
+    st.lists(st.integers(-30, 30), min_size=2, max_size=4).filter(lambda c: c[-1] != 0),
+)
+
+
+@st.composite
+def isolated_roots(draw):
+    """(p, lo, hi): p squarefree, one root of p in [lo, hi], none at lo or hi."""
+    coeffs = [1]
+    for f in draw(st.lists(_factor, min_size=1, max_size=3)):
+        coeffs = _poly_mul(coeffs, f)
+    p = squarefree_part(IntPoly(coeffs))
+    assume(p.degree >= 1)
+    chain = sturm_chain(p)
+    # a power of two beyond every root, so that dyadic roots land on the bisection grid
+    bound = Dyadic(1, sum(abs(c) for c in p.coeffs).bit_length())
+
+    def count(lo, hi):
+        return sturm_count(chain, lo.as_fraction(), hi.as_fraction())
+
+    lo, hi = -bound, bound
+    total = count(lo, hi)
+    assume(total >= 1)
+    k = draw(st.integers(0, total - 1))  # the k-th root from the left in (lo, hi]
+    first = draw(st.sampled_from([Dyadic(1, -1), Dyadic(3, -2), Dyadic(5, -4)]))
+    splits = [first] + [Dyadic(j, -5) for j in range(1, 32, 2)]
+    while count(lo, hi) > 1:
+        mid = next(m for m in (lo + (hi - lo) * f for f in splits) if p.eval_dyadic_sign(m))
+        left = count(lo, mid)
+        if k < left:
+            hi = mid
+        else:
+            lo, k = mid, k - left
+    return p, lo, hi
+
+
+@given(isolated_roots(), st.integers(8, 3000))
+@settings(max_examples=60, deadline=None)
+def test_refine_matches_bisection(root, prec):
+    p, lo, hi = root
+    got = refine_root_bisect(p, lo, hi, prec)
+    want = _bisect_reference(p, lo, hi, prec)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+def test_refine_root_on_a_deep_grid_point():
+    p = IntPoly([-(2**59 + 1), 2**60])
+    got = refine_root_bisect(p, Dyadic(0), Dyadic(1), 4096)
+    assert got.is_point() and got.lo == Dyadic(2**59 + 1, -60)
+
+
+def test_nested_refines_match_bisection():
+    for p, lo, hi in (
+        (IntPoly([-1, -1, -1, -1, 1]), Dyadic(1), Dyadic(2)),
+        (IntPoly([3, 2, -4, 1]), Dyadic(3, -1), Dyadic(7, -2)),  # (x^2-x-1)(x-3)
+    ):
+        root = IsolatedRoot(p, lo, hi)
+        for prec in (100, 5000):
+            want = _bisect_reference(p, lo, hi, prec)
+            got = root.refine(prec)
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+            lo, hi = want.lo, want.hi
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_alpha_root_matches_bisection(p):
+    poly = IntPoly([-1] * p + [1])
+    for prec in (8, 64, 1000, 3000):
+        got = alpha_root(p, prec)
+        want = _bisect_reference(poly, Dyadic(1), Dyadic(2), prec)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
 # -- algebraic field ---------------------------------------------------------------
