@@ -47,6 +47,7 @@ class FieldOps:
         # its modulus: the new modulus divides the old one, and mul reduces
         # the product by it.
         self._inverses: dict[Elem, Elem] = {}
+        self._delta: Optional[Elem] = None
 
     @property
     def p(self) -> int:
@@ -59,10 +60,13 @@ class FieldOps:
         return self.beta_elems[i % self.p]
 
     def delta(self) -> Elem:
-        out = self.lift(1)
-        for b in self.beta_elems:
-            out = self.field.mul(out, b)
-        return out
+        """The period product, computed once; every shift shares it."""
+        if self._delta is None:
+            out = self.lift(1)
+            for b in self.beta_elems:
+                out = self.field.mul(out, b)
+            self._delta = out
+        return self._delta
 
     def add(self, a, b):
         return self.field.add(a, b)
@@ -106,7 +110,9 @@ class FieldOps:
     def shifted(self, i: int) -> "FieldOps":
         p = self.p
         elems = tuple(self.beta_elems[(j + i) % p] for j in range(p))
-        return FieldOps(self.field, elems)
+        ops = FieldOps(self.field, elems)
+        ops._delta = self._delta
+        return ops
 
 
 class IntervalOps:
@@ -218,6 +224,8 @@ class AlternateBase:
         self.qg_words = qg_words
         # coding.gap_table memo, keyed by (shift mod p, depth)
         self._gap_tables: dict[tuple[int, int], object] = {}
+        # coding.derive_qg_words memo, for a base given without qg_words
+        self._derived_qg_words: Optional[tuple[UPWord, ...]] = None
 
     @classmethod
     def from_rationals(

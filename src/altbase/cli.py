@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 failed validation or a failed cross-check, 2 parse
 or usage error, 3 depth or window exhausted, 4 undecidable at the working
-precision.
+precision, 5 a violated internal invariant (a defect, never a bad input).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     DLessThanN,
     FailsIfAllZeroTail,
     FloorUndecidable,
+    InvariantViolation,
     NoLimit,
     ParseError,
     Undecidable,
@@ -37,6 +38,7 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_DEPTH = 3
 EXIT_UNDECIDABLE = 4
+EXIT_INVARIANT = 5
 
 
 def _emit(ns, payload: dict, text_lines: Sequence[str]) -> None:
@@ -241,6 +243,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CodingMismatch as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
+    except InvariantViolation as exc:
+        sys.stderr.write(f"error: invariant violated: {exc}\n")
+        return EXIT_INVARIANT
     except (ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

@@ -23,6 +23,7 @@ from .errors import (
     CodingMismatch,
     DepthExhausted,
     DLessThanN,
+    InvariantViolation,
     NoLimit,
     Undecidable,
 )
@@ -287,7 +288,9 @@ def derive_qg_words(base: AlternateBase, cap: int = 4096) -> tuple[UPWord, ...]:
 def _resolve_qg_words(base: AlternateBase) -> tuple[UPWord, ...]:
     if base.qg_words is not None:
         return tuple(base.qg_words)
-    return derive_qg_words(base)
+    if base._derived_qg_words is None:
+        base._derived_qg_words = derive_qg_words(base)
+    return base._derived_qg_words
 
 
 def _qg_digit_source(base: AlternateBase):
@@ -619,7 +622,8 @@ def base_from_directive(
             if j + 1 < k:
                 img[j] = field.add(img[j], g[j + 1])
         beta = img[0]
-        assert field.compare_int(beta, 1) > 0
+        if field.compare_int(beta, 1) <= 0:
+            raise InvariantViolation("a block of a monotone directive gives beta <= 1")
         betas.append(beta)
         inv = field.inv(beta)
         g = [field.mul(x, inv) for x in img]

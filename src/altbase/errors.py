@@ -66,6 +66,14 @@ class Undecidable(AltBaseError):
     """A comparison stayed ambiguous after the refinement cap."""
 
 
+class InvariantViolation(AltBaseError):
+    """A certificate check failed: an exact identity the mathematics guarantees.
+
+    Raised instead of an assert, so the check also runs under python -O; it
+    means a defect in the program or its input handling, not a bad input.
+    """
+
+
 class ClassingUndecidable(AltBaseError):
     """Two gap values could be neither separated nor proven equal."""
 

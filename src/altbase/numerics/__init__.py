@@ -5,6 +5,7 @@ from .polynomials import (
     IntPoly,
     IsolatedRoot,
     alpha_root,
+    drop_trivial_factors,
     faddeev_leverrier,
     int_poly_gcd,
     isolate_dominant,
@@ -22,6 +23,7 @@ __all__ = [
     "IntPoly",
     "IsolatedRoot",
     "alpha_root",
+    "drop_trivial_factors",
     "faddeev_leverrier",
     "int_poly_gcd",
     "isolate_dominant",

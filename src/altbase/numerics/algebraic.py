@@ -14,12 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from ..errors import Undecidable
+from ..errors import InvariantViolation, Undecidable
 from .intervals import Dyadic, IntervalReal
 from .polynomials import (
     IntPoly,
     IsolatedRoot,
     _content,
+    _trim,
     clear_denominators,
     exact_div,
     int_poly_gcd,
@@ -31,7 +32,8 @@ from .polynomials import (
     sturm_count,
 )
 
-Elem = tuple[Fraction, ...]
+# ascending coefficients; they stay ints while every step kept them integral
+Elem = tuple[Fraction | int, ...]
 
 
 def _fraction_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -44,7 +46,7 @@ def _fraction_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction]
         s0, s1 = s1, qsub(s0, qmul(q, s1))
     if not r0:
         return [], []
-    lead = r0[-1]
+    lead = Fraction(r0[-1])
     return [c / lead for c in r0], [c / lead for c in s0]
 
 
@@ -90,24 +92,27 @@ class RealAlgebraicField:
 
     # -- ring operations ---------------------------------------------------
 
+    def _canonical(self, out: Sequence[Fraction]) -> Elem:
+        """out without trailing zeros, reduced only when its degree calls for it."""
+        c = _trim(out) or (Fraction(0),)
+        return c if len(c) < len(self.modulus.coeffs) else self.reduce(c)
+
     def add(self, a: Elem, b: Elem) -> Elem:
-        n = max(len(a), len(b))
-        out = [Fraction(0)] * n
-        for i, v in enumerate(a):
-            out[i] += v
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
         for i, v in enumerate(b):
             out[i] += v
-        return self.reduce(out)
+        return self._canonical(out)
 
     def sub(self, a: Elem, b: Elem) -> Elem:
-        return self.reduce(qsub(a, b))
+        return self._canonical(qsub(a, b))
 
     def mul(self, a: Elem, b: Elem) -> Elem:
         return self.reduce(qmul(a, b))
 
     def scalar_mul(self, q: Fraction | int, a: Elem) -> Elem:
-        q = Fraction(q)
-        return self.reduce([q * v for v in a])
+        return self._canonical([q * v for v in a])
 
     def is_zero(self, a: Elem) -> bool:
         a = self._reduced(a)
@@ -128,18 +133,20 @@ class RealAlgebraicField:
         return sturm_count(chain, self.root.lo.as_fraction(), self.root.hi.as_fraction()) >= 1
 
     def sign(self, a: Elem) -> int:
-        if self.is_zero(a):
-            return 0
+        # an enclosure that excludes 0 settles the sign; only one that does
+        # not needs the exact zero test, which makes the refinement finite
         prec = 32
+        s = self.enclosure(a, prec, refine_until=False).sign()
+        if s != 0 or self.is_zero(a):
+            return s
         while True:
-            enc = self.enclosure(a, prec, refine_until=False)
-            s = enc.sign()
-            if s != 0:
-                return s
             prec *= 2
             if prec > 1 << 16:
                 raise Undecidable(f"sign of a non-zero element unresolved at {prec // 2} bits")
             self.root.refine(prec)
+            s = self.enclosure(a, prec, refine_until=False).sign()
+            if s != 0:
+                return s
 
     def inv(self, a: Elem) -> Elem:
         if self.is_zero(a):
@@ -153,7 +160,8 @@ class RealAlgebraicField:
             # nontrivial common factor; it cannot vanish at the root since
             # the element does not, so divide it out of the modulus.
             g_int = clear_denominators(g)
-            assert not self._has_root_in_bracket(g_int), "factor vanishes at root"
+            if self._has_root_in_bracket(g_int):
+                raise InvariantViolation("a factor of a non-zero element vanishes at the root")
             self._shrink_modulus(exact_div(self.modulus, g_int))
 
     def div(self, a: Elem, b: Elem) -> Elem:

@@ -8,7 +8,7 @@ counting, so every returned enclosure is certified.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd, isqrt
 from typing import Iterable, Sequence
 
 from ..errors import NoSignChange, Undecidable
@@ -98,43 +98,69 @@ class IntPoly:
 # -- matrix characteristic polynomial and adjugate --------------------------
 
 Matrix = Sequence[Sequence[int]]
+SparseRows = Sequence[Sequence[tuple[int, int]]]
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+def sparse_rows(m: Matrix) -> list[list[tuple[int, int]]]:
+    """Each row of m as its (column, value) pairs with a non-zero value."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in m]
+
+
+def _mat_mul(a: SparseRows, b: Matrix) -> list[list[int]]:
+    """Product a @ b, a given by sparse_rows: one row of b per non-zero of a.
+
+    A companion-shaped a, or a product of p of them, has about (p+1)*k
+    non-zeros, so the product costs that many row operations instead of k*k.
+    Every row returned is a new list.
+    """
+    out = []
+    for row in a:
+        if not row:
+            out.append([0] * len(b[0]))
+            continue
+        j, v = row[0]
+        acc = list(b[j]) if v == 1 else [v * y for y in b[j]]
+        for j, v in row[1:]:
+            if v == 1:
+                acc = [x + y for x, y in zip(acc, b[j])]
+            else:
+                acc = [x + v * y for x, y in zip(acc, b[j])]
+        out.append(acc)
+    return out
 
 
 def faddeev_leverrier(m: Matrix) -> tuple[IntPoly, list[list[list[int]]]]:
     """Characteristic polynomial plus adjugate of (xI - m), both exact.
 
     Returns (chi, adj) where chi = det(xI - m) and adj is a matrix of
-    ascending coefficient lists with adj(x) = adjugate(xI - m).  All the
+    ascending coefficient lists with adj(x) = adjugate(xI - m).  Each of
+    the n products m @ M_k runs over the non-zeros of m only.  All the
     interior integer divisions are exact; ArithmeticError if one is not.
     """
     n = len(m)
     a = [[int(v) for v in row] for row in m]
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    sparse = sparse_rows(a)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    mk = [row[:] for row in ident]
+    mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     # adjugate(xI - m) = sum_k M_{k+1} x^(n-1-k)
     adj_terms = [mk]
     for k in range(1, n + 1):
-        am = _mat_mul(a, mk)
+        am = _mat_mul(sparse, mk)
         tr = sum(am[i][i] for i in range(n))
         q, r = divmod(-tr, k)
         if r:
             raise ArithmeticError("Faddeev-LeVerrier division was not exact")
         coeffs[n - k] = q
         if k < n:
-            mk = [[am[i][j] + (q if i == j else 0) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                am[i][i] += q
+            mk = am
             adj_terms.append(mk)
     adj = [
-        [[adj_terms[n - 1 - d][i][j] for d in range(n)] for j in range(n)]
+        [list(col) for col in zip(*(adj_terms[n - 1 - d][i] for d in range(n)))]
         for i in range(n)
     ]
     return IntPoly(coeffs), adj
@@ -172,8 +198,9 @@ def qdivmod(
     """Quotient and remainder of num by den over Q, so num = q*den + r.
 
     Coefficients may be ints or Fractions; den must end in a non-zero
-    leading coefficient.  The remainder has its trailing zeros stripped, so
-    deg r < deg den and the zero remainder is the empty list.
+    leading coefficient, and a monic den keeps integer coefficients
+    integers.  The remainder has its trailing zeros stripped, so deg r <
+    deg den and the zero remainder is the empty list.
     """
     r = list(num)
     while r and r[-1] == 0:
@@ -182,7 +209,7 @@ def qdivmod(
     lead = den[-1]
     q = [Fraction(0)] * max(0, len(r) - d)
     while len(r) > d:
-        c = Fraction(r[-1], lead)
+        c = r[-1] if lead == 1 else Fraction(r[-1], lead)
         k = len(r) - 1 - d
         q[k] = c
         # the leading term cancels exactly, so only the lower ones change
@@ -281,7 +308,11 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 
 def sturm_chain(p: IntPoly) -> list[IntPoly]:
     """Sturm chain of the squarefree part of p (so counts are of distinct roots)."""
-    sf = squarefree_part(p)
+    return _sturm_chain(squarefree_part(p))
+
+
+def _sturm_chain(sf: IntPoly) -> list[IntPoly]:
+    """Sturm chain of a squarefree sf."""
     chain = [sf, sf.derivative()]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
         _, rem = qdivmod(chain[-2].coeffs, chain[-1].coeffs)
@@ -330,37 +361,51 @@ def _nonroot_near(p: IntPoly, x: Fraction, lo: Fraction, hi: Fraction) -> Fracti
             raise Undecidable(f"could not step off a root cluster at {k - 1} bits below the span")
 
 
-def isolate_largest_root(p: IntPoly, upper: int) -> tuple[Fraction, Fraction]:
+def isolate_largest_root(
+    p: IntPoly, chain: Sequence[IntPoly], upper: int
+) -> tuple[Fraction, Fraction]:
     """Interval (a, b] holding exactly the largest real root of p in (0, upper].
 
-    Requires p to have at least one real root in (0, upper] and none above.
-    Endpoints are non-roots of p.
+    chain is the Sturm chain of p, and p(0) != 0.  Requires p to have at
+    least one real root in (0, upper] and none above.  Endpoints are
+    non-roots of p.
     """
-    stripped, _ = p.shift_out_zero_roots()
-    chain = sturm_chain(stripped)
     a, b = Fraction(0), Fraction(upper)
-    while _sign_at(stripped.coeffs, b.numerator, b.denominator) == 0:
+    while _sign_at(p.coeffs, b.numerator, b.denominator) == 0:
         b += 1
     total = sturm_count(chain, a, b)
     if total < 1:
         raise NoSignChange("no real root in the search range")
     while sturm_count(chain, a, b) > 1:
-        mid = _nonroot_near(stripped, (a + b) / 2, a, b)
+        mid = _nonroot_near(p, (a + b) / 2, a, b)
         if sturm_count(chain, mid, b) >= 1:
             a = mid
         else:
             b = mid
-    a = _nonroot_near(stripped, a, a, b)
+    a = _nonroot_near(p, a, a, b)
     return a, b
 
 
-def integer_roots_in(p: IntPoly, a: Fraction, b: Fraction) -> list[int]:
-    """Integer roots of p lying in (a, b]."""
-    import math
+def integer_root_in(p: IntPoly, a: Fraction, b: Fraction) -> int | None:
+    """The root of p in (a, b] if it is an integer, else None.
 
-    lo = math.floor(a) + 1
-    hi = math.floor(b)
-    return [n for n in range(lo, hi + 1) if _sign_at(p.coeffs, n, 1) == 0]
+    (a, b] must hold exactly one root of p, a simple one, and a, b must be
+    non-roots, so p changes sign across it.  Halves the interval by exact
+    signs until it is narrower than 1, about log2(b - a) steps, then tests
+    the one integer it can still hold.
+    """
+    sa = _sign_at(p.coeffs, a.numerator, a.denominator)
+    while b - a >= 1:
+        mid = (a + b) / 2
+        s = _sign_at(p.coeffs, mid.numerator, mid.denominator)
+        if s == 0:
+            return mid.numerator if mid.denominator == 1 else None
+        if s == sa:
+            a = mid
+        else:
+            b = mid
+    n = floor(b)
+    return n if n > a and _sign_at(p.coeffs, n, 1) == 0 else None
 
 
 def _newton_guess(p: IntPoly, lo: Dyadic, hi: Dyadic, prec: int) -> Dyadic | None:
@@ -508,15 +553,16 @@ def isolate_dominant(p: IntPoly, upper: int, prec: int = 64) -> IsolatedRoot:
     """Isolate the largest real root of p in (0, upper] and refine it.
 
     The dominant root must be simple.  Integer roots are detected exactly
-    (charpolys are monic, so every rational root is an integer).
+    (charpolys are monic, so every rational root is an integer).  The
+    returned root sits on the squarefree part of p without its zero roots.
     """
-    a, b = isolate_largest_root(p, upper)
-    stripped, _ = p.shift_out_zero_roots()
-    for n in integer_roots_in(stripped, a, b):
+    sf = squarefree_part(p.shift_out_zero_roots()[0])
+    chain = _sturm_chain(sf)
+    a, b = isolate_largest_root(sf, chain, upper)
+    n = integer_root_in(sf, a, b)
+    if n is not None:
         d = Dyadic(n)
-        return IsolatedRoot(stripped, d, d)
-    sf = squarefree_part(stripped)
-    chain = sturm_chain(sf)
+        return IsolatedRoot(sf, d, d)
     prec0 = 16
     while True:
         dlo = Dyadic.from_fraction_floor(a, prec0)
@@ -533,6 +579,56 @@ def isolate_dominant(p: IntPoly, upper: int, prec: int = 64) -> IsolatedRoot:
     root = IsolatedRoot(sf, dlo, dhi)
     root.refine(prec)
     return root
+
+
+# -- cyclotomic factors --------------------------------------------------------
+
+
+def _orders_up_to(deg: int) -> list[tuple[int, int]]:
+    """Every (n, phi(n)) with Euler's phi(n) <= deg, ascending in n."""
+    found = [(1, 1)]
+    for p in range(2, deg + 2):
+        if any(p % f == 0 for f in range(2, isqrt(p) + 1)):
+            continue
+        for n, phi in list(found):
+            pk, phik = p, p - 1
+            while phi * phik <= deg:
+                found.append((n * pk, phi * phik))
+                pk, phik = pk * p, phik * p
+    return sorted(found)
+
+
+def _cyclotomic(n: int) -> list[int]:
+    """Coefficients of the n-th cyclotomic polynomial Phi_n.
+
+    From Phi_1 = x - 1, one prime factor p at a time: Phi_mp(x) = Phi_m(x^p),
+    divided by Phi_m(x) when p does not divide m.
+    """
+    c, m, rest, p = [-1, 1], 1, n, 2
+    while rest > 1:
+        while rest % p == 0:
+            up = [0] * ((len(c) - 1) * p + 1)
+            up[::p] = c
+            c = up if m % p == 0 else [int(v) for v in qdivmod(up, c)[0]]
+            m *= p
+            rest //= p
+        p += 1
+    return c
+
+
+def drop_trivial_factors(p: IntPoly) -> IntPoly:
+    """Squarefree p without its zero roots and its cyclotomic factors.
+
+    Every Phi_n with phi(n) <= deg p is tried, so no root of unity is left.
+    Division by monic factors keeps the coefficients integral.
+    """
+    c = list(p.shift_out_zero_roots()[0].coeffs)
+    for n, phi in _orders_up_to(len(c) - 1):
+        if phi < len(c):
+            q, r = qdivmod(c, _cyclotomic(n))
+            if not r:
+                c = [int(v) for v in q]
+    return IntPoly(c)
 
 
 def alpha_root(p: int, prec: int = 64) -> IntervalReal:

@@ -7,23 +7,44 @@ positive.  For matrices with no zero row (all shapes here), that window
 hypothesis is equivalent to some rotation of the one-period product being
 primitive, which is checked, never assumed.
 
-The fixed point is computed exactly: the left eigenvector of a primitive
-rotation product lives in Q(lambda) and is read off the first row of the
-adjugate of (xI - Q); the recurrence then propagates it around the cycle
-with exact field arithmetic, so quantities like gamma = 1 are decided,
-not approximated.
+The fixed point is computed exactly and uses the companion shape at every
+step.  Each A_n has a dense first row and a unit below the diagonal, and a
+product Q of p of them has about (p+1)k non-zero entries, so the rotation
+product and the Faddeev-LeVerrier adjugate of (xI - Q) go through those
+entries only.  The Perron root lambda of Q is isolated on the squarefree
+charpoly; the field Q(lambda) is then built on what is left after its
+cyclotomic factors (artefacts of padding the periods to a common length)
+are divided out, with the same isolating bracket, and it divides out any
+other factor that an inverse runs into.  The first adjugate row at lambda
+is a left eigenvector u of Q.  It is carried around the cycle
+unnormalised, u_{n-1} = u_n A_n, by additions and small integer scalings;
+gamma_n = u_{n-1}[0] / u_n[0] costs one inverse per step, and the cycle
+closes exactly when u comes back as lambda times itself.  Since every
+A_n >= 0, only the k entries of the starting u need a sign check.  The
+normalised f_n = u_n / u_n[0] and their enclosures are built
+on first access.  Checks raise InvariantViolation, not assert, so quantities
+like gamma = 1 are decided, not approximated, also under python -O.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
 
-from .errors import NotPrimitive, Undecidable, ZeroLeadDigit
-from .numerics import IntervalReal, RealAlgebraicField, faddeev_leverrier, isolate_dominant
+from .errors import InvariantViolation, NotPrimitive, Undecidable, ZeroLeadDigit
+from .numerics import (
+    IntervalReal,
+    IsolatedRoot,
+    RealAlgebraicField,
+    drop_trivial_factors,
+    faddeev_leverrier,
+    isolate_dominant,
+)
 from .numerics.algebraic import Elem
+from .numerics.polynomials import _mat_mul, sparse_rows
 from .words import ExpansionList, UPWord
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -46,13 +67,6 @@ Shape = Union[ParryShape, FiniteShape]
 
 def _as_int_matrix(m: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(int(v) for v in row) for row in m)
-
-
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 def _is_primitive(m: IntMatrix) -> bool:
@@ -84,7 +98,7 @@ def _or_rows(mask: int, rows: list[int]) -> int:
 class MatrixSeq:
     """Purely periodic sequence of companion-shaped non-negative matrices."""
 
-    __slots__ = ("matrices", "shape")
+    __slots__ = ("matrices", "shape", "_sparse")
 
     def __init__(self, matrices: Sequence[Sequence[Sequence[int]]], shape: Shape):
         mats = tuple(_as_int_matrix(m) for m in matrices)
@@ -99,6 +113,7 @@ class MatrixSeq:
             self._check_shape(a, k, shape)
         self.matrices = mats
         self.shape = shape
+        self._sparse = tuple(sparse_rows(a) for a in mats)
 
     @staticmethod
     def _check_shape(a: IntMatrix, k: int, shape: Shape) -> None:
@@ -134,17 +149,27 @@ class MatrixSeq:
         """First-row digit a_{n,j}, j 1-indexed."""
         return self.matrices[n % self.q][0][j - 1]
 
-    def rotation_product(self, n: int) -> IntMatrix:
-        """Q_n = A_n A_{n-1} ... A_{n-q+1}."""
-        out = self.matrix(n)
-        for step in range(1, self.q):
-            out = _mat_mul(out, self.matrix(n - step))
-        return out
+    def sparse(self, n: int) -> list[list[tuple[int, int]]]:
+        """A_n as the (column, value) pairs of its non-zero entries, row by row."""
+        return self._sparse[n % self.q]
 
-    def primitive_rotation(self) -> int:
+    def rotation_product(self, n: int) -> IntMatrix:
+        """Q_n = A_n A_{n-1} ... A_{n-q+1}, multiplied from the right end.
+
+        Each step multiplies by a companion-shaped left factor, so it costs
+        one row operation per non-zero of that factor.
+        """
+        out = self.matrix(n - self.q + 1)
+        for step in range(self.q - 2, -1, -1):
+            out = _mat_mul(self.sparse(n - step), out)
+        return tuple(tuple(row) for row in out)
+
+    def primitive_rotation(self) -> tuple[int, IntMatrix]:
+        """(n, Q_n) for the first rotation n whose product Q_n is primitive."""
         for n in range(self.q):
-            if _is_primitive(self.rotation_product(n)):
-                return n
+            product = self.rotation_product(n)
+            if _is_primitive(product):
+                return n, product
         raise NotPrimitive(
             "no rotation of the period product is primitive; "
             "the positivity hypothesis fails"
@@ -239,24 +264,74 @@ def build_finite_matrices(directive: Sequence[Sequence[int]]) -> MatrixSeq:
 
 @dataclass
 class SpectralData:
-    """Exact form of the fixed point inside Q(lambda)."""
+    """Exact form of the fixed point inside Q(lambda).
+
+    u_elems[n] is the unnormalised left vector u_n and u_lead_invs[n] the
+    inverse of its first entry; f_elems[n] = u_n / u_n[0] is built on first
+    read.
+    """
 
     field: RealAlgebraicField
     rotation: int
     lam: Elem
     gamma_elems: tuple[Elem, ...]
-    f_elems: tuple[tuple[Elem, ...], ...]
+    u_elems: tuple[tuple[Elem, ...], ...]
+    u_lead_invs: tuple[Elem, ...]
+
+    @cached_property
+    def f_elems(self) -> tuple[tuple[Elem, ...], ...]:
+        field = self.field
+        return tuple(
+            tuple(field.mul(e, inv) for e in row)
+            for row, inv in zip(self.u_elems, self.u_lead_invs)
+        )
+
+
+class _EnclosedOnRead:
+    """FixedPoint.fs, a dataclass field whose default None means "not built yet".
+
+    The first read encloses spectral.f_elems and keeps the result.  As a
+    descriptor-typed field it still goes through the generated __init__,
+    __eq__, __repr__ and dataclasses.replace.
+    """
+
+    def __get__(self, fp, owner=None):
+        if fp is None:
+            return None  # the field's default
+        fs = fp.__dict__["_fs"]
+        if fs is None:
+            # every f_n >= 0 was certified on the starting vector, so the sign is 0 or 1
+            field = fp.spectral.field
+            fs = fp.__dict__["_fs"] = tuple(
+                tuple(
+                    _certified_enclosure(field, e, 0 if field.is_zero(e) else 1, fp.tol_bits)
+                    for e in row
+                )
+                for row in fp.spectral.f_elems
+            )
+        return fs
+
+    def __set__(self, fp, value):
+        fp.__dict__["_fs"] = value
 
 
 @dataclass
 class FixedPoint:
+    """Certified enclosures of the fixed point, each at most 2^-tol_bits wide.
+
+    fs is enclosed on first read, from the field's root as refined by then.
+    The intervals are certified whatever the order of reads, but their
+    endpoints depend on how far other enclosures had refined that shared
+    root before.
+    """
+
     shape: Shape
     gammas: tuple[IntervalReal, ...]
-    fs: tuple[tuple[IntervalReal, ...], ...]
     gamma_vs_one: tuple[int, ...]  # exact trichotomy of gamma_n against 1
     lam: IntervalReal
     spectral: SpectralData
     tol_bits: int
+    fs: tuple[tuple[IntervalReal, ...], ...] = _EnclosedOnRead()
 
     @property
     def q(self) -> int:
@@ -264,7 +339,7 @@ class FixedPoint:
 
     @property
     def k(self) -> int:
-        return len(self.fs[0])
+        return len(self.spectral.u_elems[0])
 
     def refined(self, tol_bits: int) -> "FixedPoint":
         if tol_bits <= self.tol_bits:
@@ -301,91 +376,89 @@ def _enclose_fixed_point(
             # certify the strict lower bound by signing gamma - 1
             enc = _certified_enclosure(field, field.sub(g, field.from_fraction(1)), 1, tol_bits)
             gammas.append(enc.add(IntervalReal.exact(1)))
-    rows = []
-    for row in sp.f_elems:
-        out = []
-        for e in row:
-            s = field.sign(e)
-            assert s >= 0, "fixed-point vectors are non-negative"
-            out.append(_certified_enclosure(field, e, s, tol_bits))
-        rows.append(tuple(out))
-    fs = tuple(rows)
     lam = _certified_enclosure(field, sp.lam, 1, tol_bits)
-    return FixedPoint(shape, tuple(gammas), fs, gamma_vs_one, lam, sp, tol_bits)
+    return FixedPoint(shape, tuple(gammas), gamma_vs_one, lam, sp, tol_bits)
+
+
+def _perron_field(product: IntMatrix) -> tuple[RealAlgebraicField, list[list[list[int]]]]:
+    """Q(lambda) for the Perron root lambda of a primitive product, and adj(xI - Q).
+
+    The root is isolated on the squarefree charpoly, and the field is built
+    on that polynomial without its cyclotomic factors, in the same bracket,
+    so the refinement grid is the same.  Any other factor left over is
+    divided out later by the field itself (RealAlgebraicField.inv).
+    """
+    chi, adj = faddeev_leverrier(product)
+    root = isolate_dominant(chi, max(sum(row) for row in product))
+    if not root.is_exact():
+        root = IsolatedRoot(drop_trivial_factors(root.poly), root.lo, root.hi)
+    return RealAlgebraicField(root), adj
 
 
 def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = 64) -> FixedPoint:
     """Solve gamma_n f_{n-1} = f_n A_n for a periodic companion sequence.
 
-    Finds a primitive rotation, isolates the Perron root of its product,
-    reads the left eigenvector (first entry 1) from the adjugate, then
-    propagates exactly around the cycle.  Every interval returned has
-    width <= 2^-tol_bits; gamma_vs_one records the exact comparisons.
+    Finds a primitive rotation, builds Q(lambda) on the Perron factor of its
+    product, takes the first adjugate row at lambda as the left eigenvector
+    u, and propagates it unnormalised around the cycle.  Every interval
+    returned has width <= 2^-tol_bits; gamma_vs_one records the exact
+    comparisons.  InvariantViolation if a certificate check fails.
     """
     q, k = ms.q, ms.k
-    n_star = ms.primitive_rotation()
-    product = ms.rotation_product(n_star)
-    chi, adj = faddeev_leverrier(product)
-    upper = max(sum(row) for row in product)
-    root = isolate_dominant(chi, upper)
-    field = RealAlgebraicField(root)
+    n_star, product = ms.primitive_rotation()
+    field, adj = _perron_field(product)
     lam = field.generator()
+    zero = field.from_fraction(0)
 
-    # left eigenvector from the first adjugate row of (xI - Q)
-    row_elems = [field.reduce([Fraction(c) for c in adj[0][j]]) for j in range(k)]
-    lead = row_elems[0]
-    assert field.sign(lead) > 0, "adjugate corner must be positive at the Perron root"
-    inv_lead = field.inv(lead)
-    f_vec = [field.mul(e, inv_lead) for e in row_elems]
+    start = tuple(field.reduce(adj[0][j]) for j in range(k))
+    signs = [field.sign(e) for e in start]
+    if signs[0] <= 0:
+        raise InvariantViolation("adjugate corner must be positive at the Perron root")
+    if min(signs) < 0:
+        raise InvariantViolation("fixed-point vectors must be non-negative")
 
-    f_elems: list[tuple[Elem, ...] | None] = [None] * q
-    gamma_elems: list[Elem | None] = [None] * q
-    f_elems[n_star % q] = tuple(f_vec)
-    cur = list(f_vec)
+    u_elems: list = [None] * q
+    invs: list = [None] * q
+    gamma_elems: list = [None] * q
+    u = start
     for step in range(q):
         n = n_star - step
-        a = ms.matrix(n)
-        image = []
-        for j in range(k):
-            acc = field.from_fraction(0)
-            for i in range(k):
-                if a[i][j]:
-                    acc = field.add(acc, field.scalar_mul(a[i][j], cur[i]))
-            image.append(acc)
-        gamma = image[0]
-        gamma_elems[n % q] = gamma
-        inv_gamma = field.inv(gamma)
-        cur = [field.mul(v, inv_gamma) for v in image]
-        if step < q - 1:
-            f_elems[(n - 1) % q] = tuple(cur)
-        else:
-            # cycle closure: after one full period we must return to f_{n*}
-            for got, want in zip(cur, f_vec):
-                assert field.is_zero(field.sub(got, want)), "fixed point failed to close"
+        inv = field.inv(u[0])
+        u_elems[n % q], invs[n % q] = u, inv
+        image: list = [None] * k
+        for i, row in enumerate(ms.sparse(n)):
+            for j, v in row:
+                t = u[i] if v == 1 else field.scalar_mul(v, u[i])
+                image[j] = t if image[j] is None else field.add(image[j], t)
+        # gamma_n f_{n-1} = f_n A_n with f_n = u_n / u_n[0] and u_{n-1} = u_n A_n
+        gamma_elems[n % q] = field.mul(image[0], inv)
+        u = tuple(zero if e is None else e for e in image)
+
+    # cycle closure: u_{n*} Q = lambda u_{n*}
+    for got, want in zip(u, start):
+        if not field.is_zero(field.sub(got, field.mul(lam, want))):
+            raise InvariantViolation("fixed point failed to close")
 
     # the q gammas multiply to the Perron root
     prod = field.from_fraction(1)
     for g in gamma_elems:
-        prod = field.mul(prod, g)  # type: ignore[arg-type]
-    assert field.is_zero(field.sub(prod, lam)), "gamma product must equal lambda"
+        prod = field.mul(prod, g)
+    if not field.is_zero(field.sub(prod, lam)):
+        raise InvariantViolation("gamma product must equal lambda")
 
-    gamma_vs_one = []
-    for g in gamma_elems:
-        cmp = field.compare_int(g, 1)  # type: ignore[arg-type]
-        if isinstance(ms.shape, ParryShape):
-            assert cmp > 0, "parry-shaped sequences force gamma > 1"
-        else:
-            assert cmp >= 0, "finite-shaped sequences force gamma >= 1"
-        gamma_vs_one.append(cmp)
+    gamma_vs_one = tuple(field.compare_int(g, 1) for g in gamma_elems)
+    if min(gamma_vs_one) < (1 if isinstance(ms.shape, ParryShape) else 0):
+        raise InvariantViolation("parry shapes force every gamma > 1, finite shapes gamma >= 1")
 
     sp = SpectralData(
-        field,
-        n_star % q,
-        lam,
-        tuple(gamma_elems),  # type: ignore[arg-type]
-        tuple(f_elems),  # type: ignore[arg-type]
+        field=field,
+        rotation=n_star % q,
+        lam=lam,
+        gamma_elems=tuple(gamma_elems),
+        u_elems=tuple(u_elems),
+        u_lead_invs=tuple(invs),
     )
-    return _enclose_fixed_point(ms.shape, sp, tuple(gamma_vs_one), tol_bits)
+    return _enclose_fixed_point(ms.shape, sp, gamma_vs_one, tol_bits)
 
 
 # -- identity checks -----------------------------------------------------------

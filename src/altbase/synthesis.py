@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bases import AlternateBase, IntervalOps
-from .errors import DepthExhausted, NoSecondNonzero
+from .errors import DepthExhausted, InvariantViolation, NoSecondNonzero
 from .expansion import val_up
 from .numerics import Dyadic, IntervalReal
 from .numerics.polynomials import alpha_root
@@ -129,7 +129,7 @@ def synthesize_periodic(
     while not _inside_bounds(base, cert):
         bits *= 2
         if bits > max(4096, 64 * tol_bits):
-            raise AssertionError("beta enclosures settled outside (lower, C]")
+            raise InvariantViolation("beta enclosures settled outside (lower, C]")
         base = base.refine(bits)
     return base, fp
 

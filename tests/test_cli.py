@@ -218,6 +218,8 @@ def test_optimized_interpreter_matches(capsys):
         ("synthesize", "-p", "2", "(21)", "(12)", "--format", "json"),
         ("code", "--directive", "1,1", "--len", "200", "--check"),
         ("synthesize", "-p", "1", "(21)", "--format", "json", "--tol", "4096"),
+        ("synthesize", "-p", "5", "3(12)", "2(211)", "(2111)", "31(1)", "(22)",
+         "--skip-parry", "--format", "json"),
     ):
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "altbase.cli", *argv],
@@ -225,6 +227,23 @@ def test_optimized_interpreter_matches(capsys):
         )
         code, out, _ = run(capsys, *argv)
         assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_invariant_violation_exits_five(capsys, monkeypatch):
+    import altbase.perron as perron
+
+    real = perron.faddeev_leverrier
+
+    def off_by_one(m):
+        chi, adj = real(m)
+        adj[0][1][0] += 1  # the first adjugate row is no longer an eigenvector
+        return chi, adj
+
+    monkeypatch.setattr(perron, "faddeev_leverrier", off_by_one)
+    code, out, err = run(capsys, "synthesize", "-p", "1", "(21)")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: invariant violated: fixed point failed to close")
 
 
 def test_refinement_sign_evaluation_count(capsys, monkeypatch):

@@ -498,3 +498,14 @@ def test_window_bounds_checked():
         base_from_directive(d, window=0)
     with pytest.raises(ValueError):
         base_from_directive(d, window=2)
+
+
+def test_derived_qg_words_are_memoised_on_the_base(monkeypatch):
+    calls = []
+    real = coding.derive_qg_words
+    monkeypatch.setattr(coding, "derive_qg_words", lambda base, *a: calls.append(base) or real(base, *a))
+    base = AlternateBase.from_rationals([3, 2])
+    word = faithful_coding(base, 200)
+    assert len(calls) == 1
+    assert faithful_coding(base, 200) == word
+    assert len(calls) == 1

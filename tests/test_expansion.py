@@ -346,3 +346,18 @@ def test_field_skips_reduce_of_remainders(monkeypatch):
     # phi^2 - phi - 1 written out is not a remainder, so it is reduced
     assert field.is_zero((Fraction(-1), Fraction(-1), Fraction(1)))
     assert len(calls) == 1
+
+
+def test_field_ops_delta_is_computed_once(monkeypatch):
+    field = RealAlgebraicField(IsolatedRoot(GOLDEN, Dyadic(1), Dyadic(2)))
+    phi = field.generator()
+    ops = FieldOps(field, (phi, field.add(phi, field.from_fraction(1))))
+    calls = []
+    real_mul = RealAlgebraicField.mul
+    monkeypatch.setattr(RealAlgebraicField, "mul", lambda self, a, b: calls.append(a) or real_mul(self, a, b))
+    delta = ops.delta()
+    assert ops.delta() is delta
+    # the period product does not depend on the shift
+    assert ops.shifted(1).delta() is delta
+    assert len(calls) == 2
+    assert field.is_zero(field.sub(delta, field.mul(phi, field.mul(phi, phi))))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -390,11 +391,88 @@ def test_field_modulus_shrinks_on_reducible_input():
     assert f.degree == 2
 
 
+def test_field_inverse_of_an_integer_element_is_a_fraction():
+    f = golden_field()
+    inv = f.inv((2,))
+    assert inv == (Fraction(1, 2),)
+    assert all(type(c) is Fraction for c in inv)
+
+
+def test_add_sub_scalar_mul_skip_reduce(monkeypatch):
+    f = golden_field()
+    phi = f.generator()
+    calls = []
+    real_reduce = RealAlgebraicField.reduce
+    monkeypatch.setattr(RealAlgebraicField, "reduce", lambda self, c: calls.append(c) or real_reduce(self, c))
+    assert f.add(phi, (Fraction(1), Fraction(-1))) == (Fraction(1),)
+    assert f.sub(phi, phi) == (Fraction(0),)
+    assert f.scalar_mul(3, phi) == (Fraction(0), Fraction(3))
+    assert f.add((2, 3), (1,)) == (3, 3)
+    assert calls == []
+    # a product has degree 2 and must be reduced
+    assert f.mul(phi, phi) == (Fraction(1), Fraction(1))
+    assert len(calls) == 1
+
+
 def test_certified_enclosure_budget_raises():
     # a sign that can never be certified must hit the bit budget, not hang
     f = RealAlgebraicField(IsolatedRoot(IntPoly([0, 1]), Dyadic(0), Dyadic(0)))
     with pytest.raises(Undecidable):
         _certified_enclosure(f, f.from_fraction(1), -1, 64)
+
+
+# -- cyclotomic and integer-root factors ----------------------------------------------
+
+
+def _product(*factors):
+    return IntPoly(reduce(_poly_mul, factors))
+
+
+def test_cyclotomic_polynomials():
+    assert polynomials._cyclotomic(1) == [-1, 1]
+    assert polynomials._cyclotomic(2) == [1, 1]
+    assert polynomials._cyclotomic(12) == [1, 0, -1, 0, 1]
+    assert polynomials._cyclotomic(9) == [1, 0, 0, 1, 0, 0, 1]
+    assert polynomials._cyclotomic(15) == [1, -1, 0, 1, -1, 1, 0, -1, 1]
+    for n in range(1, 60):
+        c = polynomials._cyclotomic(n)
+        # x^n - 1 is the product of Phi_d over the divisors d of n
+        assert exact_div(IntPoly([-1] + [0] * (n - 1) + [1]), IntPoly(c)).degree == n - len(c) + 1
+    phi = {n: p for n, p in polynomials._orders_up_to(12)}
+    assert phi[13] == 12 and phi[36] == 12 and 26 in phi and 14 not in [n for n, p in phi.items() if p > 12]
+    assert max(phi) == 42
+
+
+def test_drop_trivial_factors():
+    golden = [-1, -1, 1]
+    p = _product(golden, [0, 1], [-1, 1], [1, 1], [1, 1, 1], [1, 0, -1, 0, 1], [-2, 1], [3, 1])
+    # x, x - 1, x + 1, Phi_3 and Phi_8 go; the integer roots 2 and -3 stay
+    assert polynomials.drop_trivial_factors(p) == _product(golden, [-2, 1], [3, 1])
+    # Phi_36 has degree 12, and x^2 - 3x - 1 is not cyclotomic
+    phi36 = polynomials._cyclotomic(36)
+    assert polynomials.drop_trivial_factors(_product([-1, -3, 1], phi36)).coeffs == (-1, -3, 1)
+
+
+def test_integer_root_in():
+    # x^2 - 7x + 10 = (x - 2)(x - 5); (x - 5)(x^2 - 2) has no integer root in (2, 9]
+    assert polynomials.integer_root_in(IntPoly([10, -7, 1]), Fraction(3), Fraction(100)) == 5
+    assert polynomials.integer_root_in(IntPoly([10, -7, 1]), Fraction(1), Fraction(3)) == 2
+    p = _product([-5, 1], [-2, 0, 1])
+    assert polynomials.integer_root_in(p, Fraction(1), Fraction(2)) is None
+    assert polynomials.integer_root_in(p, Fraction(2), Fraction(9)) == 5
+    # a wide bracket costs about log2 of its width in sign evaluations
+    calls = []
+    real = polynomials._sign_at
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomials, "_sign_at", counting)
+        n = 10**12 + 39
+        assert polynomials.integer_root_in(IntPoly([-n, 1]), Fraction(0), Fraction(2**60)) == n
+    assert len(calls) <= 64
 
 
 # -- the Q[x] kernel -------------------------------------------------------------

@@ -2,13 +2,16 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altbase.errors import NotPrimitive, ZeroLeadDigit
-from altbase.numerics import Dyadic, IntPoly, IntervalReal
+from altbase.numerics import Dyadic, IntPoly, IntervalReal, faddeev_leverrier
 from altbase.perron import (
     FiniteShape,
     MatrixSeq,
     ParryShape,
+    _certified_enclosure,
     build_finite_matrices,
     build_parry_matrices,
     check_identities,
@@ -251,3 +254,162 @@ def test_identities_catch_corruption():
     report = check_identities(ms, corrupted)
     assert not report.ok
     assert report.failures()
+
+
+# -- structured products and the unnormalised propagation ---------------------------
+
+
+def _dense_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _dense_faddeev_leverrier(m):
+    """The dense O(k^4) Faddeev-LeVerrier recursion: the reference for the sparse one."""
+    n = len(m)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    terms = [mk]
+    for k in range(1, n + 1):
+        am = _dense_mul(m, mk)
+        q, r = divmod(-sum(am[i][i] for i in range(n)), k)
+        assert r == 0
+        coeffs[n - k] = q
+        mk = [[am[i][j] + (q if i == j else 0) for j in range(n)] for i in range(n)]
+        terms.append(mk)
+    adj = [[[terms[n - 1 - d][i][j] for d in range(n)] for j in range(n)] for i in range(n)]
+    return coeffs, adj
+
+
+@st.composite
+def companion_seqs(draw):
+    k = draw(st.integers(2, 7))
+    q = draw(st.integers(1, 3))
+    parry = draw(st.booleans())
+    h = draw(st.integers(1, k - 1))
+    mats = []
+    for _ in range(q):
+        first = [draw(st.integers(1, 3))] + [draw(st.integers(0, 3)) for _ in range(k - 1)]
+        rows = [first]
+        for i in range(1, k):
+            row = [0] * k
+            row[i - 1] = 1
+            if parry and i == h:
+                row[k - 1] = 1
+            rows.append(row)
+        mats.append(rows)
+    return MatrixSeq(mats, ParryShape(h) if parry else FiniteShape())
+
+
+@given(companion_seqs(), st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_sparse_products_match_dense(ms, n):
+    want = ms.matrix(n)
+    for step in range(1, ms.q):
+        want = _dense_mul(want, ms.matrix(n - step))
+    product = ms.rotation_product(n)
+    assert product == tuple(tuple(row) for row in want)
+    chi, adj = faddeev_leverrier(product)
+    coeffs, dense_adj = _dense_faddeev_leverrier(want)
+    assert chi.coeffs == IntPoly(coeffs).coeffs
+    assert adj == dense_adj
+
+
+def test_primitive_rotation_returns_its_product():
+    ms = build_finite_matrices([(1, 1, 1), (1, 1, 0), (1, 0, 1)])
+    n, product = ms.primitive_rotation()
+    assert product == ms.rotation_product(n)
+
+
+LAZY_CASES = [
+    lambda: build_finite_matrices([(1, 1)]),
+    lambda: build_finite_matrices([(1, 1, 1), (1, 1, 0), (1, 0, 1)]),
+    lambda: build_parry_matrices(words(((), (2, 1))))[0],
+    lambda: build_parry_matrices(words(((), (2, 1)), ((), (1, 2))))[0],
+    lambda: build_parry_matrices(words(((3,), (1,)), ((2,), (2, 1)), ((), (2, 1, 1))))[0],
+]
+
+
+def ends(row):
+    return [(e.lo, e.hi) for e in row]
+
+
+@pytest.mark.parametrize("make", LAZY_CASES)
+def test_lazy_fs_equals_eager_fs(make):
+    ms = make()
+    fp = periodic_fixed_point(ms)
+    sp = fp.spectral
+    # nothing normalised or enclosed until asked for
+    assert fp.__dict__["_fs"] is None and "f_elems" not in sp.__dict__
+    lazy = fp.fs
+    # eager reference: f_{n*} = u_{n*} / u_{n*}[0], then gamma_n f_{n-1} = f_n A_n
+    field, q, k = sp.field, ms.q, ms.k
+    start = sp.u_elems[sp.rotation]
+    f = [field.div(e, start[0]) for e in start]
+    eager = {sp.rotation: f}
+    for step in range(q - 1):
+        n = sp.rotation - step
+        a = ms.matrix(n)
+        image = []
+        for j in range(k):
+            acc = field.from_fraction(0)
+            for i in range(k):
+                acc = field.add(acc, field.scalar_mul(a[i][j], f[i]))
+            image.append(acc)
+        f = [field.div(e, sp.gamma_elems[n % q]) for e in image]
+        eager[(n - 1) % q] = f
+    for n in range(q):
+        assert sp.f_elems[n] == tuple(eager[n])
+        assert sp.f_elems[n][0] == (1,)
+        signs = [field.sign(e) for e in eager[n]]
+        assert min(signs) >= 0
+        assert ends(lazy[n]) == ends(
+            _certified_enclosure(field, e, s, fp.tol_bits) for e, s in zip(eager[n], signs)
+        )
+    seven = ((IntervalReal.exact(7),),)
+    assert dataclasses.replace(fp, fs=seven).fs is seven
+    assert dataclasses.replace(fp, gammas=fp.gammas).fs is lazy
+
+
+P5_ROW = words(((3,), (1, 2)), ((2,), (2, 1, 1)), ((), (2, 1, 1, 1)), ((3, 1), (1,)), ((), (2, 2)))
+
+
+def test_p5_field_is_built_on_the_perron_factor(monkeypatch):
+    # k = 65 and a squarefree charpoly of degree 18; the Perron factor has degree 6
+    import altbase.perron as perron
+    from altbase.numerics import RealAlgebraicField
+    from altbase.synthesis import synthesize_periodic
+
+    built, shrinks = [], []
+
+    class Recording(RealAlgebraicField):
+        def __init__(self, root):
+            super().__init__(root)
+            built.append(self.degree)
+
+    monkeypatch.setattr(perron, "RealAlgebraicField", Recording)
+    real_shrink = RealAlgebraicField._shrink_modulus
+    monkeypatch.setattr(
+        RealAlgebraicField, "_shrink_modulus", lambda self, m: shrinks.append(m) or real_shrink(self, m)
+    )
+    base, fp = synthesize_periodic(P5_ROW)
+    assert fp.k == 65
+    assert built == [6]
+    assert shrinks == []
+    assert fp.spectral.field.modulus.coeffs == (-144, -257, -441, -537, -351, -256, 1)
+
+
+def test_large_perron_root_costs_few_sign_evaluations(monkeypatch):
+    # p = 10 words (91): lambda is about 9.2^10 ~ 4.4e9, and the isolating
+    # bracket (0, upper] spans that many integers; the integer-root test must
+    # bisect it, not step through it
+    from altbase.numerics import polynomials
+    from altbase.synthesis import synthesize_periodic
+
+    calls = []
+    real = polynomials._sign_at
+    monkeypatch.setattr(polynomials, "_sign_at", lambda *a: calls.append(a) or real(*a))
+    base, fp = synthesize_periodic(words(*[((), (9, 1))] * 10))
+    assert fp.lam.lo.as_fraction() > 4 * 10**9
+    assert fp.spectral.field.degree == 2
+    assert len(calls) < 2000
