@@ -185,10 +185,6 @@ class IntervalOps:
     def beta_enclosures(self, prec: int) -> tuple[IntervalReal, ...]:
         return self.betas
 
-    def shifted(self, i: int) -> "IntervalOps":
-        p = self.p
-        return IntervalOps(tuple(self.betas[(j + i) % p] for j in range(p)), self.prec)
-
 
 def _as_interval(b, prec: int) -> IntervalReal:
     if isinstance(b, IntervalReal):

@@ -17,7 +17,6 @@ from .coding import Directive, base_from_directive, faithful_coding, sadic_limit
 from .errors import (
     AltBaseError,
     CeilUndecidable,
-    ClassingUndecidable,
     CodingMismatch,
     DepthExhausted,
     DigitRangeError,
@@ -30,6 +29,7 @@ from .errors import (
     Undecidable,
     ZeroLeadDigit,
 )
+from .numerics import DEFAULT_PREC
 from .synthesis import certificate_json, certify, synthesize_periodic
 from .words import ExpansionList, check_parry, parse_word
 
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--format", choices=("json", "text"), default="text")
-        sp.add_argument("--tol", type=int, default=64, metavar="Q",
+        sp.add_argument("--tol", type=int, default=DEFAULT_PREC, metavar="Q",
                         help="target enclosure width 2^-Q, Q >= 8")
         sp.add_argument("--depth", type=int, default=None,
                         help="suffix depth for validation, table depth for coding")
@@ -219,13 +219,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(ns, "tol", 64) < 8:
+    if getattr(ns, "tol", DEFAULT_PREC) < 8:
         sys.stderr.write("error: --tol must be at least 8\n")
         return EXIT_PARSE
     if getattr(ns, "depth", None) is None and ns.command == "code":
         ns.depth = 16
     if getattr(ns, "len", 0) < 0:
         sys.stderr.write("error: --len must be non-negative\n")
+        return EXIT_PARSE
+    if ns.command == "code" and ns.depth < 1:
+        sys.stderr.write("error: --depth must be at least 1\n")
         return EXIT_PARSE
     try:
         return ns.func(ns)
@@ -236,8 +239,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DepthExhausted, NoLimit) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DEPTH
-    except (Undecidable, ClassingUndecidable, FloorUndecidable,
-            CeilUndecidable) as exc:
+    except (Undecidable, FloorUndecidable, CeilUndecidable) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNDECIDABLE
     except CodingMismatch as exc:

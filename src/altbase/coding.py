@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .bases import AlternateBase
 from .errors import (
-    ClassingUndecidable,
     CodingMismatch,
     DepthExhausted,
     DLessThanN,
@@ -27,8 +26,8 @@ from .errors import (
     NoLimit,
     Undecidable,
 )
-from .expansion import _val_word
-from .numerics import Dyadic, IntervalReal
+from .expansion import _qg_steps, _val_word
+from .numerics import DEFAULT_PREC, Dyadic, IntervalReal
 from .perron import build_finite_matrices, periodic_fixed_point
 from .words import UPWord, canonicalize, shift_suffix
 
@@ -228,25 +227,6 @@ def sadic_limit(subs: SubsLike, length: int, max_steps: int = 10_000) -> tuple[i
 # -- quasi-greedy digit access -------------------------------------------------
 
 
-class _QgDigits:
-    """Incremental quasi-greedy digits of 1 at one shift of a backed base."""
-
-    def __init__(self, base: AlternateBase, shift: int):
-        self.ops = base.value_ops()
-        self.shift = shift
-        self.r = self.ops.lift(1)
-        self.digits: list[int] = []
-
-    def digit(self, n: int) -> int:
-        while len(self.digits) < n:
-            m = len(self.digits) + 1
-            t = self.ops.mul(self.ops.beta(self.shift - m), self.r)
-            d = self.ops.ceil(t) - 1
-            self.digits.append(d)
-            self.r = self.ops.sub(t, self.ops.lift(d))
-        return self.digits[n - 1]
-
-
 def derive_qg_words(base: AlternateBase, cap: int = 4096) -> tuple[UPWord, ...]:
     """Recover the quasi-greedy expansions of 1 as ultimately periodic words.
 
@@ -262,53 +242,43 @@ def derive_qg_words(base: AlternateBase, cap: int = 4096) -> tuple[UPWord, ...]:
     out = []
     for shift in range(p):
         digits: list[int] = []
-        r = ops.lift(1)
-        seen: dict = {}
-        m = 1
-        while True:
-            state = (r, (shift - m) % p)
-            if state in seen:
-                s = seen[state]
-                out.append(canonicalize(digits[: s - 1], digits[s - 1 :]))
-                break
-            seen[state] = m
-            t = ops.mul(ops.beta(shift - m), r)
-            d = ops.ceil(t) - 1
-            r = ops.sub(t, ops.lift(d))
+        # state before each digit -> number of digits before it
+        seen = {(ops.lift(1), (shift - 1) % p): 0}
+        for d, r in _qg_steps(ops, shift):
             digits.append(d)
-            m += 1
-            if m > cap:
+            if len(digits) >= cap:
                 raise ValueError(
                     "quasi-greedy expansion does not become periodic "
                     f"within {cap} digits"
                 )
+            state = (r, (shift - len(digits) - 1) % p)
+            if state in seen:
+                s = seen[state]
+                out.append(canonicalize(digits[:s], digits[s:]))
+                break
+            seen[state] = len(digits)
     return tuple(out)
 
 
-def _resolve_qg_words(base: AlternateBase) -> tuple[UPWord, ...]:
-    if base.qg_words is not None:
-        return tuple(base.qg_words)
-    if base._derived_qg_words is None:
-        base._derived_qg_words = derive_qg_words(base)
-    return base._derived_qg_words
-
-
 def _qg_digit_source(base: AlternateBase):
-    """digit(shift, n) for the quasi-greedy words, preferring UP word data."""
-    try:
-        words = _resolve_qg_words(base)
-    except ValueError:
-        words = None
+    """digit(shift, n) of the quasi-greedy expansions of 1.
+
+    Reads the base's words when it has them, given or already derived for a
+    gap table; otherwise runs the quasi-greedy loop once per shift residue,
+    keeping the digits it has produced.
+    """
+    words = base.qg_words or base._derived_qg_words
     if words is not None:
-        resolved = words
-        return lambda shift, n: resolved[shift % base.p].digit(n)
-    streams: dict[int, _QgDigits] = {}
+        return lambda shift, n: words[shift % base.p].digit(n)
+    ops = base.value_ops()
+    # generators start lazily, so a residue that is never read costs nothing
+    streams = [([], _qg_steps(ops, i)) for i in range(base.p)]
 
     def digit(shift: int, n: int) -> int:
-        key = shift % base.p
-        if key not in streams:
-            streams[key] = _QgDigits(base, key)
-        return streams[key].digit(n)
+        digits, steps = streams[shift % base.p]
+        while len(digits) < n:
+            digits.append(next(steps)[0])
+        return digits[n - 1]
 
     return digit
 
@@ -406,12 +376,20 @@ class GapTable:
 def gap_table(base: AlternateBase, m: int = 0, depth: int = 16) -> GapTable:
     """Delta_{m,n} for n < depth, classed by exact value equality.
 
-    With an exact backend equality is decided in the number field; without
-    one, equal tail words decide equality and anything else raises
-    ClassingUndecidable rather than merging classes on overlap.  Every
-    index is taken mod p, so the base keeps one table per shift residue
-    and depth, and a shift m >= p gets that table relabelled with m.
+    Needs an exact backend, since equality of gap values is decided in the
+    number field and never by overlapping enclosures.  A base known only
+    through its quasi-greedy words gets one from
+    synthesize_periodic(ExpansionList(words)).  Every index is taken mod p,
+    so the base keeps one table per shift residue and depth, and a shift
+    m >= p gets that table relabelled with m.
     """
+    if depth < 1:
+        raise ValueError("gap table depth must be at least 1")
+    if not base.value_ops().exact:
+        raise ValueError(
+            "gap tables need an exact backend; synthesize the base from its "
+            "quasi-greedy words with synthesize_periodic"
+        )
     key = (m % base.p, depth)
     table = base._gap_tables.get(key)
     if table is None:
@@ -422,34 +400,20 @@ def gap_table(base: AlternateBase, m: int = 0, depth: int = 16) -> GapTable:
 
 def _build_gap_table(base: AlternateBase, m: int, depth: int) -> GapTable:
     ops = base.value_ops()
-    words = _resolve_qg_words(base)
+    words = base.qg_words or base._derived_qg_words
+    if words is None:
+        words = base._derived_qg_words = derive_qg_words(base)
     vals = []
-    tails = []
     for n in range(depth):
         tail = shift_suffix(words[(m + n) % base.p], n)
-        tails.append(tail)
         vals.append(_val_word(ops, m, tail))
-    if ops.exact and ops.sign(ops.sub(vals[0], ops.lift(1))) != 0:
+    if ops.sign(ops.sub(vals[0], ops.lift(1))) != 0:
         raise ValueError("quasi-greedy data does not give value 1; bad base")
     pi: list[int] = []
     for n, v in enumerate(vals):
         hit = None
         for r in range(n):
-            if r != pi[r]:
-                continue
-            if ops.exact:
-                equal = ops.is_zero(ops.sub(v, vals[r]))
-            elif tails[n] == tails[r] and (m + n) % base.p == (m + r) % base.p:
-                equal = True
-            else:
-                a, b = ops.enclosure(v, base.prec), ops.enclosure(vals[r], base.prec)
-                if a.certainly_disjoint(b):
-                    equal = False
-                else:
-                    raise ClassingUndecidable(
-                        f"rows {r} and {n} of shift {m} neither equal nor separated"
-                    )
-            if equal:
+            if r == pi[r] and ops.is_zero(ops.sub(v, vals[r])):
                 hit = r
                 break
         pi.append(n if hit is None else hit)
@@ -490,29 +454,18 @@ def _class_gaps(base: AlternateBase, table: GapTable, length: int) -> tuple[int,
     """
     ops = base.value_ops()
     ints = enumerate_b_integers(base, length + 1)
-    # exact backend: equal reduced coefficient tuples are the same element
-    # of Q[x]/(modulus), so a gap seen before keeps its letter
+    # equal reduced coefficient tuples are the same element of
+    # Q[x]/(modulus), so a gap seen before keeps its letter
     seen: dict = {}
     word: list[int] = []
     for a, b in zip(ints, ints[1:]):
         gap = ops.sub(b.exact, a.exact)
-        letter = None
-        if ops.exact:
-            letter = seen.get(gap)
-            if letter is None:
-                for r in table.alphabet:
-                    if ops.is_zero(ops.sub(gap, table.values[r])):
-                        letter = seen[gap] = r
-                        break
-        else:
-            enc = ops.enclosure(gap, base.prec)
+        letter = seen.get(gap)
+        if letter is None:
             for r in table.alphabet:
-                if not enc.certainly_disjoint(table.deltas[r]):
-                    if letter is not None:
-                        raise ClassingUndecidable(
-                            "gap enclosure overlaps two table values"
-                        )
-                    letter = r
+                if ops.is_zero(ops.sub(gap, table.values[r])):
+                    letter = seen[gap] = r
+                    break
         if letter is None:
             raise DepthExhausted(
                 f"a gap value is missing from the gap table of depth "
@@ -585,7 +538,7 @@ def _directive_qg_word(blocks: tuple[tuple[int, ...], ...], shift: int) -> UPWor
 
 
 def base_from_directive(
-    directive: Directive, tol_bits: int = 64, window: Optional[int] = None
+    directive: Directive, tol_bits: int = DEFAULT_PREC, window: Optional[int] = None
 ):
     """Base whose B-integer coding realizes the directive's S-adic word.
 

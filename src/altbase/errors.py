@@ -74,10 +74,6 @@ class InvariantViolation(AltBaseError):
     """
 
 
-class ClassingUndecidable(AltBaseError):
-    """Two gap values could be neither separated nor proven equal."""
-
-
 class CodingMismatch(AltBaseError):
     """Direct gap coding and S-adic limit disagree."""
 

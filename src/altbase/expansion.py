@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .bases import AlternateBase, IntervalOps
 from .errors import Undecidable
@@ -106,23 +107,15 @@ def greedy_expand(
     while ops.sign(ops.sub(prod, v)) <= 0:
         prod = ops.mul(prod, ops.beta(n_int))
         n_int += 1
-    int_digits: list[int] = []
-    if n_int > 0:
-        r = ops.div(v, prod)
-        for n in range(n_int - 1, -1, -1):
-            t = ops.mul(ops.beta(n), r)
-            a = ops.floor(t)
-            int_digits.append(a)
-            r = ops.sub(t, ops.lift(a))
-    else:
-        r = v
-    frac_digits: list[int] = []
-    for n in range(1, count + 1):
-        t = ops.mul(ops.beta(-n), r)
+    r = ops.div(v, prod) if n_int > 0 else v
+    # digits a_{N-1} ... a_0, then a_{-1} ... a_{-count}
+    digits: list[int] = []
+    for n in (*range(n_int - 1, -1, -1), *range(-1, -count - 1, -1)):
+        t = ops.mul(ops.beta(n), r)
         a = ops.floor(t)
-        frac_digits.append(a)
+        digits.append(a)
         r = ops.sub(t, ops.lift(a))
-    return GreedyExpansion(tuple(int_digits), tuple(frac_digits), ops.is_zero(r))
+    return GreedyExpansion(tuple(digits[:n_int]), tuple(digits[n_int:]), ops.is_zero(r))
 
 
 def quasi_greedy_expand_one(
@@ -136,15 +129,19 @@ def quasi_greedy_expand_one(
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    ops = base.value_ops()
+    return tuple(d for d, _ in islice(_qg_steps(base.value_ops(), shift), count))
+
+
+def _qg_steps(ops, shift: int) -> Iterator[tuple[int, object]]:
+    """(digit, remainder after it) of the quasi-greedy expansion of 1, forever."""
     r = ops.lift(1)
-    digits: list[int] = []
-    for n in range(1, count + 1):
+    n = 0
+    while True:
+        n += 1
         t = ops.mul(ops.beta(shift - n), r)
         d = ops.ceil(t) - 1
-        digits.append(d)
         r = ops.sub(t, ops.lift(d))
-    return tuple(digits)
+        yield d, r
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import InvariantViolation, Undecidable
-from .intervals import Dyadic, IntervalReal
+from .intervals import DEFAULT_PREC, Dyadic, IntervalReal
 from .polynomials import (
     IntPoly,
     IsolatedRoot,
@@ -178,7 +178,9 @@ class RealAlgebraicField:
 
     # -- enclosures ---------------------------------------------------------
 
-    def enclosure(self, a: Elem, prec: int = 64, refine_until: bool = True) -> IntervalReal:
+    def enclosure(
+        self, a: Elem, prec: int = DEFAULT_PREC, refine_until: bool = True
+    ) -> IntervalReal:
         """Interval around the element's value, width <= 2**-prec if refining."""
         a = self._reduced(a)
         target = Dyadic(1, -prec)

@@ -12,7 +12,7 @@ from math import floor, gcd, isqrt
 from typing import Iterable, Sequence
 
 from ..errors import NoSignChange, Undecidable
-from .intervals import Dyadic, IntervalReal
+from .intervals import DEFAULT_PREC, Dyadic, IntervalReal
 
 
 def _sign_at(coeffs: Sequence[int], n: int, d: int) -> int:
@@ -549,7 +549,7 @@ class IsolatedRoot:
         return got
 
 
-def isolate_dominant(p: IntPoly, upper: int, prec: int = 64) -> IsolatedRoot:
+def isolate_dominant(p: IntPoly, upper: int, prec: int = DEFAULT_PREC) -> IsolatedRoot:
     """Isolate the largest real root of p in (0, upper] and refine it.
 
     The dominant root must be simple.  Integer roots are detected exactly
@@ -631,7 +631,7 @@ def drop_trivial_factors(p: IntPoly) -> IntPoly:
     return IntPoly(c)
 
 
-def alpha_root(p: int, prec: int = 64) -> IntervalReal:
+def alpha_root(p: int, prec: int = DEFAULT_PREC) -> IntervalReal:
     """Root in [1, 2) of x^p - x^(p-1) - ... - x - 1; exactly 1 when p = 1."""
     if p < 1:
         raise ValueError("p must be >= 1")

@@ -36,6 +36,7 @@ from typing import Sequence, Union
 
 from .errors import InvariantViolation, NotPrimitive, Undecidable, ZeroLeadDigit
 from .numerics import (
+    DEFAULT_PREC,
     IntervalReal,
     IsolatedRoot,
     RealAlgebraicField,
@@ -70,29 +71,31 @@ def _as_int_matrix(m: Sequence[Sequence[int]]) -> IntMatrix:
 
 
 def _is_primitive(m: IntMatrix) -> bool:
-    """Some power of m is positive; checked up to the Wielandt bound."""
+    """Some power of m is positive.
+
+    Every period product has m[0][0] >= 1, since it is at least the product
+    of the leading digits, and an irreducible matrix with a positive
+    diagonal entry is primitive.  So m is primitive exactly when its graph is strongly
+    connected: index 0 reaches every index and every index reaches 0.
+    """
+    if m[0][0] < 1:
+        raise InvariantViolation("a period product must have a positive corner")
     k = len(m)
-    base = [sum(1 << j for j in range(k) if m[i][j]) for i in range(k)]
-    full = (1 << k) - 1
-    power = base[:]
-    for _ in range((k - 1) ** 2 + 1):
-        if all(row == full for row in power):
-            return True
-        power = [
-            _or_rows(power[i], base) for i in range(k)
-        ]
-    return False
+    forward = [[j for j in range(k) if m[i][j]] for i in range(k)]
+    backward = [[i for i in range(k) if m[i][j]] for j in range(k)]
+    return _reaches_all(forward) and _reaches_all(backward)
 
 
-def _or_rows(mask: int, rows: list[int]) -> int:
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= rows[i]
-        mask >>= 1
-        i += 1
-    return out
+def _reaches_all(edges: list[list[int]]) -> bool:
+    """Whether every vertex of the graph is reachable from vertex 0."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for j in edges[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(edges)
 
 
 class MatrixSeq:
@@ -395,7 +398,7 @@ def _perron_field(product: IntMatrix) -> tuple[RealAlgebraicField, list[list[lis
     return RealAlgebraicField(root), adj
 
 
-def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = 64) -> FixedPoint:
+def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPoint:
     """Solve gamma_n f_{n-1} = f_n A_n for a periodic companion sequence.
 
     Finds a primitive rotation, builds Q(lambda) on the Perron factor of its

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .bases import AlternateBase, IntervalOps
 from .errors import DepthExhausted, InvariantViolation, NoSecondNonzero
 from .expansion import val_up
-from .numerics import Dyadic, IntervalReal
+from .numerics import DEFAULT_PREC, Dyadic, IntervalReal
 from .numerics.polynomials import alpha_root
 from .perron import FixedPoint, build_parry_matrices, periodic_fixed_point
 from .words import (
@@ -108,7 +108,7 @@ def _inside_bounds(base: AlternateBase, cert: BoundsCert) -> bool:
 
 
 def synthesize_periodic(
-    lst: ExpansionList, tol_bits: int = 64
+    lst: ExpansionList, tol_bits: int = DEFAULT_PREC
 ) -> tuple[AlternateBase, FixedPoint]:
     """Exact base for ultimately periodic entries, via the Perron fixed point.
 
@@ -159,7 +159,7 @@ def verify_value_one(
         if isinstance(a, UPWord):
             enc = val_up(base, i, a)
         else:
-            prec = max(base.prec, 64)
+            prec = max(base.prec, DEFAULT_PREC)
             ops = IntervalOps(base.value_ops().beta_enclosures(prec), prec)
             acc = ops.lift(0)
             prod_lo = Fraction(1)
@@ -272,7 +272,7 @@ def certify(lst: ExpansionList, base: AlternateBase) -> Certificate:
     elif all(a.digit(1) >= 2 for a in lst.entries):
         uniqueness = UNIQUE_BY_LEAD_DIGIT
     else:
-        alpha = alpha_root(lst.p, prec=max(base.prec, 64))
+        alpha = alpha_root(lst.p, prec=max(base.prec, DEFAULT_PREC))
         if all(b.lo > alpha.hi for b in base.betas):
             uniqueness = UNIQUE_BY_ALPHA
         else:

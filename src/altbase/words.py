@@ -248,11 +248,11 @@ def quasi_greedy_transform(entries: Sequence[Entry]) -> tuple[Entry, ...]:
             raise ValueError("entries must start with a non-zero digit")
 
     def finite_part(w: UPWord) -> tuple[Word, int]:
-        ell = w.last_nonzero_pos()
-        assert ell is not None
-        head = list(w.digits(ell))
+        # a canonical zero-tail word ends its preperiod on its last non-zero
+        # digit, and that preperiod is not empty since digit 1 is non-zero
+        head = list(w.preperiod)
         head[-1] -= 1
-        return tuple(head), ell
+        return tuple(head), len(head)
 
     def prefixed_stream(prefix: Word, s: DigitStream) -> DigitStream:
         k = len(prefix)

@@ -1,5 +1,6 @@
 """Exit codes, output shapes, and determinism of the command line."""
 
+import contextlib
 import io
 import json
 import os
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altbase.cli import main
 from altbase.coding import Directive, sadic_limit
@@ -185,6 +188,46 @@ def test_code_shallow_table_exits_depth(capsys, depth):
     assert "--depth" in err
 
 
+@pytest.mark.parametrize(
+    "source", [("--directive", "1,1", "--check"), ("--directive", "1,1"), ("--base", "(2)")]
+)
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_code_nonpositive_depth_exits_two(capsys, source, depth):
+    code, out, err = run(capsys, "code", *source, "--len", "5", "--depth", depth)
+    assert (code, out) == (2, "")
+    assert err == "error: --depth must be at least 1\n"
+
+
+SOURCES = (
+    ("--directive", "1,1"),
+    ("--directive", "2,2;1,1"),
+    ("--directive", "1,1,1"),
+    ("--directive", "1,2"),
+    ("--base", "(2)"),
+    ("--base", "(21)", "(12)"),
+    ("--base", "(12)"),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    source=st.sampled_from(SOURCES),
+    depth=st.integers(-2, 20),
+    length=st.integers(0, 40),
+    tol=st.integers(8, 128),
+    check=st.booleans(),
+)
+def test_code_argv_fuzz(source, depth, length, tol, check):
+    argv = ["code", *source, "--len", str(length), "--depth", str(depth), "--tol", str(tol)]
+    if check:
+        argv.append("--check")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(6)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_code_requires_one_source(capsys):
     code, _, err = run(capsys, "code", "--len", "5")
     assert code == 2
@@ -217,6 +260,7 @@ def test_optimized_interpreter_matches(capsys):
     for argv in (
         ("synthesize", "-p", "2", "(21)", "(12)", "--format", "json"),
         ("code", "--directive", "1,1", "--len", "200", "--check"),
+        ("code", "--base", "(21)", "(12)", "--len", "100"),
         ("synthesize", "-p", "1", "(21)", "--format", "json", "--tol", "4096"),
         ("synthesize", "-p", "5", "3(12)", "2(211)", "(2111)", "31(1)", "(22)",
          "--skip-parry", "--format", "json"),

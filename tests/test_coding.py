@@ -24,7 +24,7 @@ from altbase.coding import (
     sadic_limit,
 )
 from altbase.errors import DepthExhausted, DLessThanN, NoLimit
-from altbase.expansion import is_greedy, val_up
+from altbase.expansion import greedy_expand, is_greedy, val_up
 from altbase.numerics import Dyadic, IntPoly
 from altbase.numerics.algebraic import RealAlgebraicField
 from altbase.synthesis import synthesize_periodic
@@ -243,6 +243,30 @@ def test_binteger_value_encloses_exact():
     assert "exact" not in repr(b)
 
 
+def test_enumerate_aperiodic_rational_base_skips_derivation(monkeypatch):
+    # the quasi-greedy expansion of 1 in base 3/2 never becomes periodic, so
+    # deriving its words would run to the cap and find nothing
+    calls = []
+    monkeypatch.setattr(coding, "derive_qg_words", lambda *a: calls.append(a))
+    base = AlternateBase.from_rationals([Fraction(3, 2)])
+    ints = enumerate_b_integers(base, 40)
+    assert calls == []
+    for b in ints:
+        g = greedy_expand(base, b.value, 4)
+        assert (g.int_digits, g.terminated) == (b.digits, True)
+    for a, b in zip(ints, ints[1:]):
+        assert a.value.certainly_lt(b.value)
+
+
+def test_enumerate_interval_only_base():
+    base = AlternateBase([Fraction(2)])
+    assert base.ops is None
+    ints = enumerate_b_integers(base, 6)
+    assert [b.digits for b in ints] == [(), (1,), (1, 0), (1, 1), (1, 0, 0), (1, 0, 1)]
+    for n, b in enumerate(ints):
+        assert b.value.contains(Fraction(n))
+
+
 def test_enumerate_rejects_zero_count():
     with pytest.raises(ValueError):
         enumerate_b_integers(AlternateBase.from_rationals([2]), 0)
@@ -341,6 +365,23 @@ def test_gap_table_rejects_bad_value_data():
     )
     with pytest.raises(ValueError):
         gap_table(base)
+
+
+def test_gap_table_needs_an_exact_backend():
+    base = AlternateBase([Fraction(2)], qg_words=(UPWord((), (1,)),))
+    with pytest.raises(ValueError, match="synthesize_periodic"):
+        gap_table(base)
+    with pytest.raises(ValueError, match="synthesize_periodic"):
+        faithful_coding(base, 10)
+    # the same words give the exact base the message points to
+    exact, _ = synthesize_periodic(ExpansionList(base.qg_words))
+    assert gap_table(exact).alphabet == (0,)
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_gap_table_rejects_nonpositive_depth(depth):
+    with pytest.raises(ValueError, match="depth"):
+        gap_table(AlternateBase.from_rationals([2]), depth=depth)
 
 
 def test_gap_table_json_shape():

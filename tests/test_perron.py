@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altbase.errors import NotPrimitive, ZeroLeadDigit
+from altbase.errors import InvariantViolation, NotPrimitive, ZeroLeadDigit
 from altbase.numerics import Dyadic, IntPoly, IntervalReal, faddeev_leverrier
 from altbase.perron import (
     FiniteShape,
     MatrixSeq,
     ParryShape,
     _certified_enclosure,
+    _is_primitive,
     build_finite_matrices,
     build_parry_matrices,
     check_identities,
@@ -319,6 +320,43 @@ def test_primitive_rotation_returns_its_product():
     ms = build_finite_matrices([(1, 1, 1), (1, 1, 0), (1, 0, 1)])
     n, product = ms.primitive_rotation()
     assert product == ms.rotation_product(n)
+
+
+def _is_primitive_walk(m):
+    """Reference: some Boolean power of m up to the Wielandt bound is positive."""
+    k = len(m)
+    base = [sum(1 << j for j in range(k) if m[i][j]) for i in range(k)]
+    full = (1 << k) - 1
+    power = base[:]
+    for _ in range((k - 1) ** 2 + 1):
+        if all(row == full for row in power):
+            return True
+        nxt = []
+        for mask in power:
+            out = 0
+            for i in range(k):
+                if mask >> i & 1:
+                    out |= base[i]
+            nxt.append(out)
+        power = nxt
+    return False
+
+
+@given(companion_seqs(), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_primitivity_matches_the_power_walk(ms, n):
+    product = ms.rotation_product(n)
+    assert _is_primitive(product) == _is_primitive_walk(product)
+
+
+def test_primitivity_verdicts_and_corner_check():
+    # irreducible with a positive corner: primitive
+    assert _is_primitive(((1, 1, 0), (0, 0, 1), (1, 0, 0)))
+    # index 0 reaches nothing else
+    assert not _is_primitive(((1, 0), (1, 0)))
+    # strongly connected but periodic; a period product never looks like this
+    with pytest.raises(InvariantViolation):
+        _is_primitive(((0, 1), (1, 0)))
 
 
 LAZY_CASES = [

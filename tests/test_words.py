@@ -159,6 +159,25 @@ def test_transform_leaves_nonzero_tails():
     assert d is a
 
 
+def test_transform_chains_into_a_periodic_word():
+    # 2(0) becomes 1 followed by the entry one step back, (21): 1(21) = (12)
+    zero_tail, periodic = W((2,), (0,)), W((), (2, 1))
+    d0, d1 = quasi_greedy_transform((zero_tail, periodic))
+    assert d0 == W((1,), (2, 1))
+    assert d0.digits(6) == (1, 2, 1, 2, 1, 2)
+    assert d1 is periodic
+
+
+def test_transform_chains_into_a_stream():
+    stream = DigitStream(lambda n: 2 if n == 1 else 1, digit_max=3, description="2 1^w")
+    d0, d1 = quasi_greedy_transform((W((2,), (0,)), stream))
+    assert isinstance(d0, DigitStream)
+    assert d0.digits(6) == (1, 2, 1, 1, 1, 1)
+    assert d0.digit_max == 3
+    assert d0.description == "2 1^w+prefix"
+    assert d1 is stream
+
+
 def test_transform_rejects_zero_start():
     with pytest.raises(ValueError):
         quasi_greedy_transform((W((0, 1), (0,)),))
