@@ -222,6 +222,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(ns, "tol", DEFAULT_PREC) < 8:
         sys.stderr.write("error: --tol must be at least 8\n")
         return EXIT_PARSE
+    if getattr(ns, "p", 1) < 1:
+        sys.stderr.write("error: -p must be at least 1\n")
+        return EXIT_PARSE
     if getattr(ns, "depth", None) is None and ns.command == "code":
         ns.depth = 16
     if getattr(ns, "len", 0) < 0:

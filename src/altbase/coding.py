@@ -454,8 +454,8 @@ def _class_gaps(base: AlternateBase, table: GapTable, length: int) -> tuple[int,
     """
     ops = base.value_ops()
     ints = enumerate_b_integers(base, length + 1)
-    # equal reduced coefficient tuples are the same element of
-    # Q[x]/(modulus), so a gap seen before keeps its letter
+    # a gap comes out reduced, as a canonical (nums, den) pair, so equal keys
+    # are the same element of Q[x]/(modulus): a gap seen before keeps its letter
     seen: dict = {}
     word: list[int] = []
     for a, b in zip(ints, ints[1:]):

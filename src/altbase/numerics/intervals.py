@@ -301,9 +301,6 @@ class IntervalReal:
     def certainly_gt(self, other: "IntervalReal") -> bool:
         return self.lo > other.hi
 
-    def certainly_disjoint(self, other: "IntervalReal") -> bool:
-        return self.certainly_lt(other) or self.certainly_gt(other)
-
     # -- rendering -------------------------------------------------------
 
     def __repr__(self) -> str:

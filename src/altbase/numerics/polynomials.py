@@ -169,29 +169,6 @@ def faddeev_leverrier(m: Matrix) -> tuple[IntPoly, list[list[list[int]]]]:
 # -- Q[x] kernel: ascending Fraction coefficient lists --------------------------
 
 
-def qmul(x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-    """Product of two coefficient lists (an empty list is the zero polynomial)."""
-    if not x or not y:
-        return []
-    out = [Fraction(0)] * (len(x) + len(y) - 1)
-    for i, xv in enumerate(x):
-        if xv == 0:
-            continue
-        for j, yv in enumerate(y):
-            out[i + j] += xv * yv
-    return out
-
-
-def qsub(x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-    """Difference of two coefficient lists, trailing zeros kept."""
-    out = [Fraction(0)] * max(len(x), len(y))
-    for i, v in enumerate(x):
-        out[i] += v
-    for i, v in enumerate(y):
-        out[i] -= v
-    return out
-
-
 def qdivmod(
     num: Sequence[Fraction | int], den: Sequence[Fraction | int]
 ) -> tuple[list[Fraction], list[Fraction]]:

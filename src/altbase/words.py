@@ -76,15 +76,6 @@ class UPWord:
     def is_zero_word(self) -> bool:
         return self.period == (0,) and not self.preperiod
 
-    def last_nonzero_pos(self) -> int | None:
-        """Position of the final non-zero digit of a zero-tail word."""
-        if not self.is_zero_tail():
-            return None
-        for k in range(len(self.preperiod), 0, -1):
-            if self.preperiod[k - 1] != 0:
-                return k
-        return None
-
     def max_digit(self) -> int:
         return max(self.preperiod + self.period)
 

@@ -132,6 +132,15 @@ def test_tol_floor(capsys):
     assert "--tol" in err
 
 
+@pytest.mark.parametrize("cmd", ["validate", "synthesize"])
+@pytest.mark.parametrize("p", ["0", "-1"])
+def test_nonpositive_period_exits_two(capsys, cmd, p):
+    code, out, err = run(capsys, cmd, "-p", p, "(21)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: -p must be at least 1\n"
+
+
 def test_code_fibonacci(capsys):
     code, out, _ = run(capsys, "code", "--directive", "1,1", "--len", "13")
     assert code == 0
@@ -221,6 +230,37 @@ def test_code_argv_fuzz(source, depth, length, tol, check):
     argv = ["code", *source, "--len", str(length), "--depth", str(depth), "--tol", str(tol)]
     if check:
         argv.append("--check")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(6)
+    assert "Traceback" not in err.getvalue()
+
+
+# well-formed words, plus short strings over the word alphabet (mostly malformed)
+FUZZ_WORDS = st.sampled_from(
+    ["(1)", "(2)", "(21)", "(12)", "(211)", "3(1)", "2(21)", "31(1)", "(22)", "10(0)", "2(0)"]
+) | st.text(alphabet="0123(),x", max_size=7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cmd=st.sampled_from(["validate", "synthesize"]),
+    p=st.integers(-2, 6),
+    words=st.lists(FUZZ_WORDS, min_size=1, max_size=6),
+    match=st.booleans(),
+    tol=st.integers(0, 160),
+    depth=st.none() | st.integers(-2, 20),
+    skip_parry=st.booleans(),
+)
+def test_validate_synthesize_argv_fuzz(cmd, p, words, match, tol, depth, skip_parry):
+    if match and p >= 1:
+        words = (words * p)[:p]  # as many words as the period asks for
+    argv = [cmd, "-p", str(p), *words, "--tol", str(tol)]
+    if depth is not None:
+        argv += ["--depth", str(depth)]
+    if skip_parry and cmd == "synthesize":
+        argv.append("--skip-parry")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)

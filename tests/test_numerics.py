@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -393,25 +394,177 @@ def test_field_modulus_shrinks_on_reducible_input():
 
 def test_field_inverse_of_an_integer_element_is_a_fraction():
     f = golden_field()
-    inv = f.inv((2,))
-    assert inv == (Fraction(1, 2),)
-    assert all(type(c) is Fraction for c in inv)
+    inv = f.inv(f.from_fraction(2))
+    # 1/2: integer coefficients over one denominator
+    assert inv == ((1,), 2)
+    assert all(type(c) is int for c in inv[0]) and type(inv[1]) is int
 
 
 def test_add_sub_scalar_mul_skip_reduce(monkeypatch):
     f = golden_field()
     phi = f.generator()
+    # record each integer vector that is long enough to need reducing
     calls = []
-    real_reduce = RealAlgebraicField.reduce
-    monkeypatch.setattr(RealAlgebraicField, "reduce", lambda self, c: calls.append(c) or real_reduce(self, c))
-    assert f.add(phi, (Fraction(1), Fraction(-1))) == (Fraction(1),)
-    assert f.sub(phi, phi) == (Fraction(0),)
-    assert f.scalar_mul(3, phi) == (Fraction(0), Fraction(3))
-    assert f.add((2, 3), (1,)) == (3, 3)
+    real_rem = RealAlgebraicField._rem
+    monkeypatch.setattr(
+        RealAlgebraicField, "_rem",
+        lambda self, c: (len(c) > self.degree and calls.append(c)) or real_rem(self, c),
+    )
+    assert f.add(phi, ((1, -1), 1)) == ((1,), 1)
+    assert f.sub(phi, phi) == ((0,), 1)
+    assert f.scalar_mul(3, phi) == ((0, 3), 1)
+    assert f.add(((2, 3), 1), ((1,), 1)) == ((3, 3), 1)
     assert calls == []
     # a product has degree 2 and must be reduced
-    assert f.mul(phi, phi) == (Fraction(1), Fraction(1))
+    assert f.mul(phi, phi) == ((1, 1), 1)
     assert len(calls) == 1
+
+
+# -- the integer kernel against a Fraction reference -------------------------------
+#
+# _FractionField does the same field arithmetic on lists of Fractions:
+# schoolbook products reduced by qdivmod, and inverses by the extended
+# Euclidean algorithm over Q, dividing a common factor out of the modulus.
+
+
+def _qmul(x, y):
+    out = [Fraction(0)] * max(len(x) + len(y) - 1, 0)
+    for i, xv in enumerate(x):
+        for j, yv in enumerate(y):
+            out[i + j] += xv * yv
+    return out
+
+
+def _qsub(x, y):
+    out = [Fraction(0)] * max(len(x), len(y))
+    for i, v in enumerate(x):
+        out[i] += v
+    for i, v in enumerate(y):
+        out[i] -= v
+    return out
+
+
+def _fraction_xgcd(a, b):
+    """(g, s) with s*a = g modulo b and g = gcd(a, b), monic."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [Fraction(1)], []
+    while r1:
+        q, r = qdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _qsub(s0, _qmul(q, s1))
+    lead = Fraction(r0[-1])
+    return [c / lead for c in r0], [c / lead for c in s0]
+
+
+class _FractionField:
+    def __init__(self, modulus):
+        self.m = [Fraction(c) for c in modulus]
+
+    def reduce(self, c):
+        return qdivmod(c, self.m)[1]
+
+    def add(self, a, b):
+        return self.reduce(_qsub(a, [-v for v in b]))
+
+    def sub(self, a, b):
+        return self.reduce(_qsub(a, b))
+
+    def mul(self, a, b):
+        return self.reduce(_qmul(a, b))
+
+    def scalar_mul(self, q, a):
+        return self.reduce([q * v for v in a])
+
+    def inv(self, a):
+        while True:
+            g, s = _fraction_xgcd(self.reduce(a), self.m)
+            if len(g) == 1:
+                return self.reduce(s)
+            # a is non-zero at the root, so its common factor is divided out
+            self.m = qdivmod(self.m, g)[0]
+
+
+def _value(e):
+    """The kernel element (nums, den) as ascending Fractions without trailing zeros."""
+    nums, den = e
+    assert den > 0 and gcd(den, *nums) == 1 and (nums == (0,) or nums[-1] != 0)
+    return [Fraction(v, den) for v in nums] if nums != (0,) else []
+
+
+P5_FACTOR = [-144, -257, -441, -537, -351, -256, 1]  # Perron factor of the p=5 row
+GOLDEN_C = [-1, -1, 1]
+CUBIC = [-1, -1, -1, 1]
+
+
+def _field_case(name):
+    """(field, irreducible factor of lambda, extra factor or None)."""
+    if name == "golden*(x-3)":
+        poly = IntPoly(_poly_mul(GOLDEN_C, [-3, 1]))
+        return RealAlgebraicField(IsolatedRoot(poly, Dyadic(3, -1), Dyadic(7, -2))), GOLDEN_C, [-3, 1]
+    factor, extra = {
+        "golden": (GOLDEN_C, None),
+        "cubic": (CUBIC, None),
+        "p5": (P5_FACTOR, None),
+        "cubic*(x^2+1)": (CUBIC, [1, 0, 1]),
+        "p5*(x^2+1)": (P5_FACTOR, [1, 0, 1]),
+    }[name]
+    poly = IntPoly(_poly_mul(factor, extra) if extra else factor)
+    return RealAlgebraicField(isolate_dominant(poly, 1024)), factor, extra
+
+
+_coeffs = st.lists(st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=7), max_size=14)
+_ops = st.lists(
+    st.tuples(st.sampled_from(["add", "sub", "mul", "scalar", "inv"]),
+              st.integers(0, 99), st.integers(0, 99),
+              st.fractions(-5, 5, max_denominator=6)),
+    min_size=1, max_size=12,
+)
+
+
+@given(
+    st.sampled_from(["golden", "cubic", "p5", "golden*(x-3)", "cubic*(x^2+1)", "p5*(x^2+1)"]),
+    st.lists(_coeffs, min_size=1, max_size=3),
+    _ops,
+    st.integers(0, 12),
+)
+@settings(max_examples=120, deadline=None)
+def test_field_kernel_matches_the_fraction_route(case, starts, ops, shrink_at):
+    f, factor, extra = _field_case(case)
+    ref = _FractionField(f.modulus.coeffs)
+    pool = [(f.reduce(c), ref.reduce([Fraction(v) for v in c])) for c in starts]
+    pool.append((f.generator(), ref.reduce([Fraction(0), Fraction(1)])))
+    for step, (op, i, j, q) in enumerate(ops):
+        if step == shrink_at and extra is not None:
+            # the extra factor is invertible at the root, and inverting it
+            # divides it out of the modulus in both fields
+            e = f.reduce(extra)
+            pool.append((f.inv(e), ref.inv([Fraction(v) for v in extra])))
+            assert f.modulus.coeffs == tuple(factor) and ref.m == [Fraction(v) for v in factor]
+        (a, ra), (b, rb) = pool[i % len(pool)], pool[j % len(pool)]
+        if op == "inv":
+            if f.is_zero(a):
+                with pytest.raises(ZeroDivisionError):
+                    f.inv(a)
+                continue
+            got = (f.inv(a), ref.inv(ra))
+        elif op == "scalar":
+            got = (f.scalar_mul(q, a), ref.scalar_mul(q, ra))
+        else:
+            got = (getattr(f, op)(a, b), getattr(ref, op)(ra, rb))
+        assert ref.reduce(_value(got[0])) == ref.reduce(got[1])
+        assert [Fraction(c) for c in f.modulus.coeffs] == ref.m
+        pool.append(got)
+    # every element, stale ones included, reads the same through the new modulus
+    for e, r in pool:
+        assert ref.reduce(_value(e)) == ref.reduce(r)
+        assert _value(f._reduced(e)) == ref.reduce(r)
+
+
+def test_field_rejects_a_non_monic_modulus():
+    with pytest.raises(ValueError):
+        RealAlgebraicField(IsolatedRoot(IntPoly([-1, 2]), Dyadic(1, -1), Dyadic(1, -1)))
+    with pytest.raises(ValueError):
+        RealAlgebraicField(IsolatedRoot(IntPoly([-1, -1, 2]), Dyadic(0), Dyadic(2)))
 
 
 def test_certified_enclosure_budget_raises():

@@ -398,7 +398,7 @@ def test_lazy_fs_equals_eager_fs(make):
         eager[(n - 1) % q] = f
     for n in range(q):
         assert sp.f_elems[n] == tuple(eager[n])
-        assert sp.f_elems[n][0] == (1,)
+        assert sp.f_elems[n][0] == ((1,), 1)
         signs = [field.sign(e) for e in eager[n]]
         assert min(signs) >= 0
         assert ends(lazy[n]) == ends(

@@ -200,7 +200,8 @@ def test_transform_output_has_no_zero_tail(entries):
 def test_transform_agrees_before_last_nonzero(entries):
     out = quasi_greedy_transform(tuple(entries))
     for t, d in zip(entries, out):
-        ell = t.last_nonzero_pos()
+        # position of the final non-zero digit of the zero-tail word t
+        ell = max(k for k, a in enumerate(t.preperiod, start=1) if a)
         assert d.digits(ell - 1) == t.digits(ell - 1)
         assert d.digit(ell) == t.digit(ell) - 1
 
