@@ -22,6 +22,7 @@ from .polynomials import (
     IntPoly,
     IsolatedRoot,
     exact_div,
+    int_divmod,
     int_poly_gcd,
     squarefree_part,
     sturm_chain,
@@ -94,8 +95,6 @@ class RealAlgebraicField:
         self.modulus = modulus
         self.root = IsolatedRoot(modulus, lo, hi)
         self._chain_cache: dict[tuple[int, ...], list[IntPoly]] = {}
-        # x^d, x^(d+1), ... mod the modulus, extended as far as a product needs
-        self._powers = [[-c for c in modulus.coeffs[:-1]]]
 
     # -- element constructors -------------------------------------------
 
@@ -115,21 +114,8 @@ class RealAlgebraicField:
         return _normal(self._rem([c.numerator * (den // c.denominator) for c in coeffs]), den)
 
     def _rem(self, c: list[int]) -> list[int]:
-        """Integer coefficients reduced below the degree, by the table of powers."""
-        d = self.degree
-        if len(c) <= d:
-            return c
-        rows = self._powers
-        while len(rows) < len(c) - d:
-            # x^(d+j+1) = x * x^(d+j), with x^d = rows[0]
-            row = rows[-1]
-            top, up = row[-1], [0] + row[:-1]
-            rows.append([u + top * v for u, v in zip(up, rows[0])] if top else up)
-        out = c[:d]
-        for t, row in zip(c[d:], rows):
-            if t:
-                out = [u + t * v for u, v in zip(out, row)]
-        return out
+        """Integer coefficients reduced below the degree: long division by the monic modulus."""
+        return c if len(c) <= self.degree else int_divmod(c, self.modulus.coeffs)[1]
 
     def _reduced(self, a: Elem) -> Elem:
         """a, reduced if it is longer than the degree (made before a shrink)."""
@@ -230,14 +216,13 @@ class RealAlgebraicField:
     ) -> IntervalReal:
         """Interval around the element's value, width <= 2**-prec if refining."""
         nums, den = self._reduced(a)
-        coeffs = [Fraction(n, den) for n in reversed(nums)]
         target = Dyadic(1, -prec)
         bits = max(prec + 16, 48)
         while True:
             x = self.root.enclosure()
             acc = IntervalReal.exact(0)
-            for c in coeffs:
-                acc = acc.mul(x, bits).add(IntervalReal.from_fraction(c, bits), bits)
+            for n in reversed(nums):
+                acc = acc.mul(x, bits).add(IntervalReal.from_ratio(n, den, bits), bits)
             if not refine_until or acc.width() <= target:
                 return acc
             bits *= 2

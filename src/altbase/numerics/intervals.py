@@ -20,13 +20,9 @@ DEFAULT_PREC = 64
 Rational = Union[int, Fraction]
 
 
-def _floor_div(a: int, b: int) -> int:
-    # Python's // already floors for mixed signs.
-    return a // b
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+def _floor_scaled(n: int, d: int, prec: int) -> int:
+    """floor(n * 2**prec / d) for d > 0, in integers."""
+    return (n << prec) // d if prec >= 0 else n // (d << -prec)
 
 
 class Dyadic:
@@ -48,19 +44,13 @@ class Dyadic:
     def from_fraction_floor(x: Rational, prec: int) -> "Dyadic":
         """Largest multiple of 2**-prec that is <= x."""
         fr = Fraction(x)
-        n = _floor_div(fr.numerator << prec, fr.denominator) if prec >= 0 else _floor_div(
-            fr.numerator, fr.denominator << -prec
-        )
-        return Dyadic(n, -prec)
+        return Dyadic(_floor_scaled(fr.numerator, fr.denominator, prec), -prec)
 
     @staticmethod
     def from_fraction_ceil(x: Rational, prec: int) -> "Dyadic":
         """Smallest multiple of 2**-prec that is >= x."""
         fr = Fraction(x)
-        n = _ceil_div(fr.numerator << prec, fr.denominator) if prec >= 0 else _ceil_div(
-            fr.numerator, fr.denominator << -prec
-        )
-        return Dyadic(n, -prec)
+        return Dyadic(-_floor_scaled(-fr.numerator, fr.denominator, prec), -prec)
 
     def as_fraction(self) -> Fraction:
         if self.e >= 0:
@@ -77,7 +67,7 @@ class Dyadic:
         if self.m == 0 or self.e + prec >= 0:
             return self
         shift = -(self.e + prec)
-        return Dyadic(_ceil_div(self.m, 1 << shift), -prec)
+        return Dyadic(-(-self.m >> shift), -prec)
 
     def _align(self, other: "Dyadic") -> tuple[int, int, int]:
         e = min(self.e, other.e)
@@ -184,10 +174,15 @@ class IntervalReal:
         return IntervalReal(d, d)
 
     @staticmethod
+    def from_ratio(n: int, d: int, prec: int = DEFAULT_PREC) -> "IntervalReal":
+        """[floor, ceil] of n/d (d > 0) on the grid 2**-prec; n/d need not be in lowest terms."""
+        lo, hi = _floor_scaled(n, d, prec), -_floor_scaled(-n, d, prec)
+        return IntervalReal(Dyadic(lo, -prec), Dyadic(hi, -prec))
+
+    @staticmethod
     def from_fraction(x: Rational, prec: int = DEFAULT_PREC) -> "IntervalReal":
-        return IntervalReal(
-            Dyadic.from_fraction_floor(x, prec), Dyadic.from_fraction_ceil(x, prec)
-        )
+        fr = Fraction(x)
+        return IntervalReal.from_ratio(fr.numerator, fr.denominator, prec)
 
     @staticmethod
     def from_fractions(lo: Rational, hi: Rational, prec: int = DEFAULT_PREC) -> "IntervalReal":
@@ -292,14 +287,6 @@ class IntervalReal:
 
     def __truediv__(self, other: "IntervalReal") -> "IntervalReal":
         return self.div(other)
-
-    # -- order certificates ---------------------------------------------
-
-    def certainly_lt(self, other: "IntervalReal") -> bool:
-        return self.hi < other.lo
-
-    def certainly_gt(self, other: "IntervalReal") -> bool:
-        return self.lo > other.hi
 
     # -- rendering -------------------------------------------------------
 

@@ -71,12 +71,6 @@ class IntPoly:
                 parts.append(f"{c:+d}*x^{i}")
         return "IntPoly(" + " ".join(parts) + ")"
 
-    def eval_fraction(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def eval_dyadic_sign(self, x: Dyadic) -> int:
         if x.e >= 0:
             return _sign_at(self.coeffs, x.m << x.e, 1)
@@ -166,27 +160,24 @@ def faddeev_leverrier(m: Matrix) -> tuple[IntPoly, list[list[list[int]]]]:
     return IntPoly(coeffs), adj
 
 
-# -- Q[x] kernel: ascending Fraction coefficient lists --------------------------
+# -- Z[x] division: ascending integer coefficient lists --------------------------
 
 
-def qdivmod(
-    num: Sequence[Fraction | int], den: Sequence[Fraction | int]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of num by den over Q, so num = q*den + r.
+def int_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by den in Z[x], so num = q*den + r.
 
-    Coefficients may be ints or Fractions; den must end in a non-zero
-    leading coefficient, and a monic den keeps integer coefficients
-    integers.  The remainder has its trailing zeros stripped, so deg r <
+    den must end in a non-zero leading coefficient; ArithmeticError when it
+    does not divide a leading coefficient met on the way, which a monic den
+    never does.  The remainder has its trailing zeros stripped, so deg r <
     deg den and the zero remainder is the empty list.
     """
-    r = list(num)
-    while r and r[-1] == 0:
-        r.pop()
-    d = len(den) - 1
-    lead = den[-1]
-    q = [Fraction(0)] * max(0, len(r) - d)
+    r = list(_trim(num))
+    d, lead = len(den) - 1, den[-1]
+    q = [0] * max(0, len(r) - d)
     while len(r) > d:
-        c = r[-1] if lead == 1 else Fraction(r[-1], lead)
+        c, rest = divmod(r[-1], lead)
+        if rest:
+            raise ArithmeticError("polynomial quotient is not integral")
         k = len(r) - 1 - d
         q[k] = c
         # the leading term cancels exactly, so only the lower ones change
@@ -196,16 +187,6 @@ def qdivmod(
         while r and r[-1] == 0:
             r.pop()
     return q, r
-
-
-def clear_denominators(coeffs: Sequence[Fraction]) -> IntPoly:
-    """Primitive integer polynomial that is a positive multiple of coeffs."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = _content(ints) or 1
-    return IntPoly([v // g for v in ints])
 
 
 # -- gcd machinery -----------------------------------------------------------
@@ -229,23 +210,21 @@ def _primitive(c: Sequence[int]) -> tuple[int, ...]:
 
 
 def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Pseudo-remainder of a by b (b non-zero), integer arithmetic only."""
+    """A positive multiple of the remainder of a by b (both trimmed, b non-zero), in integers.
+
+    Each step scales a by |lc(b)| and cancels its leading term with the sign
+    of lc(b) folded into the multiplier.
+    """
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        la = a[-1]
-        a = [v * lb for v in a]
-        shift = da - db
+    scale, sign = abs(lb), (1 if lb > 0 else -1)
+    while len(a) > db:
+        la, shift = sign * a[-1], len(a) - 1 - db
+        a = [v * scale for v in a]
         for i, bv in enumerate(b):
             a[shift + i] -= la * bv
         a = list(_trim(a))
-        if not a:
-            break
-    return _trim(a)
+    return tuple(a)
 
 
 def int_poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -265,12 +244,10 @@ def int_poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
 
 def exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
     """Quotient p / d; raises ArithmeticError unless it is exact and integral."""
-    q, r = qdivmod(p.coeffs, d.coeffs)
+    q, r = int_divmod(p.coeffs, d.coeffs)
     if r:
         raise ArithmeticError("polynomial division was not exact")
-    if any(v.denominator != 1 for v in q):
-        raise ArithmeticError("polynomial quotient is not integral")
-    return IntPoly(v.numerator for v in q)
+    return IntPoly(q)
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
@@ -289,13 +266,18 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
 
 
 def _sturm_chain(sf: IntPoly) -> list[IntPoly]:
-    """Sturm chain of a squarefree sf."""
+    """Sturm chain of a squarefree sf.
+
+    Each member is -rem(previous two) made primitive: minus a positive
+    multiple of the remainder, divided by its (positive) content.
+    """
     chain = [sf, sf.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        _, rem = qdivmod(chain[-2].coeffs, chain[-1].coeffs)
+    while chain[-1].degree > 0:
+        rem = _pseudo_rem(chain[-2].coeffs, chain[-1].coeffs)
         if not rem:
             break
-        chain.append(clear_denominators([-v for v in rem]))
+        g = _content(rem)
+        chain.append(IntPoly(-v // g for v in rem))
     return [c for c in chain if not c.is_zero()]
 
 
@@ -586,7 +568,7 @@ def _cyclotomic(n: int) -> list[int]:
         while rest % p == 0:
             up = [0] * ((len(c) - 1) * p + 1)
             up[::p] = c
-            c = up if m % p == 0 else [int(v) for v in qdivmod(up, c)[0]]
+            c = up if m % p == 0 else int_divmod(up, c)[0]
             m *= p
             rest //= p
         p += 1
@@ -602,9 +584,9 @@ def drop_trivial_factors(p: IntPoly) -> IntPoly:
     c = list(p.shift_out_zero_roots()[0].coeffs)
     for n, phi in _orders_up_to(len(c) - 1):
         if phi < len(c):
-            q, r = qdivmod(c, _cyclotomic(n))
+            q, r = int_divmod(c, _cyclotomic(n))
             if not r:
-                c = [int(v) for v in q]
+                c = q
     return IntPoly(c)
 
 

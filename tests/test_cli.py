@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from altbase.cli import main
 from altbase.coding import Directive, sadic_limit
 from altbase.numerics import IntPoly
+from test_numerics import eval_fraction
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "certificate.schema.json")
@@ -101,7 +102,7 @@ def test_synthesize_tol_80(capsys):
     enc = blob["betas"][0]
     lo, hi = dyadic_fraction(enc["lo"]), dyadic_fraction(enc["hi"])
     poly = IntPoly([-2, -2, 1])
-    assert poly.eval_fraction(lo) * poly.eval_fraction(hi) < 0
+    assert eval_fraction(poly, lo) * eval_fraction(poly, hi) < 0
     assert hi - lo <= Fraction(1, 2**80)
 
 

@@ -29,11 +29,12 @@ from altbase.numerics import Dyadic, IntPoly
 from altbase.numerics.algebraic import RealAlgebraicField
 from altbase.synthesis import synthesize_periodic
 from altbase.words import ExpansionList, UPWord, parse_word
+from test_numerics import eval_fraction
 
 
 def brackets_root(enc, poly: IntPoly) -> bool:
     lo, hi = enc.lo.as_fraction(), enc.hi.as_fraction()
-    return poly.eval_fraction(lo) * poly.eval_fraction(hi) < 0
+    return eval_fraction(poly, lo) * eval_fraction(poly, hi) < 0
 
 
 def word_str(w) -> str:
@@ -202,7 +203,7 @@ def test_enumerate_values_increase():
     ):
         ints = enumerate_b_integers(base, 20)
         for a, b in zip(ints, ints[1:]):
-            assert a.value.certainly_lt(b.value)
+            assert a.value.hi < b.value.lo
 
 
 def _digit_value(ops, digits):
@@ -255,7 +256,7 @@ def test_enumerate_aperiodic_rational_base_skips_derivation(monkeypatch):
         g = greedy_expand(base, b.value, 4)
         assert (g.int_digits, g.terminated) == (b.digits, True)
     for a, b in zip(ints, ints[1:]):
-        assert a.value.certainly_lt(b.value)
+        assert a.value.hi < b.value.lo
 
 
 def test_enumerate_interval_only_base():
@@ -304,7 +305,7 @@ def test_gap_table_golden():
     assert t.deltas[0].is_point() and t.deltas[0].lo.as_fraction() == 1
     # the second gap is phi - 1, a root of x^2 + x - 1
     assert brackets_root(t.deltas[1], IntPoly([-1, 1, 1]))
-    assert t.deltas[0].certainly_gt(t.deltas[1])
+    assert t.deltas[0].lo > t.deltas[1].hi
 
 
 def test_gap_table_base_two_single_class():
@@ -321,8 +322,8 @@ def test_gap_table_tribonacci():
     assert t.alphabet == (0, 1, 2)
     assert t.pi == (0, 1, 2) * 3
     # strict chain 1 = delta_0 > delta_1 > delta_2, with delta_1 = beta - 1
-    assert t.deltas[0].certainly_gt(t.deltas[1])
-    assert t.deltas[1].certainly_gt(t.deltas[2])
+    assert t.deltas[0].lo > t.deltas[1].hi
+    assert t.deltas[1].lo > t.deltas[2].hi
     assert brackets_root(t.deltas[1], IntPoly([-2, 0, 2, 1]))
 
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import ceil, floor, gcd, lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,14 +22,22 @@ from altbase.numerics import (
     sturm_count,
 )
 from altbase.numerics import polynomials
-from altbase.numerics.polynomials import IsolatedRoot, _nonroot_near, exact_div, qdivmod
+from altbase.numerics.polynomials import IsolatedRoot, _nonroot_near, exact_div, int_divmod
 from altbase.perron import _certified_enclosure
+
+
+def eval_fraction(poly: IntPoly, x: Fraction | int) -> Fraction:
+    """poly(x) by Horner in Fractions: the exact reference for signs at endpoints."""
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def brackets_root(enc: IntervalReal, poly: IntPoly) -> bool:
     """Certify that a root of `poly` lies inside enc via exact endpoint signs."""
-    at_lo = poly.eval_fraction(enc.lo.as_fraction())
-    at_hi = poly.eval_fraction(enc.hi.as_fraction())
+    at_lo = eval_fraction(poly, enc.lo.as_fraction())
+    at_hi = eval_fraction(poly, enc.hi.as_fraction())
     return at_lo == 0 or at_hi == 0 or (at_lo < 0) != (at_hi < 0)
 
 
@@ -137,13 +145,13 @@ def test_charpoly_block_triangular(a, c):
 @settings(max_examples=40)
 def test_adjugate_identity(m, x0):
     chi, adj = faddeev_leverrier(m)
-    adj_at = [[IntPoly(adj[i][j]).eval_fraction(x0) for j in range(3)] for i in range(3)]
+    adj_at = [[eval_fraction(IntPoly(adj[i][j]), x0) for j in range(3)] for i in range(3)]
     xi_minus_m = [[(x0 if i == j else 0) - m[i][j] for j in range(3)] for i in range(3)]
     prod = [
         [sum(adj_at[i][l] * xi_minus_m[l][j] for l in range(3)) for j in range(3)]
         for i in range(3)
     ]
-    want = chi.eval_fraction(x0)
+    want = eval_fraction(chi, x0)
     for i in range(3):
         for j in range(3):
             assert prod[i][j] == (want if i == j else 0)
@@ -202,7 +210,7 @@ def test_alpha_root_values():
     assert brackets_root(enc2, GOLDEN)
     enc3 = alpha_root(3, prec=40)
     poly = IntPoly([-1, -1, -1, 1])
-    assert poly.eval_fraction(enc3.lo.as_fraction()) < 0 < poly.eval_fraction(enc3.hi.as_fraction())
+    assert eval_fraction(poly, enc3.lo.as_fraction()) < 0 < eval_fraction(poly, enc3.hi.as_fraction())
     assert enc3.width().as_fraction() <= Fraction(1, 2**40)
 
 
@@ -224,7 +232,7 @@ def test_isolate_dominant_exact_integer():
 @settings(max_examples=200)
 def test_eval_dyadic_sign_matches_fraction(coeffs, m, e):
     p, x = IntPoly(coeffs), Dyadic(m, e)
-    v = p.eval_fraction(x.as_fraction())
+    v = eval_fraction(p, x.as_fraction())
     assert p.eval_dyadic_sign(x) == (v > 0) - (v < 0)
 
 
@@ -422,9 +430,27 @@ def test_add_sub_scalar_mul_skip_reduce(monkeypatch):
 
 # -- the integer kernel against a Fraction reference -------------------------------
 #
-# _FractionField does the same field arithmetic on lists of Fractions:
-# schoolbook products reduced by qdivmod, and inverses by the extended
-# Euclidean algorithm over Q, dividing a common factor out of the modulus.
+# qdivmod is long division over Q.  _FractionField does the same field
+# arithmetic on lists of Fractions: schoolbook products reduced by qdivmod,
+# and inverses by the extended Euclidean algorithm over Q, dividing a common
+# factor out of the modulus.
+
+
+def qdivmod(num, den):
+    """Quotient and remainder of num by den over Q, as Fraction lists; r has no trailing zero."""
+    r = [Fraction(v) for v in num]
+    while r and r[-1] == 0:
+        r.pop()
+    d = len(den) - 1
+    q = [Fraction(0)] * max(0, len(r) - d)
+    while len(r) > d:
+        c, k = r[-1] / den[-1], len(r) - 1 - d
+        q[k] = c
+        for i in range(d + 1):
+            r[k + i] -= c * den[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
 
 
 def _qmul(x, y):
@@ -628,24 +654,103 @@ def test_integer_root_in():
     assert len(calls) <= 64
 
 
-# -- the Q[x] kernel -------------------------------------------------------------
+# -- the Z[x] kernel -------------------------------------------------------------
 
-qcoeff = st.integers(-20, 20) | st.fractions(min_value=-20, max_value=20, max_denominator=12)
+icoeff = st.integers(-20, 20)
 
 
-@given(st.lists(qcoeff, max_size=7), st.lists(qcoeff, max_size=3), qcoeff.filter(bool))
+@given(st.lists(icoeff, max_size=9), st.lists(icoeff, max_size=3), st.lists(icoeff, min_size=1, max_size=5),
+       icoeff.filter(bool))
 @settings(max_examples=100)
-def test_qdivmod_identity(num, den_low, den_lead):
-    den = den_low + [den_lead]
-    q, r = qdivmod(num, den)
+def test_int_divmod_identity(num, den_low, quot, den_lead):
+    # any num by a monic den: num = q*den + r with deg r < deg den
+    den = den_low + [1]
+    q, r = int_divmod(num, den)
     assert len(r) < len(den) and (not r or r[-1] != 0)
-    back = [Fraction(0)] * max(len(num), len(q) + len(den) - 1, len(r), 1)
-    for i, qv in enumerate(q):
-        for j, dv in enumerate(den):
-            back[i + j] += qv * dv
+    assert all(type(v) is int for v in q + r)
+    back = _poly_mul(q, den) if q else [0]
+    back += [0] * (len(r) - len(back))
     for i, rv in enumerate(r):
         back[i] += rv
-    assert back[: len(num)] == list(num) and not any(back[len(num):])
+    assert IntPoly(back) == IntPoly(num)
+    # an exact product by a non-monic den: the quotient comes back, no remainder
+    den = den_low + [den_lead]
+    q, r = int_divmod(_poly_mul(quot, den), den)
+    assert r == [] and IntPoly(q) == IntPoly(quot)
+
+
+@given(st.lists(icoeff, max_size=8), st.lists(icoeff, max_size=3), icoeff.filter(bool))
+@settings(max_examples=150)
+def test_int_divmod_matches_division_over_q(num, den_low, den_lead):
+    den = den_low + [den_lead]
+    q, r = qdivmod(num, den)
+    if all(v.denominator == 1 for v in q):
+        assert int_divmod(num, den) == (q, r)
+    else:
+        # a leading coefficient of den that does not divide one met on the way
+        with pytest.raises(ArithmeticError):
+            int_divmod(num, den)
+
+
+def _fraction_sturm_chain(sf: IntPoly) -> list[IntPoly]:
+    """Sturm chain by division over Q, each -remainder scaled to a primitive integer polynomial."""
+    chain = [sf, sf.derivative()]
+    while chain[-1].degree > 0:
+        _, rem = qdivmod(chain[-2].coeffs, chain[-1].coeffs)
+        if not rem:
+            break
+        den = lcm(*(v.denominator for v in rem))
+        ints = [int(-v * den) for v in rem]
+        g = gcd(*ints)
+        chain.append(IntPoly(v // g for v in ints))
+    return [c for c in chain if not c.is_zero()]
+
+
+@given(st.lists(st.lists(st.integers(-12, 12), min_size=2, max_size=4), min_size=1, max_size=3),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sturm_chain_matches_the_fraction_route(factors, square_first):
+    if square_first:
+        factors = factors + factors[:1]
+    p = IntPoly(reduce(_poly_mul, factors))
+    assume(p.degree >= 1)
+    assert sturm_chain(p) == _fraction_sturm_chain(squarefree_part(p))
+    if int_poly_gcd(p, p.derivative()).degree == 0:
+        # squarefree as drawn, so negative and non-unit leading coefficients stay
+        assert polynomials._sturm_chain(p) == _fraction_sturm_chain(p)
+
+
+@given(st.integers(-2**80, 2**80), st.integers(1, 2**40), st.integers(-40, 200))
+@settings(max_examples=150)
+def test_from_ratio_is_floor_and_ceil(n, d, prec):
+    got = IntervalReal.from_ratio(n, d, prec)
+    scaled = Fraction(n, d) * Fraction(2) ** prec
+    assert (got.lo, got.hi) == (Dyadic(floor(scaled), -prec), Dyadic(ceil(scaled), -prec))
+    want = IntervalReal.from_fraction(Fraction(n, d), prec)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+@given(st.integers(-2**80, 2**80), st.integers(-100, 40), st.integers(0, 90))
+@settings(max_examples=150)
+def test_round_down_and_up_are_floor_and_ceil(m, e, prec):
+    x = Dyadic(m, e)
+    scaled = x.as_fraction() * 2**prec
+    assert x.round_down(prec) == Dyadic(floor(scaled), -prec)
+    assert x.round_up(prec) == Dyadic(ceil(scaled), -prec)
+
+
+@given(st.sampled_from(["golden", "cubic", "p5", "golden*(x-3)"]), _coeffs, st.integers(1, 400))
+@settings(max_examples=80, deadline=None)
+def test_enclosure_matches_the_from_fraction_horner(case, coeffs, prec):
+    f = _field_case(case)[0]
+    a = f.reduce(coeffs)
+    got = f.enclosure(a, prec, refine_until=False)
+    bits, x = max(prec + 16, 48), f.root.enclosure()
+    want = IntervalReal.exact(0)
+    nums, den = a
+    for n in reversed(nums):
+        want = want.mul(x, bits).add(IntervalReal.from_fraction(Fraction(n, den), bits), bits)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
 def test_exact_div_raises_on_inexact_quotient():

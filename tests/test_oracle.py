@@ -1,9 +1,12 @@
-"""Optional oracle lane: sympy factors the charpolys and checks field arithmetic.
+"""Optional oracle lane: sympy factors the charpolys and checks Sturm counts,
+squarefree parts and field arithmetic.
 
 Skipped when sympy is not installed; the declared test dependencies do not
 include it.
 """
 
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +17,15 @@ sympy = pytest.importorskip("sympy")
 from test_acceptance import corpus_p1, corpus_plists  # noqa: E402
 
 from altbase.perron import _perron_field, build_parry_matrices  # noqa: E402
-from altbase.numerics import faddeev_leverrier  # noqa: E402
+from altbase.numerics import (  # noqa: E402
+    IntPoly,
+    faddeev_leverrier,
+    squarefree_part,
+    sturm_chain,
+    sturm_count,
+)
 from altbase.words import ExpansionList, parse_word, quasi_greedy_transform  # noqa: E402
+from test_numerics import _poly_mul, eval_fraction  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -84,3 +94,33 @@ def test_field_mul_and_inv_match_sympy():
             for b in elems[::2]:
                 assert _sym(field.mul(a, b)) == (_sym(a) * _sym(b)).rem(m)
             assert _sym(field.inv(a)) == _sym(a).invert(m)
+
+
+def _normalised(coeffs):
+    """Ascending integer coefficients divided by their content, leading one positive."""
+    g = math.gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+    return tuple(c // g for c in coeffs)
+
+
+def test_sturm_counts_and_squarefree_parts_match_sympy():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(300):
+        factors = [[rng.randint(-6, 6) for _ in range(rng.randint(2, 4))]
+                   for _ in range(rng.randint(1, 3))]
+        factors += factors[: rng.randint(0, 1)]  # a repeated factor in about half
+        p = IntPoly(functools.reduce(_poly_mul, factors))
+        if p.degree < 1:
+            continue
+        sym = sympy.Poly(list(reversed(p.coeffs)), X)
+        want = [int(c) for c in reversed(sym.sqf_part().all_coeffs())]
+        assert squarefree_part(p).coeffs == _normalised(want), p
+        chain = sturm_chain(p)
+        for _ in range(6):
+            a, b = sorted(Fraction(rng.randint(-300, 300), rng.randint(1, 16)) for _ in range(2))
+            if a == b or eval_fraction(p, a) == 0 or eval_fraction(p, b) == 0:
+                continue
+            lo, hi = sympy.Rational(a.numerator, a.denominator), sympy.Rational(b.numerator, b.denominator)
+            assert sturm_count(chain, a, b) == sym.count_roots(lo, hi), (p, a, b)
+            checked += 1
+    assert checked > 1000

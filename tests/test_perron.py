@@ -19,11 +19,12 @@ from altbase.perron import (
     periodic_fixed_point,
 )
 from altbase.words import ExpansionList, canonicalize
+from test_numerics import eval_fraction
 
 
 def brackets_root(enc: IntervalReal, poly: IntPoly) -> bool:
-    at_lo = poly.eval_fraction(enc.lo.as_fraction())
-    at_hi = poly.eval_fraction(enc.hi.as_fraction())
+    at_lo = eval_fraction(poly, enc.lo.as_fraction())
+    at_hi = eval_fraction(poly, enc.hi.as_fraction())
     return at_lo == 0 or at_hi == 0 or (at_lo < 0) != (at_hi < 0)
 
 

@@ -24,14 +24,15 @@ from altbase.synthesis import (
     verify_value_one,
 )
 from altbase.words import DigitStream, ExpansionList, canonicalize, check_parry
+from test_numerics import eval_fraction
 
 GOLDEN = IntPoly([-1, -1, 1])
 ONE_PLUS_SQRT3 = IntPoly([-2, -2, 1])
 
 
 def brackets_root(enc: IntervalReal, poly: IntPoly) -> bool:
-    lo = poly.eval_fraction(enc.lo.as_fraction())
-    hi = poly.eval_fraction(enc.hi.as_fraction())
+    lo = eval_fraction(poly, enc.lo.as_fraction())
+    hi = eval_fraction(poly, enc.hi.as_fraction())
     if lo == 0 or hi == 0:
         return True
     return (lo < 0) != (hi < 0)
