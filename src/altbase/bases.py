@@ -243,9 +243,9 @@ class AlternateBase:
     ) -> "AlternateBase":
         """Base (beta_i)_{i} with beta_i = gamma_{(-i) mod q} of a Perron fixed point."""
         q = len(fp.gammas)
-        asc_elems = tuple(fp.spectral.gamma_elems[(-i) % q] for i in range(q))
+        asc_elems = tuple(fp.gamma_elems[(-i) % q] for i in range(q))
         asc_enc = tuple(fp.gammas[(-i) % q] for i in range(q))
-        ops = FieldOps(fp.spectral.field, asc_elems)
+        ops = FieldOps(fp.field, asc_elems)
         return cls(tuple(reversed(asc_enc)), ops=ops, qg_words=qg_words, prec=prec)
 
     @property

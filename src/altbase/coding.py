@@ -159,7 +159,7 @@ def ncf_to_eta(n: int, ds: Sequence[int], periodic: bool = True) -> Directive:
     return Directive(tuple((d, n) for d in ds), periodic)
 
 
-SubsLike = Union[Substitution, Directive, Sequence[Substitution], Callable[[int], Substitution]]
+SubsLike = Union[Substitution, Directive, Sequence[Substitution]]
 
 
 def _subs_provider(subs: SubsLike) -> tuple[Callable[[int], Substitution], Optional[int]]:
@@ -171,8 +171,6 @@ def _subs_provider(subs: SubsLike) -> tuple[Callable[[int], Substitution], Optio
         if subs.periodic:
             return (lambda n: seq[n % len(seq)]), None
         return (lambda n: seq[n]), len(seq)
-    if callable(subs):
-        return subs, None
     seq = tuple(subs)
     return (lambda n: seq[n % len(seq)]), None
 
@@ -564,8 +562,8 @@ def base_from_directive(
         raise ValueError("window must select a prefix of the directive")
     tail_seq = build_finite_matrices([(1,) * k])
     tail_fp = periodic_fixed_point(tail_seq, tol_bits=tol_bits)
-    field = tail_fp.spectral.field
-    g = list(tail_fp.spectral.f_elems[0])  # k-bonacci left eigenvector, g[0] = 1
+    field = tail_fp.field
+    g = list(tail_fp.f_elems[0])  # k-bonacci left eigenvector, g[0] = 1
     betas: list = []
     for c in blocks[:window]:
         # image of g under the block matrix (first row c, unit subdiagonal)

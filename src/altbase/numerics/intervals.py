@@ -211,9 +211,6 @@ class IntervalReal:
     def contains_zero(self) -> bool:
         return self.lo.sign() <= 0 <= self.hi.sign()
 
-    def contains_interval(self, other: "IntervalReal") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def sign(self) -> int:
         """Certain sign: +1, -1, or 0 when the interval straddles zero."""
         if self.lo.sign() > 0:

@@ -123,13 +123,14 @@ def _mat_mul(a: SparseRows, b: Matrix) -> list[list[int]]:
     return out
 
 
-def faddeev_leverrier(m: Matrix) -> tuple[IntPoly, list[list[list[int]]]]:
-    """Characteristic polynomial plus adjugate of (xI - m), both exact.
+def faddeev_leverrier(m: Matrix) -> tuple[IntPoly, list[list[int]]]:
+    """Characteristic polynomial plus the first row of adj(xI - m), both exact.
 
-    Returns (chi, adj) where chi = det(xI - m) and adj is a matrix of
-    ascending coefficient lists with adj(x) = adjugate(xI - m).  Each of
-    the n products m @ M_k runs over the non-zeros of m only.  All the
-    interior integer divisions are exact; ArithmeticError if one is not.
+    Returns (chi, row) where chi = det(xI - m) and row[j] is the ascending
+    coefficient list of adjugate(xI - m)[0][j].  Each of the n products
+    m @ M_k runs over the non-zeros of m only, and only the first row of
+    each M_k is kept.  All the interior integer divisions are exact;
+    ArithmeticError if one is not.
     """
     n = len(m)
     a = [[int(v) for v in row] for row in m]
@@ -139,8 +140,8 @@ def faddeev_leverrier(m: Matrix) -> tuple[IntPoly, list[list[list[int]]]]:
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    # adjugate(xI - m) = sum_k M_{k+1} x^(n-1-k)
-    adj_terms = [mk]
+    # adjugate(xI - m) = sum_k M_{k+1} x^(n-1-k); first_rows[k] = M_{k+1}[0]
+    first_rows = [mk[0]]
     for k in range(1, n + 1):
         am = _mat_mul(sparse, mk)
         tr = sum(am[i][i] for i in range(n))
@@ -152,12 +153,8 @@ def faddeev_leverrier(m: Matrix) -> tuple[IntPoly, list[list[list[int]]]]:
             for i in range(n):
                 am[i][i] += q
             mk = am
-            adj_terms.append(mk)
-    adj = [
-        [list(col) for col in zip(*(adj_terms[n - 1 - d][i] for d in range(n)))]
-        for i in range(n)
-    ]
-    return IntPoly(coeffs), adj
+            first_rows.append(mk[0])
+    return IntPoly(coeffs), [list(col) for col in zip(*reversed(first_rows))]
 
 
 # -- Z[x] division: ascending integer coefficient lists --------------------------

@@ -21,8 +21,8 @@ unnormalised, u_{n-1} = u_n A_n, by additions and small integer scalings;
 gamma_n = u_{n-1}[0] / u_n[0] costs one inverse per step, and the cycle
 closes exactly when u comes back as lambda times itself.  Since every
 A_n >= 0, only the k entries of the starting u need a sign check.  The
-normalised f_n = u_n / u_n[0] and their enclosures are built
-on first access.  Checks raise InvariantViolation, not assert, so quantities
+normalised f_n = u_n / u_n[0] and every enclosure are built on first
+read.  Checks raise InvariantViolation, not assert, so quantities
 like gamma = 1 are decided, not approximated, also under python -O.
 """
 
@@ -266,20 +266,52 @@ def build_finite_matrices(directive: Sequence[Sequence[int]]) -> MatrixSeq:
 
 
 @dataclass
-class SpectralData:
-    """Exact form of the fixed point inside Q(lambda).
+class FixedPoint:
+    """The exact fixed point in Q(lambda), enclosed on read.
 
     u_elems[n] is the unnormalised left vector u_n and u_lead_invs[n] the
-    inverse of its first entry; f_elems[n] = u_n / u_n[0] is built on first
-    read.
+    inverse of its first entry; gamma_vs_one is the exact trichotomy of each
+    gamma_n against 1.  gammas, lam, f_elems (f_n = u_n / u_n[0]) and fs are
+    built on first read.  Every enclosure is certified and at most
+    2^-tol_bits wide whatever the order of reads, but its endpoints depend
+    on how far other enclosures had refined the field's shared root before
+    that read.  dataclasses.replace(fp, tol_bits=t) encloses the same point
+    at t bits.
     """
 
+    shape: Shape
     field: RealAlgebraicField
     rotation: int
-    lam: Elem
     gamma_elems: tuple[Elem, ...]
+    gamma_vs_one: tuple[int, ...]
     u_elems: tuple[tuple[Elem, ...], ...]
     u_lead_invs: tuple[Elem, ...]
+    tol_bits: int
+
+    @property
+    def q(self) -> int:
+        return len(self.gamma_elems)
+
+    @property
+    def k(self) -> int:
+        return len(self.u_elems[0])
+
+    @cached_property
+    def gammas(self) -> tuple[IntervalReal, ...]:
+        field, one = self.field, IntervalReal.exact(1)
+        out = []
+        for g, cmp in zip(self.gamma_elems, self.gamma_vs_one):
+            if cmp == 0:
+                out.append(one)
+            else:
+                # certify the strict lower bound by signing gamma - 1
+                gm1 = field.sub(g, field.from_fraction(1))
+                out.append(_certified_enclosure(field, gm1, 1, self.tol_bits).add(one))
+        return tuple(out)
+
+    @cached_property
+    def lam(self) -> IntervalReal:
+        return _certified_enclosure(self.field, self.field.generator(), 1, self.tol_bits)
 
     @cached_property
     def f_elems(self) -> tuple[tuple[Elem, ...], ...]:
@@ -289,65 +321,17 @@ class SpectralData:
             for row, inv in zip(self.u_elems, self.u_lead_invs)
         )
 
-
-class _EnclosedOnRead:
-    """FixedPoint.fs, a dataclass field whose default None means "not built yet".
-
-    The first read encloses spectral.f_elems and keeps the result.  As a
-    descriptor-typed field it still goes through the generated __init__,
-    __eq__, __repr__ and dataclasses.replace.
-    """
-
-    def __get__(self, fp, owner=None):
-        if fp is None:
-            return None  # the field's default
-        fs = fp.__dict__["_fs"]
-        if fs is None:
-            # every f_n >= 0 was certified on the starting vector, so the sign is 0 or 1
-            field = fp.spectral.field
-            fs = fp.__dict__["_fs"] = tuple(
-                tuple(
-                    _certified_enclosure(field, e, 0 if field.is_zero(e) else 1, fp.tol_bits)
-                    for e in row
-                )
-                for row in fp.spectral.f_elems
+    @cached_property
+    def fs(self) -> tuple[tuple[IntervalReal, ...], ...]:
+        # every f_n >= 0 was certified on the starting vector, so the sign is 0 or 1
+        field = self.field
+        return tuple(
+            tuple(
+                _certified_enclosure(field, e, 0 if field.is_zero(e) else 1, self.tol_bits)
+                for e in row
             )
-        return fs
-
-    def __set__(self, fp, value):
-        fp.__dict__["_fs"] = value
-
-
-@dataclass
-class FixedPoint:
-    """Certified enclosures of the fixed point, each at most 2^-tol_bits wide.
-
-    fs is enclosed on first read, from the field's root as refined by then.
-    The intervals are certified whatever the order of reads, but their
-    endpoints depend on how far other enclosures had refined that shared
-    root before.
-    """
-
-    shape: Shape
-    gammas: tuple[IntervalReal, ...]
-    gamma_vs_one: tuple[int, ...]  # exact trichotomy of gamma_n against 1
-    lam: IntervalReal
-    spectral: SpectralData
-    tol_bits: int
-    fs: tuple[tuple[IntervalReal, ...], ...] = _EnclosedOnRead()
-
-    @property
-    def q(self) -> int:
-        return len(self.gammas)
-
-    @property
-    def k(self) -> int:
-        return len(self.spectral.u_elems[0])
-
-    def refined(self, tol_bits: int) -> "FixedPoint":
-        if tol_bits <= self.tol_bits:
-            return self
-        return _enclose_fixed_point(self.shape, self.spectral, self.gamma_vs_one, tol_bits)
+            for row in self.f_elems
+        )
 
 
 def _certified_enclosure(
@@ -367,35 +351,19 @@ def _certified_enclosure(
             raise Undecidable(f"sign certification stalled at {bits // 2} bits")
 
 
-def _enclose_fixed_point(
-    shape: Shape, sp: SpectralData, gamma_vs_one: tuple[int, ...], tol_bits: int
-) -> FixedPoint:
-    field = sp.field
-    gammas = []
-    for g, cmp in zip(sp.gamma_elems, gamma_vs_one):
-        if cmp == 0:
-            gammas.append(IntervalReal.exact(1))
-        else:
-            # certify the strict lower bound by signing gamma - 1
-            enc = _certified_enclosure(field, field.sub(g, field.from_fraction(1)), 1, tol_bits)
-            gammas.append(enc.add(IntervalReal.exact(1)))
-    lam = _certified_enclosure(field, sp.lam, 1, tol_bits)
-    return FixedPoint(shape, tuple(gammas), gamma_vs_one, lam, sp, tol_bits)
-
-
-def _perron_field(product: IntMatrix) -> tuple[RealAlgebraicField, list[list[list[int]]]]:
-    """Q(lambda) for the Perron root lambda of a primitive product, and adj(xI - Q).
+def _perron_field(product: IntMatrix) -> tuple[RealAlgebraicField, list[list[int]]]:
+    """Q(lambda) for the Perron root lambda of a primitive product, and adj(xI - Q)[0].
 
     The root is isolated on the squarefree charpoly, and the field is built
     on that polynomial without its cyclotomic factors, in the same bracket,
     so the refinement grid is the same.  Any other factor left over is
     divided out later by the field itself (RealAlgebraicField.inv).
     """
-    chi, adj = faddeev_leverrier(product)
+    chi, adj_row = faddeev_leverrier(product)
     root = isolate_dominant(chi, max(sum(row) for row in product))
     if not root.is_exact():
         root = IsolatedRoot(drop_trivial_factors(root.poly), root.lo, root.hi)
-    return RealAlgebraicField(root), adj
+    return RealAlgebraicField(root), adj_row
 
 
 def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPoint:
@@ -403,17 +371,17 @@ def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPo
 
     Finds a primitive rotation, builds Q(lambda) on the Perron factor of its
     product, takes the first adjugate row at lambda as the left eigenvector
-    u, and propagates it unnormalised around the cycle.  Every interval
-    returned has width <= 2^-tol_bits; gamma_vs_one records the exact
+    u, and propagates it unnormalised around the cycle.  Every enclosure the
+    result gives is at most 2^-tol_bits wide; gamma_vs_one records the exact
     comparisons.  InvariantViolation if a certificate check fails.
     """
     q, k = ms.q, ms.k
     n_star, product = ms.primitive_rotation()
-    field, adj = _perron_field(product)
+    field, adj_row = _perron_field(product)
     lam = field.generator()
     zero = field.from_fraction(0)
 
-    start = tuple(field.reduce(adj[0][j]) for j in range(k))
+    start = tuple(field.reduce(c) for c in adj_row)
     signs = [field.sign(e) for e in start]
     if signs[0] <= 0:
         raise InvariantViolation("adjugate corner must be positive at the Perron root")
@@ -453,15 +421,16 @@ def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPo
     if min(gamma_vs_one) < (1 if isinstance(ms.shape, ParryShape) else 0):
         raise InvariantViolation("parry shapes force every gamma > 1, finite shapes gamma >= 1")
 
-    sp = SpectralData(
+    return FixedPoint(
+        shape=ms.shape,
         field=field,
         rotation=n_star % q,
-        lam=lam,
         gamma_elems=tuple(gamma_elems),
+        gamma_vs_one=gamma_vs_one,
         u_elems=tuple(u_elems),
         u_lead_invs=tuple(invs),
+        tol_bits=tol_bits,
     )
-    return _enclose_fixed_point(ms.shape, sp, gamma_vs_one, tol_bits)
 
 
 # -- identity checks -----------------------------------------------------------
@@ -484,9 +453,6 @@ class IdentityReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> tuple[IdentityCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
 
 def check_identities(ms: MatrixSeq, fp: FixedPoint) -> IdentityReport:
     """Evaluate the telescoping summation identities in interval arithmetic.
@@ -500,38 +466,33 @@ def check_identities(ms: MatrixSeq, fp: FixedPoint) -> IdentityReport:
     q, k = ms.q, ms.k
     one = IntervalReal.exact(1)
 
-    def gamma(n: int) -> IntervalReal:
-        return fp.gammas[n % q]
-
     def f(n: int, j: int) -> IntervalReal:
         return fp.fs[n % q][j - 1]
+
+    def telescope(n: int, first: int, last: int) -> tuple[IntervalReal, IntervalReal]:
+        """Sum of a_{n+j,j} / (gamma_{n+first} ... gamma_{n+j}) over j = first..last,
+        and the last of those denominators."""
+        denom = one
+        acc = IntervalReal.exact(0)
+        for j in range(first, last + 1):
+            denom = denom.mul(fp.gammas[(n + j) % q])
+            acc = acc.add(IntervalReal.exact(ms.digit(n + j, j)).div(denom))
+        return acc, denom
 
     checks: list[IdentityCheck] = []
     for n in range(q):
         if isinstance(ms.shape, ParryShape):
             h = ms.shape.h
-            denom = one
-            acc = IntervalReal.exact(0)
-            for j in range(1, h + 1):
-                denom = denom.mul(gamma(n + j))
-                acc = acc.add(IntervalReal.exact(ms.digit(n + j, j)).div(denom))
+            acc, denom = telescope(n, 1, h)
             acc = acc.add(f(n + h, h + 1).div(denom))
             checks.append(IdentityCheck(n, "unit-sum", acc.contains(Fraction(1)), acc, one))
 
-            denom = one
-            acc = IntervalReal.exact(0)
-            for j in range(h + 1, k + 1):
-                denom = denom.mul(gamma(n + j))
-                acc = acc.add(IntervalReal.exact(ms.digit(n + j, j)).div(denom))
+            acc, denom = telescope(n, h + 1, k)
             acc = acc.add(f(n + k, h + 1).div(denom))
             target = f(n + h, h + 1)
             ok = acc.intersect(target) is not None
             checks.append(IdentityCheck(n, "tail-sum", ok, acc, target))
         else:
-            denom = one
-            acc = IntervalReal.exact(0)
-            for j in range(1, k + 1):
-                denom = denom.mul(gamma(n + j))
-                acc = acc.add(IntervalReal.exact(ms.digit(n + j, j)).div(denom))
+            acc, _ = telescope(n, 1, k)
             checks.append(IdentityCheck(n, "unit-sum", acc.contains(Fraction(1)), acc, one))
     return IdentityReport(tuple(checks))

@@ -366,7 +366,7 @@ def check_parry(lst: ExpansionList, depth: int | None = None) -> ParryReport:
 
 
 def parse_word(text: str, digit_max: int = DEFAULT_DIGIT_MAX) -> UPWord:
-    """Parse `pre(period)`; digits above 9 use brackets/commas: [12,3](4,1)."""
+    """Parse `pre(period)`; digits above 9 use brackets/commas: [12,3](4,1), (10,)."""
     s = text.strip()
     if not s.endswith(")") or "(" not in s:
         raise ParseError(f"expected pre(period), got {text!r}")
@@ -385,6 +385,8 @@ def parse_word(text: str, digit_max: int = DEFAULT_DIGIT_MAX) -> UPWord:
             chunk = chunk[1:-1]
         if "," in chunk:
             parts = [c.strip() for c in chunk.split(",")]
+            if not parts[-1]:
+                parts.pop()  # one trailing comma, as in (10,)
         else:
             parts = list(chunk)
         try:
@@ -403,12 +405,15 @@ def parse_word(text: str, digit_max: int = DEFAULT_DIGIT_MAX) -> UPWord:
 
 
 def format_word(u: UPWord) -> str:
+    """Text that parse_word reads back as u: (10,) for the period 10, not (10)."""
     if u.max_digit() <= 9:
         pre = "".join(str(d) for d in u.preperiod)
         per = "".join(str(d) for d in u.period)
         return f"{pre}({per})"
-    per = ",".join(str(d) for d in u.period)
+
+    def commas(digits: tuple[int, ...]) -> str:
+        return ",".join(str(d) for d in digits) + ("," if len(digits) == 1 else "")
+
     if not u.preperiod:
-        return f"({per})"
-    pre = ",".join(str(d) for d in u.preperiod)
-    return f"[{pre}]({per})"
+        return f"({commas(u.period)})"
+    return f"[{commas(u.preperiod)}]({commas(u.period)})"

@@ -1,5 +1,6 @@
 """Exit codes, output shapes, and determinism of the command line."""
 
+import ast
 import contextlib
 import io
 import json
@@ -51,6 +52,16 @@ def test_validate_parse_error(capsys):
     code, _, err = run(capsys, "validate", "-p", "1", "(2x)")
     assert code == 2
     assert "error" in err
+
+
+def test_validate_trailing_comma_makes_one_digit(capsys):
+    # "[10](0)" is 1 0 0^w; the trailing comma makes 10 a single digit
+    code, out, _ = run(capsys, "validate", "-p", "1", "[10,](0)")
+    assert code == 0
+    assert "parry: ok" in out
+    code, out, _ = run(capsys, "synthesize", "-p", "1", "(10,)")
+    assert code == 0
+    assert "beta_0 = [11, 11]" in out
 
 
 def test_validate_word_count_mismatch(capsys):
@@ -314,15 +325,26 @@ def test_optimized_interpreter_matches(capsys):
         assert (proc.returncode, proc.stdout) == (code, out)
 
 
+def test_src_has_no_assert_statement():
+    # python -O strips assert statements, so no check in the package may be one
+    src = Path(__file__).resolve().parent.parent / "src"
+    files = sorted(src.rglob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.relative_to(src)}: assert on lines {lines}"
+
+
 def test_invariant_violation_exits_five(capsys, monkeypatch):
     import altbase.perron as perron
 
     real = perron.faddeev_leverrier
 
     def off_by_one(m):
-        chi, adj = real(m)
-        adj[0][1][0] += 1  # the first adjugate row is no longer an eigenvector
-        return chi, adj
+        chi, row = real(m)
+        row[1][0] += 1  # the first adjugate row is no longer an eigenvector
+        return chi, row
 
     monkeypatch.setattr(perron, "faddeev_leverrier", off_by_one)
     code, out, err = run(capsys, "synthesize", "-p", "1", "(21)")

@@ -81,11 +81,11 @@ def test_field_mul_and_inv_match_sympy():
         lst = ExpansionList(tuple(parse_word(w) for w in row))
         ms, _, _ = build_parry_matrices(ExpansionList(quasi_greedy_transform(lst.entries)))
         _, product = ms.primitive_rotation()
-        field, adj = _perron_field(product)
+        field, adj_row = _perron_field(product)
         m = _sym((field.modulus.coeffs, 1))
         # adjugate entries at lambda (the eigenvector the fixed point starts
         # from), the generator, and small random elements with denominators
-        elems = [field.reduce(adj[0][j]) for j in range(0, ms.k, max(1, ms.k // 6))]
+        elems = [field.reduce(adj_row[j]) for j in range(0, ms.k, max(1, ms.k // 6))]
         elems.append(field.generator())
         for _ in range(4):
             coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(field.degree)]

@@ -193,12 +193,14 @@ def test_fixed_point_three_periodic():
 def test_fixed_point_refinement():
     ms = build_finite_matrices([(1, 1)])
     fp = periodic_fixed_point(ms, tol_bits=32)
-    finer = fp.refined(128)
-    assert finer.gammas[0].width().as_fraction() <= Fraction(1, 2**128)
-    assert fp.gammas[0].contains_interval(finer.gammas[0]) or brackets_root(
-        finer.gammas[0], GOLDEN
-    )
-    assert fp.refined(16) is fp
+    coarse = fp.gammas[0]
+    finer = dataclasses.replace(fp, tol_bits=128)
+    # the same exact point, enclosed anew at the finer tolerance
+    assert finer.field is fp.field and finer.gamma_elems is fp.gamma_elems
+    fine = finer.gammas[0]
+    assert fine.width().as_fraction() <= Fraction(1, 2**128)
+    assert (coarse.lo <= fine.lo and fine.hi <= coarse.hi) or brackets_root(fine, GOLDEN)
+    assert fp.gammas[0] is coarse
 
 
 def test_not_primitive():
@@ -238,11 +240,9 @@ def test_identities_three_periodic():
 def test_identities_survive_widening():
     ms = build_finite_matrices([(1, 1)])
     fp = periodic_fixed_point(ms)
-    widened = dataclasses.replace(
-        fp,
-        gammas=tuple(g.inflate(Fraction(1, 1000)) for g in fp.gammas),
-        fs=tuple(tuple(e.inflate(Fraction(1, 1000)) for e in row) for row in fp.fs),
-    )
+    widened = dataclasses.replace(fp)
+    widened.gammas = tuple(g.inflate(Fraction(1, 1000)) for g in fp.gammas)
+    widened.fs = tuple(tuple(e.inflate(Fraction(1, 1000)) for e in row) for row in fp.fs)
     assert check_identities(ms, widened).ok
 
 
@@ -250,12 +250,11 @@ def test_identities_catch_corruption():
     ms = build_finite_matrices([(1, 1)])
     fp = periodic_fixed_point(ms)
     shifted = IntervalReal.from_fraction(Fraction(1, 10))
-    corrupted = dataclasses.replace(
-        fp, gammas=tuple(g.add(shifted) for g in fp.gammas)
-    )
+    corrupted = dataclasses.replace(fp)
+    corrupted.gammas = tuple(g.add(shifted) for g in fp.gammas)
     report = check_identities(ms, corrupted)
     assert not report.ok
-    assert report.failures()
+    assert [(c.n, c.item, c.ok) for c in report.checks] == [(0, "unit-sum", False)]
 
 
 # -- structured products and the unnormalised propagation ---------------------------
@@ -311,10 +310,10 @@ def test_sparse_products_match_dense(ms, n):
         want = _dense_mul(want, ms.matrix(n - step))
     product = ms.rotation_product(n)
     assert product == tuple(tuple(row) for row in want)
-    chi, adj = faddeev_leverrier(product)
+    chi, row = faddeev_leverrier(product)
     coeffs, dense_adj = _dense_faddeev_leverrier(want)
     assert chi.coeffs == IntPoly(coeffs).coeffs
-    assert adj == dense_adj
+    assert row == dense_adj[0]
 
 
 def test_primitive_rotation_returns_its_product():
@@ -377,17 +376,20 @@ def ends(row):
 def test_lazy_fs_equals_eager_fs(make):
     ms = make()
     fp = periodic_fixed_point(ms)
-    sp = fp.spectral
     # nothing normalised or enclosed until asked for
-    assert fp.__dict__["_fs"] is None and "f_elems" not in sp.__dict__
+    assert not {"gammas", "lam", "f_elems", "fs"} & fp.__dict__.keys()
+    # the gammas first, as every reader in the package does: their enclosures
+    # refine the shared root, and the endpoints below depend on that
+    fp.gammas
     lazy = fp.fs
+    assert fp.fs is lazy
     # eager reference: f_{n*} = u_{n*} / u_{n*}[0], then gamma_n f_{n-1} = f_n A_n
-    field, q, k = sp.field, ms.q, ms.k
-    start = sp.u_elems[sp.rotation]
+    field, q, k = fp.field, ms.q, ms.k
+    start = fp.u_elems[fp.rotation]
     f = [field.div(e, start[0]) for e in start]
-    eager = {sp.rotation: f}
+    eager = {fp.rotation: f}
     for step in range(q - 1):
-        n = sp.rotation - step
+        n = fp.rotation - step
         a = ms.matrix(n)
         image = []
         for j in range(k):
@@ -395,19 +397,51 @@ def test_lazy_fs_equals_eager_fs(make):
             for i in range(k):
                 acc = field.add(acc, field.scalar_mul(a[i][j], f[i]))
             image.append(acc)
-        f = [field.div(e, sp.gamma_elems[n % q]) for e in image]
+        f = [field.div(e, fp.gamma_elems[n % q]) for e in image]
         eager[(n - 1) % q] = f
     for n in range(q):
-        assert sp.f_elems[n] == tuple(eager[n])
-        assert sp.f_elems[n][0] == ((1,), 1)
+        assert fp.f_elems[n] == tuple(eager[n])
+        assert fp.f_elems[n][0] == ((1,), 1)
         signs = [field.sign(e) for e in eager[n]]
         assert min(signs) >= 0
         assert ends(lazy[n]) == ends(
             _certified_enclosure(field, e, s, fp.tol_bits) for e, s in zip(eager[n], signs)
         )
-    seven = ((IntervalReal.exact(7),),)
-    assert dataclasses.replace(fp, fs=seven).fs is seven
-    assert dataclasses.replace(fp, gammas=fp.gammas).fs is lazy
+    # the enclosures are not fields: a replaced record encloses the same point anew
+    assert {fld.name for fld in dataclasses.fields(fp)}.isdisjoint({"gammas", "lam", "f_elems", "fs"})
+    again = dataclasses.replace(fp).fs
+    assert again is not lazy
+    for old_row, new_row in zip(lazy, again):
+        for old, new in zip(old_row, new_row):
+            assert old.intersect(new) is not None
+
+
+def _certifies(field, elem, enc, tol_bits):
+    """enc is at most 2^-tol_bits wide and holds elem, decided by exact signs."""
+    if enc.width().as_fraction() > Fraction(1, 2**tol_bits):
+        return False
+    lo, hi = (field.from_fraction(x.as_fraction()) for x in (enc.lo, enc.hi))
+    return field.sign(field.sub(elem, lo)) >= 0 and field.sign(field.sub(hi, elem)) >= 0
+
+
+@pytest.mark.parametrize("tol_bits", [24, 200])
+@pytest.mark.parametrize("make", LAZY_CASES)
+def test_enclosures_certified_in_any_read_order(make, tol_bits):
+    fp = periodic_fixed_point(make(), tol_bits=tol_bits)
+    field = fp.field
+    # fs and lam first: the shared root is refined for them before any gamma
+    fs, lam, gammas = fp.fs, fp.lam, fp.gammas
+    assert lam.lo.sign() > 0 and _certifies(field, field.generator(), lam, tol_bits)
+    for g, enc, cmp in zip(fp.gamma_elems, gammas, fp.gamma_vs_one):
+        if cmp:
+            assert enc.lo.as_fraction() > 1
+        else:
+            assert enc.is_point() and enc.lo == Dyadic(1)
+        assert _certifies(field, g, enc, tol_bits)
+    for elems, encs in zip(fp.f_elems, fs):
+        for e, enc in zip(elems, encs):
+            assert enc.lo.sign() == (0 if field.is_zero(e) else 1)
+            assert _certifies(field, e, enc, tol_bits)
 
 
 P5_ROW = words(((3,), (1, 2)), ((2,), (2, 1, 1)), ((), (2, 1, 1, 1)), ((3, 1), (1,)), ((), (2, 2)))
@@ -435,7 +469,7 @@ def test_p5_field_is_built_on_the_perron_factor(monkeypatch):
     assert fp.k == 65
     assert built == [6]
     assert shrinks == []
-    assert fp.spectral.field.modulus.coeffs == (-144, -257, -441, -537, -351, -256, 1)
+    assert fp.field.modulus.coeffs == (-144, -257, -441, -537, -351, -256, 1)
 
 
 def test_large_perron_root_costs_few_sign_evaluations(monkeypatch):
@@ -450,5 +484,5 @@ def test_large_perron_root_costs_few_sign_evaluations(monkeypatch):
     monkeypatch.setattr(polynomials, "_sign_at", lambda *a: calls.append(a) or real(*a))
     base, fp = synthesize_periodic(words(*[((), (9, 1))] * 10))
     assert fp.lam.lo.as_fraction() > 4 * 10**9
-    assert fp.spectral.field.degree == 2
+    assert fp.field.degree == 2
     assert len(calls) < 2000

@@ -4,6 +4,7 @@ import pytest
 
 from altbase.errors import DigitRangeError, ParseError
 from altbase.words import (
+    DEFAULT_DIGIT_MAX,
     EQ,
     GT,
     LT,
@@ -273,6 +274,28 @@ def test_parse_rejects_garbage():
             parse_word(bad)
 
 
-@given(words_strategy)
+wide_digit = st.integers(0, 9) | st.integers(10, DEFAULT_DIGIT_MAX)
+
+
+@given(st.builds(
+    UPWord,
+    st.lists(wide_digit, max_size=4),
+    st.lists(wide_digit, min_size=1, max_size=4),
+))
 def test_format_parse_identity(u):
     assert parse_word(format_word(u)) == u
+
+
+def test_one_digit_comma_parts():
+    # a lone digit above 9 keeps its comma, which parse_word reads back
+    assert format_word(UPWord((), (10,))) == "(10,)"
+    assert format_word(UPWord((10,), (1,))) == "[10,](1,)"
+    assert format_word(UPWord((12, 3), (4, 1))) == "[12,3](4,1)"
+    assert parse_word("(10,)") == UPWord((), (10,))
+    assert parse_word("[10,](0)") == UPWord((10,), (0,))
+    assert parse_word("[10, ](0 ,)") == UPWord((10,), (0,))
+    # without the comma the part is read digit by digit, as before
+    assert parse_word("(10)") == UPWord((), (1, 0))
+    for bad in ["(10,,)", "(,)", "[,](1)", "(,10)"]:
+        with pytest.raises(ParseError):
+            parse_word(bad)
