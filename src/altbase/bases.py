@@ -1,9 +1,11 @@
 """Periodic alternate bases and the value backends they compute in.
 
-A periodic alternate base of period p is written in display order as a
-tuple (beta_{p-1}, ..., beta_0) with every beta > 1; index
-arithmetic is mod p, so beta_{n+p} = beta_n for all integers n.  The value
-of a fractional digit word a_1 a_2 ... read at shift i is
+A periodic alternate base of period p is the tuple (beta_0, ..., beta_{p-1})
+with every beta > 1; index arithmetic is mod p, so beta_{n+p} = beta_n for
+all integers n.  The library takes and stores the betas in this ascending
+order; only the CLI text and the certificate JSON print the paper's display
+order (beta_{p-1}, ..., beta_0).  The value of a fractional digit word
+a_1 a_2 ... read at shift i is
 
     sum_{n >= 1} a_n / (beta_{i-1} beta_{i-2} ... beta_{i-n}),
 
@@ -13,9 +15,9 @@ weights 1, beta_0, beta_1 beta_0, and so on.
 Digit extraction needs floors, ceilings, and comparisons against 1 that are
 actually correct, so a base can carry an exact backend: arithmetic in a real
 algebraic number field, which is Q(lambda) when the betas come from a Perron
-eigenvector and Q[x]/(x) when every beta is a fraction.  Without a backend the
-base still works through outward-rounded intervals, but any decision the
-intervals cannot settle raises instead of guessing.
+eigenvector and Q[x]/(x) when every beta is a fraction.  A base given no
+backend computes in its outward-rounded beta enclosures, and any decision
+the intervals cannot settle raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ from typing import Optional, Sequence, Union
 from .errors import CeilUndecidable, FloorUndecidable, Undecidable
 from .numerics import Dyadic, IntervalReal, IntPoly, IsolatedRoot
 from .numerics.algebraic import Elem, RealAlgebraicField
-from .numerics.intervals import DEFAULT_PREC
+from .numerics.intervals import DEFAULT_PREC, ONE
 from .words import UPWord
 
 Rational = Union[int, Fraction]
-
-ONE = Dyadic(1)
 
 
 class FieldOps:
@@ -104,8 +104,9 @@ class FieldOps:
     def enclosure(self, a, prec: int = DEFAULT_PREC) -> IntervalReal:
         return self.field.enclosure(a, prec)
 
-    def beta_enclosures(self, prec: int) -> tuple[IntervalReal, ...]:
-        return tuple(self.field.enclosure(b, prec) for b in self.beta_elems)
+    def interval_ops(self, prec: int) -> "IntervalOps":
+        """Interval backend on the betas enclosed to width <= 2^-prec."""
+        return IntervalOps(tuple(self.field.enclosure(b, prec) for b in self.beta_elems), prec)
 
     def shifted(self, i: int) -> "FieldOps":
         p = self.p
@@ -182,8 +183,13 @@ class IntervalOps:
     def enclosure(self, a: IntervalReal, prec: int = DEFAULT_PREC) -> IntervalReal:
         return a
 
-    def beta_enclosures(self, prec: int) -> tuple[IntervalReal, ...]:
-        return self.betas
+    def interval_ops(self, prec: int) -> "IntervalOps":
+        """The same enclosures, with arithmetic rounded at prec bits."""
+        return IntervalOps(self.betas, prec)
+
+    def shifted(self, i: int) -> "IntervalOps":
+        p = self.p
+        return IntervalOps(tuple(self.betas[(j + i) % p] for j in range(p)), self.prec)
 
 
 def _as_interval(b, prec: int) -> IntervalReal:
@@ -193,7 +199,11 @@ def _as_interval(b, prec: int) -> IntervalReal:
 
 
 class AlternateBase:
-    """A periodic alternate base, written (beta_{p-1}, ..., beta_0)."""
+    """A periodic alternate base (beta_0, ..., beta_{p-1}) and its value backend.
+
+    `betas` holds the enclosures in that ascending order and `ops` the
+    backend: the exact one it was given, else intervals over `betas`.
+    """
 
     def __init__(
         self,
@@ -203,19 +213,18 @@ class AlternateBase:
         qg_words: Optional[Sequence[UPWord]] = None,
         prec: int = DEFAULT_PREC,
     ):
-        display = tuple(_as_interval(b, prec) for b in betas)
-        if not display:
+        betas = tuple(_as_interval(b, prec) for b in betas)
+        if not betas:
             raise ValueError("need at least one beta")
-        for b in display:
+        for b in betas:
             if not b.lo > ONE:
                 raise ValueError(f"every beta must be certified > 1, got {b}")
-        self.betas = display
-        self._asc = tuple(reversed(display))
-        self.ops = ops
+        self.betas = betas
+        self.ops = ops or IntervalOps(betas, prec)
         self.prec = prec
         if qg_words is not None:
             qg_words = tuple(qg_words)
-            if len(qg_words) != len(display):
+            if len(qg_words) != len(betas):
                 raise ValueError("need one quasi-greedy word per shift")
         self.qg_words = qg_words
         # coding.gap_table memo, keyed by (shift mod p, depth)
@@ -227,12 +236,12 @@ class AlternateBase:
     def from_rationals(
         cls, betas: Sequence[Rational], prec: int = DEFAULT_PREC
     ) -> "AlternateBase":
-        """Base from rational betas given in display order (beta_{p-1},...,beta_0)."""
-        display = [Fraction(b) for b in betas]
+        """Base from rational betas (beta_0, ..., beta_{p-1}) with the exact backend."""
+        betas = [Fraction(b) for b in betas]
         # rationals are the constants of Q[x]/(x), evaluated at the root 0
         field = RealAlgebraicField(IsolatedRoot(IntPoly([0, 1]), Dyadic(0), Dyadic(0)))
-        asc = tuple(field.from_fraction(b) for b in reversed(display))
-        return cls(display, ops=FieldOps(field, asc), prec=prec)
+        elems = tuple(field.from_fraction(b) for b in betas)
+        return cls(betas, ops=FieldOps(field, elems), prec=prec)
 
     @classmethod
     def from_fixed_point(
@@ -243,10 +252,9 @@ class AlternateBase:
     ) -> "AlternateBase":
         """Base (beta_i)_{i} with beta_i = gamma_{(-i) mod q} of a Perron fixed point."""
         q = len(fp.gammas)
-        asc_elems = tuple(fp.gamma_elems[(-i) % q] for i in range(q))
-        asc_enc = tuple(fp.gammas[(-i) % q] for i in range(q))
-        ops = FieldOps(fp.field, asc_elems)
-        return cls(tuple(reversed(asc_enc)), ops=ops, qg_words=qg_words, prec=prec)
+        elems = tuple(fp.gamma_elems[(-i) % q] for i in range(q))
+        enc = tuple(fp.gammas[(-i) % q] for i in range(q))
+        return cls(enc, ops=FieldOps(fp.field, elems), qg_words=qg_words, prec=prec)
 
     @property
     def p(self) -> int:
@@ -254,20 +262,7 @@ class AlternateBase:
 
     def beta(self, n: int) -> IntervalReal:
         """Enclosure of beta_n, indices taken mod p."""
-        return self._asc[n % self.p]
-
-    def delta(self) -> IntervalReal:
-        """Enclosure of the period product beta_{p-1} ... beta_0."""
-        out = IntervalReal.exact(1)
-        for b in self._asc:
-            out = out.mul(b, self.prec)
-        return out
-
-    def value_ops(self):
-        """Backend for word values: the exact one when present, else intervals."""
-        if self.ops is not None:
-            return self.ops
-        return IntervalOps(self._asc, self.prec)
+        return self.betas[n % self.p]
 
     def qg_word(self, i: int) -> UPWord:
         if self.qg_words is None:
@@ -277,22 +272,18 @@ class AlternateBase:
     def shifted(self, i: int) -> "AlternateBase":
         """The base S^i(B) with beta'_n = beta_{n+i}."""
         p = self.p
-        asc = tuple(self._asc[(j + i) % p] for j in range(p))
-        ops = self.ops.shifted(i) if self.ops is not None else None
+        betas = tuple(self.betas[(j + i) % p] for j in range(p))
         qg = None
         if self.qg_words is not None:
             qg = tuple(self.qg_words[(j + i) % p] for j in range(p))
-        return AlternateBase(tuple(reversed(asc)), ops=ops, qg_words=qg, prec=self.prec)
+        return AlternateBase(betas, ops=self.ops.shifted(i), qg_words=qg, prec=self.prec)
 
     def refine(self, prec: int) -> "AlternateBase":
-        """Re-enclose the betas to width <= 2^-prec; needs an exact backend."""
-        if self.ops is None:
+        """Re-enclose the betas to width <= 2^-prec; an interval-only base comes back as is."""
+        if not self.ops.exact:
             return self
-        asc = self.ops.beta_enclosures(prec)
-        return AlternateBase(
-            tuple(reversed(asc)), ops=self.ops, qg_words=self.qg_words, prec=prec
-        )
+        betas = self.ops.interval_ops(prec).betas
+        return AlternateBase(betas, ops=self.ops, qg_words=self.qg_words, prec=prec)
 
     def __repr__(self) -> str:
-        inner = ", ".join(repr(b) for b in self.betas)
-        return f"AlternateBase({inner})"
+        return f"AlternateBase({self.betas!r})"

@@ -12,7 +12,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .bases import AlternateBase
 from .coding import Directive, base_from_directive, faithful_coding, sadic_limit
 from .errors import (
     AltBaseError,
@@ -112,8 +111,8 @@ def cmd_synthesize(ns) -> int:
     payload = certificate_json(base, cert)
     p = base.p
     lines = [f"p = {p}"]
-    for i, b in enumerate(base.betas):
-        lines.append(f"beta_{p - 1 - i} = {_interval_str(b)}")
+    for i in reversed(range(p)):
+        lines.append(f"beta_{i} = {_interval_str(base.betas[i])}")
     lines.append("parry: " + ("ok" if all(cert.parry_ok) else "FAIL"))
     lines.append(f"uniqueness: {cert.uniqueness}")
     lines.append("classification: " + ",".join(cert.classification))

@@ -31,9 +31,6 @@ from .numerics import DEFAULT_PREC, Dyadic, IntervalReal
 from .perron import build_finite_matrices, periodic_fixed_point
 from .words import UPWord, canonicalize, shift_suffix
 
-ONE = Dyadic(1)
-
-
 # -- substitutions ------------------------------------------------------------
 
 
@@ -228,33 +225,47 @@ def sadic_limit(subs: SubsLike, length: int, max_steps: int = 10_000) -> tuple[i
 def derive_qg_words(base: AlternateBase, cap: int = 4096) -> tuple[UPWord, ...]:
     """Recover the quasi-greedy expansions of 1 as ultimately periodic words.
 
-    Runs the quasi-greedy loop with an exact backend until the pair
-    (remainder, shift residue) repeats; the digits between the two visits
-    form the period.  Bases whose expansion never closes up within the cap
-    (for example beta = 3/2) are rejected.
+    The quasi-greedy loop maps a state (remainder, shift residue) to the next
+    one, so its digits repeat from the first state that recurs.  Brent's
+    cycle search finds that state by exact value: equal elements of a field
+    with a reducible modulus can differ in representation.  Bases whose
+    expansion does not close up within the cap (for example beta = 3/2) are
+    rejected.
     """
-    ops = base.value_ops()
+    ops = base.ops
     if not ops.exact:
         raise ValueError("deriving quasi-greedy words needs an exact backend")
     p = base.p
+
+    def same(x, y) -> bool:
+        return x[1] == y[1] and ops.is_zero(ops.sub(x[0], y[0]))
+
     out = []
     for shift in range(p):
         digits: list[int] = []
-        # state before each digit -> number of digits before it
-        seen = {(ops.lift(1), (shift - 1) % p): 0}
+        states = [(ops.lift(1), (shift - 1) % p)]  # states[n]: after n digits
+        # the period lam: the hare walks one digit at a time from the
+        # tortoise, which jumps to the hare at every power of two
+        power = lam = 1
+        tortoise = 0
         for d, r in _qg_steps(ops, shift):
             digits.append(d)
+            states.append((r, (shift - len(digits) - 1) % p))
+            if same(states[tortoise], states[-1]):
+                break
             if len(digits) >= cap:
                 raise ValueError(
                     "quasi-greedy expansion does not become periodic "
                     f"within {cap} digits"
                 )
-            state = (r, (shift - len(digits) - 1) % p)
-            if state in seen:
-                s = seen[state]
-                out.append(canonicalize(digits[:s], digits[s:]))
-                break
-            seen[state] = len(digits)
+            if power == lam:
+                tortoise, power, lam = len(digits), 2 * power, 0
+            lam += 1
+        # the preperiod mu: the first state that recurs lam digits later
+        mu = 0
+        while not same(states[mu], states[mu + lam]):
+            mu += 1
+        out.append(canonicalize(digits[:mu], digits[mu : mu + lam]))
     return tuple(out)
 
 
@@ -268,7 +279,7 @@ def _qg_digit_source(base: AlternateBase):
     words = base.qg_words or base._derived_qg_words
     if words is not None:
         return lambda shift, n: words[shift % base.p].digit(n)
-    ops = base.value_ops()
+    ops = base.ops
     # generators start lazily, so a residue that is never read costs nothing
     streams = [([], _qg_steps(ops, i)) for i in range(base.p)]
 
@@ -295,7 +306,7 @@ class BInteger:
     @property
     def value(self) -> IntervalReal:
         """Enclosure of the value at base.prec, computed on access."""
-        return self.base.value_ops().enclosure(self.exact, self.base.prec)
+        return self.base.ops.enclosure(self.exact, self.base.prec)
 
 
 def _word_below_qg(word: tuple[int, ...], qg_digit, shift: int, scan_cap: int = 10_000) -> bool:
@@ -322,7 +333,7 @@ def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    ops = base.value_ops()
+    ops = base.ops
     qg_digit = _qg_digit_source(base)
     out = [BInteger((), ops.lift(0), base)]
     # suffix-admissible words of the current length, leading zeros allowed,
@@ -383,7 +394,7 @@ def gap_table(base: AlternateBase, m: int = 0, depth: int = 16) -> GapTable:
     """
     if depth < 1:
         raise ValueError("gap table depth must be at least 1")
-    if not base.value_ops().exact:
+    if not base.ops.exact:
         raise ValueError(
             "gap tables need an exact backend; synthesize the base from its "
             "quasi-greedy words with synthesize_periodic"
@@ -397,7 +408,7 @@ def gap_table(base: AlternateBase, m: int = 0, depth: int = 16) -> GapTable:
 
 
 def _build_gap_table(base: AlternateBase, m: int, depth: int) -> GapTable:
-    ops = base.value_ops()
+    ops = base.ops
     words = base.qg_words or base._derived_qg_words
     if words is None:
         words = base._derived_qg_words = derive_qg_words(base)
@@ -450,7 +461,7 @@ def _class_gaps(base: AlternateBase, table: GapTable, length: int) -> tuple[int,
     Every gap equals some Delta_{0,n}, so a gap that matches no table row
     means the table depth ran out.
     """
-    ops = base.value_ops()
+    ops = base.ops
     ints = enumerate_b_integers(base, length + 1)
     # a gap comes out reduced, as a canonical (nums, den) pair, so equal keys
     # are the same element of Q[x]/(modulus): a gap seen before keeps its letter
@@ -498,18 +509,17 @@ def faithful_coding(base: AlternateBase, length: int, depth: int = 16) -> tuple[
 class WindowedBase:
     """Exact beta enclosures for a finite directive window.
 
-    betas are displayed like an alternate base, (beta_{w-1}, ..., beta_0),
-    but carry no periodicity: they describe the window only, under the
-    all-ones tail convention below index 0.
+    betas are stored like those of an alternate base, (beta_0, ...,
+    beta_{w-1}), but carry no periodicity: they describe the window only,
+    under the all-ones tail convention below index 0.
     """
 
     betas: tuple[IntervalReal, ...]
 
     def beta(self, n: int) -> IntervalReal:
-        w = len(self.betas)
-        if not 0 <= n < w:
+        if not 0 <= n < len(self.betas):
             raise IndexError("window index out of range")
-        return self.betas[w - 1 - n]
+        return self.betas[n]
 
     def width(self) -> Dyadic:
         return max(b.width() for b in self.betas)
@@ -578,5 +588,4 @@ def base_from_directive(
         betas.append(beta)
         inv = field.inv(beta)
         g = [field.mul(x, inv) for x in img]
-    enc = tuple(field.enclosure(b, tol_bits) for b in betas)
-    return WindowedBase(tuple(reversed(enc)))
+    return WindowedBase(tuple(field.enclosure(b, tol_bits) for b in betas))

@@ -19,7 +19,7 @@ from itertools import islice
 from math import lcm
 from typing import Iterator, Optional, Union
 
-from .bases import AlternateBase, IntervalOps
+from .bases import AlternateBase
 from .errors import Undecidable
 from .numerics import IntervalReal
 from .words import UPWord, shift_suffix
@@ -58,9 +58,9 @@ def val_up(
     the very end.
     """
     prec = base.prec if prec is None else prec
-    ops = base.value_ops()
+    ops = base.ops
     if not ops.exact:
-        ops = IntervalOps(ops.beta_enclosures(prec), prec)
+        ops = ops.interval_ops(prec)
     return ops.enclosure(_val_word(ops, shift, w), prec)
 
 
@@ -79,12 +79,11 @@ class GreedyExpansion:
 
 def _expansion_ops(base: AlternateBase, x):
     """Choose the value backend and lift x into it."""
-    ops = base.value_ops()
+    ops = base.ops
     if isinstance(x, IntervalReal):
         if x.is_point() and ops.exact:
             return ops, ops.lift(x.lo.as_fraction())
-        iops = IntervalOps(base.value_ops().beta_enclosures(base.prec), base.prec)
-        return iops, x
+        return ops.interval_ops(base.prec), x
     return ops, ops.lift(Fraction(x))
 
 
@@ -129,7 +128,7 @@ def quasi_greedy_expand_one(
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    return tuple(d for d, _ in islice(_qg_steps(base.value_ops(), shift), count))
+    return tuple(d for d, _ in islice(_qg_steps(base.ops, shift), count))
 
 
 def _qg_steps(ops, shift: int) -> Iterator[tuple[int, object]]:
@@ -163,7 +162,7 @@ def is_greedy(base: AlternateBase, w: UPWord, prec: Optional[int] = None) -> Gre
     some suffix value straddling 1.
     """
     prec = base.prec if prec is None else prec
-    ops = base.value_ops()
+    ops = base.ops
     kmax = len(w.preperiod) + lcm(len(w.period), base.p)
     for k in range(1, kmax + 1):
         suffix = shift_suffix(w, k - 1)

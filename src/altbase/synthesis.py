@@ -17,24 +17,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .bases import AlternateBase, IntervalOps
+from .bases import AlternateBase
 from .errors import DepthExhausted, InvariantViolation, NoSecondNonzero
 from .expansion import val_up
 from .numerics import DEFAULT_PREC, Dyadic, IntervalReal
+from .numerics.intervals import ONE
 from .numerics.polynomials import alpha_root
 from .perron import FixedPoint, build_parry_matrices, periodic_fixed_point
 from .words import (
-    GREEDY,
     ExpansionList,
     UPWord,
     canonicalize,
     check_parry,
     quasi_greedy_transform,
 )
-
-ONE = Dyadic(1)
 
 UNIQUE_BY_UP = "UniqueByUP"
 UNIQUE_BY_LEAD_DIGIT = "UniqueByLeadDigit"
@@ -160,7 +158,7 @@ def verify_value_one(
             enc = val_up(base, i, a)
         else:
             prec = max(base.prec, DEFAULT_PREC)
-            ops = IntervalOps(base.value_ops().beta_enclosures(prec), prec)
+            ops = base.ops.interval_ops(prec)
             acc = ops.lift(0)
             prod_lo = Fraction(1)
             for n in range(depth, 0, -1):
@@ -282,10 +280,10 @@ def certify(lst: ExpansionList, base: AlternateBase) -> Certificate:
 
 
 def certificate_json(base: AlternateBase, cert: Certificate) -> dict:
-    """JSON payload for a synthesized base plus its certificate."""
+    """JSON payload for a synthesized base plus its certificate, betas in display order."""
     return {
         "p": base.p,
-        "betas": [b.to_json() for b in base.betas],
+        "betas": [b.to_json() for b in reversed(base.betas)],
         "residuals": [r.to_json() for r in cert.residuals],
         "parry": list(cert.parry_ok),
         "uniqueness": cert.uniqueness,

@@ -7,7 +7,7 @@ preperiod, so equality of streams is equality of representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Iterable, Sequence, Union
 

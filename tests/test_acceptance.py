@@ -272,7 +272,7 @@ def test_criterion_9_negative_tests():
         base, _ = synthesized(lst)
         assert not is_greedy(base, base.qg_word(0)).ok
 
-    perturbed = AlternateBase.from_rationals([3, Fraction(21, 10)])
+    perturbed = AlternateBase.from_rationals([Fraction(21, 10), 3])
     lst = ExpansionList((parse_word("(21)"), parse_word("(12)")))
     residuals = verify_value_one(perturbed, lst)
     assert all(as_fraction(r.lo) > 0 for r in residuals)

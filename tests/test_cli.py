@@ -103,6 +103,13 @@ def test_synthesize_pair_json(capsys):
         assert dyadic_fraction(r["lo"]) <= 0 <= dyadic_fraction(r["hi"])
 
 
+def test_synthesize_pair_text(capsys):
+    code, out, _ = run(capsys, "synthesize", "-p", "2", "(21)", "(12)")
+    assert code == 0
+    # display order, beta_{p-1} first, as in the JSON
+    assert out.splitlines()[:3] == ["p = 2", "beta_1 = [3, 3]", "beta_0 = [2, 2]"]
+
+
 def test_synthesize_tol_80(capsys):
     code, out, _ = run(
         capsys, "synthesize", "-p", "1", "(21)", "--tol", "80", "--format", "json"
@@ -334,6 +341,30 @@ def test_src_has_no_assert_statement():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.relative_to(src)}: assert on lines {lines}"
+
+
+def test_src_has_no_unused_import():
+    # an import counts as used when its name is read somewhere or is in __all__
+    src = Path(__file__).resolve().parent.parent / "src"
+    files = sorted(src.rglob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused = [
+            (node.lineno, alias.asname or alias.name.split(".")[0])
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in used
+        ]
+        assert not unused, f"{path.relative_to(src)}: unused imports {unused}"
 
 
 def test_invariant_violation_exits_five(capsys, monkeypatch):

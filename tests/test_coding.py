@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from altbase import coding
-from altbase.bases import AlternateBase
+from altbase.bases import AlternateBase, FieldOps
 from altbase.coding import (
     BInteger,
     Directive,
@@ -25,7 +25,7 @@ from altbase.coding import (
 )
 from altbase.errors import DepthExhausted, DLessThanN, NoLimit
 from altbase.expansion import greedy_expand, is_greedy, val_up
-from altbase.numerics import Dyadic, IntPoly
+from altbase.numerics import Dyadic, IntPoly, IsolatedRoot
 from altbase.numerics.algebraic import RealAlgebraicField
 from altbase.synthesis import synthesize_periodic
 from altbase.words import ExpansionList, UPWord, parse_word
@@ -224,13 +224,13 @@ def _digit_value(ops, digits):
         lambda: base_from_directive(Directive(((1, 1),))),
         lambda: base_from_directive(Directive(((1, 1, 1),))),
         lambda: base_from_directive(Directive(((2, 2), (1, 1)))),
-        lambda: AlternateBase.from_rationals([3, 2]),
+        lambda: AlternateBase.from_rationals([2, 3]),
     ],
     ids=["golden", "tribonacci", "22-11", "rational-3-2"],
 )
 def test_enumerate_exact_values_match_digits(make):
     base = make()
-    ops = base.value_ops()
+    ops = base.ops
     for b in enumerate_b_integers(base, 200):
         assert ops.is_zero(ops.sub(b.exact, _digit_value(ops, b.digits)))
 
@@ -239,7 +239,7 @@ def test_binteger_value_encloses_exact():
     base = base_from_directive(Directive(((1, 1),)))
     b = enumerate_b_integers(base, 5)[4]
     assert b.value.width() <= Dyadic(1, -base.prec)
-    finer = base.value_ops().enclosure(b.exact, 2 * base.prec)
+    finer = base.ops.enclosure(b.exact, 2 * base.prec)
     assert b.value.lo <= finer.lo and finer.hi <= b.value.hi
     # equality and repr go by the digits only
     assert b == BInteger(b.digits, None, base)
@@ -263,7 +263,7 @@ def test_enumerate_aperiodic_rational_base_skips_derivation(monkeypatch):
 
 def test_enumerate_interval_only_base():
     base = AlternateBase([Fraction(2)])
-    assert base.ops is None
+    assert not base.ops.exact
     ints = enumerate_b_integers(base, 6)
     assert [b.digits for b in ints] == [(), (1,), (1, 0), (1, 1), (1, 0, 0), (1, 0, 1)]
     for n, b in enumerate(ints):
@@ -280,7 +280,7 @@ def test_enumerate_rejects_zero_count():
 
 def test_derive_qg_words_rational_bases():
     assert derive_qg_words(AlternateBase.from_rationals([2])) == (UPWord((), (1,)),)
-    got = derive_qg_words(AlternateBase.from_rationals([3, 2]))
+    got = derive_qg_words(AlternateBase.from_rationals([2, 3]))
     assert got == (UPWord((), (2, 1)), UPWord((), (1, 2)))
 
 
@@ -294,6 +294,21 @@ def test_derive_qg_words_needs_exact_backend():
     base = AlternateBase([Fraction(2)])  # interval backend only
     with pytest.raises(ValueError):
         derive_qg_words(base)
+
+
+@pytest.mark.parametrize(
+    "modulus",
+    [GOLDEN, IntPoly([3, 2, -4, 1])],
+    ids=["golden", "golden-times-x-minus-3"],
+)
+def test_derive_qg_words_by_value(modulus):
+    # bracketed on the golden ratio, (x^2-x-1)(x-3) is reducible: phi^2 - phi
+    # and 1 are one value in two representations, so the repeat is found by value
+    field = RealAlgebraicField(IsolatedRoot(modulus, Dyadic(3, -1), Dyadic(7, -2)))
+    phi = field.generator()
+    base = AlternateBase((field.enclosure(phi, 64),), ops=FieldOps(field, (phi,)), prec=64)
+    assert derive_qg_words(base, cap=200) == (UPWord((), (1, 0)),)
+    assert word_str(faithful_coding(base, 13)) == "0100101001001"
 
 
 # -- gap tables -------------------------------------------------------------------
@@ -549,7 +564,7 @@ def test_derived_qg_words_are_memoised_on_the_base(monkeypatch):
     calls = []
     real = coding.derive_qg_words
     monkeypatch.setattr(coding, "derive_qg_words", lambda base, *a: calls.append(base) or real(base, *a))
-    base = AlternateBase.from_rationals([3, 2])
+    base = AlternateBase.from_rationals([2, 3])
     word = faithful_coding(base, 200)
     assert len(calls) == 1
     assert faithful_coding(base, 200) == word

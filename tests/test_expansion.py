@@ -32,7 +32,7 @@ def golden_base() -> AlternateBase:
 
 
 BASE2 = AlternateBase.from_rationals([2])
-BASE32 = AlternateBase.from_rationals([3, 2])
+BASE32 = AlternateBase.from_rationals([2, 3])
 
 
 def words(pre, per):
@@ -43,13 +43,13 @@ def words(pre, per):
 
 
 def test_base_orientation():
-    # display order is (beta_{p-1}, ..., beta_0)
+    # the betas are given as (beta_0, ..., beta_{p-1})
     assert BASE32.p == 2
     assert BASE32.beta(0).contains(Fraction(2))
     assert BASE32.beta(1).contains(Fraction(3))
     assert BASE32.beta(-1).contains(Fraction(3))
     assert BASE32.beta(2).contains(Fraction(2))
-    assert BASE32.delta().contains(Fraction(6))
+    assert BASE32.ops.delta() == BASE32.ops.lift(6)
 
 
 def test_base_rejects_beta_at_most_one():

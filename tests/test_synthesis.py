@@ -99,7 +99,7 @@ def test_e_bound_formula():
 def test_synthesize_pair_gives_three_two():
     base, fp = synthesize_periodic(words(((), (2, 1)), ((), (1, 2))), 64)
     assert base.p == 2
-    b1, b0 = base.betas
+    b0, b1 = base.betas
     assert b1.is_point() and b1.contains(Fraction(3))
     assert b0.is_point() and b0.contains(Fraction(2))
     assert isinstance(fp.shape, ParryShape)
@@ -187,7 +187,7 @@ def test_roundtrip_and_bounds_on_random_lists(lst):
 
 def test_residuals_zero_for_realized_pair():
     lst = words(((), (2, 1)), ((), (1, 2)))
-    base = AlternateBase.from_rationals([3, 2])
+    base = AlternateBase.from_rationals([2, 3])
     for r in verify_value_one(base, lst):
         assert r.is_point() and r.contains_zero()
 
@@ -202,7 +202,7 @@ def test_residual_excludes_zero_for_wrong_base():
 
 def test_residual_excludes_zero_for_perturbed_base():
     lst = words(((), (2, 1)), ((), (1, 2)))
-    perturbed = AlternateBase.from_rationals([3, Fraction(21, 10)])
+    perturbed = AlternateBase.from_rationals([Fraction(21, 10), 3])
     rs = verify_value_one(perturbed, lst)
     assert any(not r.contains_zero() for r in rs)
 
@@ -304,7 +304,7 @@ def test_certificate_unknown_rule():
     s0 = DigitStream(lambda n: 2 if n == 1 else 1, digit_max=2, description="s0")
     s1 = DigitStream(lambda n: 1, digit_max=2, description="s1")
     lst = ExpansionList((s0, s1), digit_max=2)
-    base = AlternateBase.from_rationals([2, Fraction(3, 2)])
+    base = AlternateBase.from_rationals([Fraction(3, 2), 2])
     cert = certify(lst, base)
     assert cert.uniqueness == UNKNOWN
 
