@@ -219,6 +219,8 @@ class AlternateBase:
         for b in betas:
             if not b.lo > ONE:
                 raise ValueError(f"every beta must be certified > 1, got {b}")
+        if ops is not None and ops.p != len(betas):
+            raise ValueError(f"a backend of period {ops.p} for {len(betas)} betas")
         self.betas = betas
         self.ops = ops or IntervalOps(betas, prec)
         self.prec = prec

@@ -13,21 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .coding import Directive, base_from_directive, faithful_coding, sadic_limit
-from .errors import (
-    AltBaseError,
-    CeilUndecidable,
-    CodingMismatch,
-    DepthExhausted,
-    DigitRangeError,
-    DLessThanN,
-    FailsIfAllZeroTail,
-    FloorUndecidable,
-    InvariantViolation,
-    NoLimit,
-    ParseError,
-    Undecidable,
-    ZeroLeadDigit,
-)
+from .errors import AltBaseError, ParseError
 from .numerics import DEFAULT_PREC
 from .synthesis import certificate_json, certify, synthesize_periodic
 from .words import ExpansionList, check_parry, parse_word
@@ -35,9 +21,6 @@ from .words import ExpansionList, check_parry, parse_word
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARSE = 2
-EXIT_DEPTH = 3
-EXIT_UNDECIDABLE = 4
-EXIT_INVARIANT = 5
 
 
 def _emit(ns, payload: dict, text_lines: Sequence[str]) -> None:
@@ -234,28 +217,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PARSE
     try:
         return ns.func(ns)
-    except (ParseError, DigitRangeError, ZeroLeadDigit, FailsIfAllZeroTail,
-            DLessThanN) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except (DepthExhausted, NoLimit) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DEPTH
-    except (Undecidable, FloorUndecidable, CeilUndecidable) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_UNDECIDABLE
-    except CodingMismatch as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
-    except InvariantViolation as exc:
-        sys.stderr.write(f"error: invariant violated: {exc}\n")
-        return EXIT_INVARIANT
+    except AltBaseError as exc:
+        sys.stderr.write(f"error: {exc.prefix}{exc}\n")
+        return exc.exit_code
     except (ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
-    except AltBaseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
 
 
 if __name__ == "__main__":

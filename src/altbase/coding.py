@@ -28,7 +28,13 @@ from .errors import (
 )
 from .expansion import _qg_steps, _val_word
 from .numerics import DEFAULT_PREC, Dyadic, IntervalReal
-from .perron import build_finite_matrices, periodic_fixed_point
+from .perron import (
+    FiniteShape,
+    MatrixSeq,
+    build_finite_matrices,
+    left_mul,
+    periodic_fixed_point,
+)
 from .words import UPWord, canonicalize, shift_suffix
 
 # -- substitutions ------------------------------------------------------------
@@ -573,15 +579,11 @@ def base_from_directive(
     tail_seq = build_finite_matrices([(1,) * k])
     tail_fp = periodic_fixed_point(tail_seq, tol_bits=tol_bits)
     field = tail_fp.field
-    g = list(tail_fp.f_elems[0])  # k-bonacci left eigenvector, g[0] = 1
+    g = tail_fp.f_elems[0]  # k-bonacci left eigenvector, g[0] = 1
+    seq = MatrixSeq(blocks[:window], FiniteShape())
     betas: list = []
-    for c in blocks[:window]:
-        # image of g under the block matrix (first row c, unit subdiagonal)
-        img = [field.from_fraction(0)] * k
-        for j in range(k):
-            img[j] = field.scalar_mul(c[j], g[0])
-            if j + 1 < k:
-                img[j] = field.add(img[j], g[j + 1])
+    for i in range(window):
+        img = left_mul(field, g, seq.sparse(i))  # g times block i's companion matrix
         beta = img[0]
         if field.compare_int(beta, 1) <= 0:
             raise InvariantViolation("a block of a monotone directive gives beta <= 1")

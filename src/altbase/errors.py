@@ -1,16 +1,27 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each family declares the command line's exit status for it, `exit_code`,
+and the text its message is printed after, `prefix`.
+"""
 
 
 class AltBaseError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+    prefix = ""
+
 
 class ParseError(AltBaseError):
     """Malformed textual input (word syntax, directive syntax, CLI args)."""
 
+    exit_code = 2
+
 
 class DigitRangeError(AltBaseError):
     """A digit is negative or exceeds the configured maximum."""
+
+    exit_code = 2
 
 
 class FailsIfAllZeroTail(AltBaseError):
@@ -19,6 +30,8 @@ class FailsIfAllZeroTail(AltBaseError):
     Cannot happen when every entry is lexicographically above 10^w; kept
     as a defensive check.
     """
+
+    exit_code = 2
 
 
 class DivisionByEnclosedZero(AltBaseError):
@@ -36,6 +49,8 @@ class NotPrimitive(AltBaseError):
 class ZeroLeadDigit(AltBaseError):
     """A matrix row that must start with a digit >= 1 starts with 0."""
 
+    exit_code = 2
+
 
 class NoSecondNonzero(AltBaseError):
     """An entry has fewer than two non-zero digits, so no prefix bound exists."""
@@ -48,22 +63,26 @@ class DepthExhausted(AltBaseError):
     gap table has too few rows to class every gap of a coding.
     """
 
+    exit_code = 3
+
     def __init__(self, message, best=None, depth=None):
         super().__init__(message)
         self.best = best
         self.depth = depth
 
 
-class FloorUndecidable(AltBaseError):
+class Undecidable(AltBaseError):
+    """A comparison stayed ambiguous after the refinement cap."""
+
+    exit_code = 4
+
+
+class FloorUndecidable(Undecidable):
     """A floor decision straddles an integer after the refinement cap."""
 
 
-class CeilUndecidable(AltBaseError):
+class CeilUndecidable(Undecidable):
     """A ceiling decision straddles an integer after the refinement cap."""
-
-
-class Undecidable(AltBaseError):
-    """A comparison stayed ambiguous after the refinement cap."""
 
 
 class InvariantViolation(AltBaseError):
@@ -73,6 +92,9 @@ class InvariantViolation(AltBaseError):
     means a defect in the program or its input handling, not a bad input.
     """
 
+    exit_code = 5
+    prefix = "invariant violated: "
+
 
 class CodingMismatch(AltBaseError):
     """Direct gap coding and S-adic limit disagree."""
@@ -81,6 +103,10 @@ class CodingMismatch(AltBaseError):
 class NoLimit(AltBaseError):
     """S-adic composition failed to grow a stable prefix."""
 
+    exit_code = 3
+
 
 class DLessThanN(AltBaseError):
     """Continued-fraction digit smaller than the scheme parameter N."""
+
+    exit_code = 2

@@ -46,22 +46,19 @@ def _val_word(ops, shift: int, w: UPWord):
     return val
 
 
-def val_up(
-    base: AlternateBase, shift: int, w: UPWord, prec: Optional[int] = None
-) -> IntervalReal:
+def val_up(base: AlternateBase, shift: int, w: UPWord) -> IntervalReal:
     """Enclosure of val at the given shift of the base; exact backends give points.
 
     With a rational or field backend the value is computed in closed form
     (the periodic tail is a geometric factor delta^(period/p) / (that - 1)),
     so dyadic rational answers come back as exact point intervals and
-    everything else is outward-rounded at the requested precision only at
-    the very end.
+    everything else is outward-rounded at base.prec only at the very end;
+    base.refine(bits) gives other bits.
     """
-    prec = base.prec if prec is None else prec
     ops = base.ops
     if not ops.exact:
-        ops = ops.interval_ops(prec)
-    return ops.enclosure(_val_word(ops, shift, w), prec)
+        ops = ops.interval_ops(base.prec)
+    return ops.enclosure(_val_word(ops, shift, w), base.prec)
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ class GreedyVerdict:
         return self.ok
 
 
-def is_greedy(base: AlternateBase, w: UPWord, prec: Optional[int] = None) -> GreedyVerdict:
+def is_greedy(base: AlternateBase, w: UPWord) -> GreedyVerdict:
     """Decide whether the fractional word w is a greedy expansion in the base.
 
     w is greedy exactly when, for every k >= 1, the suffix a_k a_{k+1} ...
@@ -161,7 +158,6 @@ def is_greedy(base: AlternateBase, w: UPWord, prec: Optional[int] = None) -> Gre
     checks settle it.  Raises Undecidable when an interval-only base leaves
     some suffix value straddling 1.
     """
-    prec = base.prec if prec is None else prec
     ops = base.ops
     kmax = len(w.preperiod) + lcm(len(w.period), base.p)
     for k in range(1, kmax + 1):
@@ -170,7 +166,7 @@ def is_greedy(base: AlternateBase, w: UPWord, prec: Optional[int] = None) -> Gre
             if ops.sign(ops.sub(_val_word(ops, 1 - k, suffix), ops.lift(1))) >= 0:
                 return GreedyVerdict(False, k)
         else:
-            enc = val_up(base, 1 - k, suffix, prec)
+            enc = val_up(base, 1 - k, suffix)
             if enc.lo.as_fraction() >= 1:
                 return GreedyVerdict(False, k)
             if not enc.hi.as_fraction() < 1:

@@ -7,23 +7,25 @@ positive.  For matrices with no zero row (all shapes here), that window
 hypothesis is equivalent to some rotation of the one-period product being
 primitive, which is checked, never assumed.
 
-The fixed point is computed exactly and uses the companion shape at every
-step.  Each A_n has a dense first row and a unit below the diagonal, and a
-product Q of p of them has about (p+1)k non-zero entries, so the rotation
-product and the Faddeev-LeVerrier adjugate of (xI - Q) go through those
-entries only.  The Perron root lambda of Q is isolated on the squarefree
-charpoly; the field Q(lambda) is then built on what is left after its
-cyclotomic factors (artefacts of padding the periods to a common length)
-are divided out, with the same isolating bracket, and it divides out any
-other factor that an inverse runs into.  The first adjugate row at lambda
-is a left eigenvector u of Q.  It is carried around the cycle
-unnormalised, u_{n-1} = u_n A_n, by additions and small integer scalings;
-gamma_n = u_{n-1}[0] / u_n[0] costs one inverse per step, and the cycle
-closes exactly when u comes back as lambda times itself.  Since every
-A_n >= 0, only the k entries of the starting u need a sign check.  The
-normalised f_n = u_n / u_n[0] and every enclosure are built on first
-read.  Checks raise InvariantViolation, not assert, so quantities
-like gamma = 1 are decided, not approximated, also under python -O.
+Each A_n is held as its digit row, the first row; the shape puts the unit
+subdiagonal (and the Parry corner unit) below it.  The fixed point is
+computed exactly and uses that shape at every step: a product Q of p such
+matrices has about (p+1)k non-zero entries, so the rotation product and the
+Faddeev-LeVerrier adjugate of (xI - Q) go through those entries only.  The
+Perron root lambda of Q is isolated on the squarefree charpoly; the field
+Q(lambda) is then built on what is left after its cyclotomic factors
+(artefacts of padding the periods to a common length) are divided out,
+with the same isolating bracket, and it divides out any other factor that
+an inverse runs into.  The first adjugate row at lambda is a left
+eigenvector u of Q.  It is carried around the cycle unnormalised,
+u_{n-1} = u_n A_n, by additions and small integer scalings over the
+sparse rows (left_mul); gamma_n = u_{n-1}[0] / u_n[0] costs one inverse
+per step, and the cycle closes exactly when u comes back as lambda times
+itself.  Since every A_n >= 0, only the k entries of the starting u need
+a sign check.  The normalised f_n = u_n / u_n[0] and every enclosure are
+built on first read.  Checks raise InvariantViolation, not assert, so
+quantities like gamma = 1 are decided, not approximated, also under
+python -O.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .numerics import (
     isolate_dominant,
 )
 from .numerics.algebraic import Elem
-from .numerics.polynomials import _mat_mul, sparse_rows
+from .numerics.polynomials import SparseRows, _mat_mul
 from .words import ExpansionList, UPWord
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -64,10 +66,6 @@ class FiniteShape:
 
 
 Shape = Union[ParryShape, FiniteShape]
-
-
-def _as_int_matrix(m: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(v) for v in row) for row in m)
 
 
 def _is_primitive(m: IntMatrix) -> bool:
@@ -99,60 +97,59 @@ def _reaches_all(edges: list[list[int]]) -> bool:
 
 
 class MatrixSeq:
-    """Purely periodic sequence of companion-shaped non-negative matrices."""
+    """Purely periodic sequence of companion-shaped non-negative matrices.
 
-    __slots__ = ("matrices", "shape", "_sparse")
+    A companion matrix is held as its digit row: rows[n] is the first row of
+    A_n, and the shape fixes everything below it, the unit subdiagonal plus,
+    for ParryShape(h), one unit at (h+1, k).  The sparse rows that products
+    and the fixed point read are built once per digit row; the dense matrix
+    is built only when read.
+    """
 
-    def __init__(self, matrices: Sequence[Sequence[Sequence[int]]], shape: Shape):
-        mats = tuple(_as_int_matrix(m) for m in matrices)
-        if not mats:
+    __slots__ = ("rows", "shape", "_sparse")
+
+    def __init__(self, rows: Sequence[Sequence[int]], shape: Shape):
+        rows = tuple(tuple(int(v) for v in r) for r in rows)
+        if not rows:
             raise ValueError("need at least one matrix")
-        k = len(mats[0])
+        k = len(rows[0])
         if k < 2:
             raise ValueError("matrices must have size at least 2")
-        if isinstance(shape, ParryShape) and not 1 <= shape.h <= k - 1:
-            raise ValueError(f"shape parameter h={shape.h} outside [1, {k - 1}]")
-        for a in mats:
-            self._check_shape(a, k, shape)
-        self.matrices = mats
-        self.shape = shape
-        self._sparse = tuple(sparse_rows(a) for a in mats)
-
-    @staticmethod
-    def _check_shape(a: IntMatrix, k: int, shape: Shape) -> None:
-        if len(a) != k or any(len(row) != k for row in a):
-            raise ValueError("matrices must be square and equally sized")
-        if any(v < 0 for row in a for v in row):
+        h = shape.h if isinstance(shape, ParryShape) else None
+        if h is not None and not 1 <= h <= k - 1:
+            raise ValueError(f"shape parameter h={h} outside [1, {k - 1}]")
+        if any(len(r) != k for r in rows):
+            raise ValueError("digit rows must be equally long")
+        if any(v < 0 for r in rows for v in r):
             raise ValueError("matrix entries must be non-negative")
-        if a[0][0] < 1:
+        if min(r[0] for r in rows) < 1:
             raise ZeroLeadDigit("leading digit a_{n,1} must be at least 1")
-        unit_row = shape.h if isinstance(shape, ParryShape) else None
-        for i in range(1, k):
-            for j in range(k):
-                expected = 1 if j == i - 1 else 0
-                if i == unit_row and j == k - 1:
-                    expected = 1
-                if a[i][j] != expected:
-                    raise ValueError(
-                        f"row {i + 1} violates the companion shape at column {j + 1}"
-                    )
+        below = [[(i - 1, 1)] + ([(k - 1, 1)] if i == h else []) for i in range(1, k)]
+        self.rows = rows
+        self.shape = shape
+        self._sparse = tuple([[(j, v) for j, v in enumerate(r) if v], *below] for r in rows)
 
     @property
     def q(self) -> int:
-        return len(self.matrices)
+        return len(self.rows)
 
     @property
     def k(self) -> int:
-        return len(self.matrices[0])
+        return len(self.rows[0])
 
     def matrix(self, n: int) -> IntMatrix:
-        return self.matrices[n % self.q]
+        """A_n as a dense k x k matrix, built on each call."""
+        dense = [[0] * self.k for _ in range(self.k)]
+        for i, row in enumerate(self.sparse(n)):
+            for j, v in row:
+                dense[i][j] = v
+        return tuple(map(tuple, dense))
 
     def digit(self, n: int, j: int) -> int:
         """First-row digit a_{n,j}, j 1-indexed."""
-        return self.matrices[n % self.q][0][j - 1]
+        return self.rows[n % self.q][j - 1]
 
-    def sparse(self, n: int) -> list[list[tuple[int, int]]]:
+    def sparse(self, n: int) -> SparseRows:
         """A_n as the (column, value) pairs of its non-zero entries, row by row."""
         return self._sparse[n % self.q]
 
@@ -185,17 +182,30 @@ class MatrixSeq:
             else {"shape": "finite"}
         )
         return {**tag, "k": self.k, "period": self.q,
-                "matrices": [[list(r) for r in m] for m in self.matrices]}
+                "matrices": [[list(r) for r in self.matrix(n)] for n in range(self.q)]}
 
     def __repr__(self) -> str:
         return f"MatrixSeq(q={self.q}, k={self.k}, {self.shape!r})"
+
+
+def left_mul(
+    field: RealAlgebraicField, u: Sequence[Elem], rows: SparseRows
+) -> tuple[Elem, ...]:
+    """u A for A given by its sparse rows, by additions and integer scalings."""
+    image: list = [None] * len(u)
+    for i, row in enumerate(rows):
+        for j, v in row:
+            t = u[i] if v == 1 else field.scalar_mul(v, u[i])
+            image[j] = t if image[j] is None else field.add(image[j], t)
+    zero = field.from_fraction(0)
+    return tuple(zero if e is None else e for e in image)
 
 
 # -- builders -----------------------------------------------------------------
 
 
 def build_parry_matrices(lst: ExpansionList) -> tuple[MatrixSeq, int, int]:
-    """Matrices for p quasi-greedy words, aligned to preperiod Mp, period Np.
+    """Digit rows for p quasi-greedy words, aligned to preperiod Mp, period Np.
 
     (A_n)_{1,j} = a_{(j-n) mod p, j}; below sits the identity plus one extra
     unit at (Mp+1, (M+N)p).  Purely periodic inputs are unrolled one period
@@ -208,8 +218,6 @@ def build_parry_matrices(lst: ExpansionList) -> tuple[MatrixSeq, int, int]:
             raise ValueError("matrix construction needs ultimately periodic entries")
         if a.is_zero_tail():
             raise ValueError("entries must be quasi-greedy (no tail of zeros)")
-        if a.digit(1) < 1:
-            raise ZeroLeadDigit("expansion must not start with digit 0")
         entries.append(a)
 
     max_pre = max(len(a.preperiod) for a in entries)
@@ -219,47 +227,22 @@ def build_parry_matrices(lst: ExpansionList) -> tuple[MatrixSeq, int, int]:
         np_len = lcm(np_len, len(a.period))
     n_steps = np_len // p
     k = (m_steps + n_steps) * p
-    h = m_steps * p
-
-    mats = []
-    for n in range(p):
-        first = [entries[(j - n) % p].digit(j) for j in range(1, k + 1)]
-        rows = [first]
-        for i in range(1, k):
-            row = [0] * k
-            row[i - 1] = 1
-            if i == h:
-                row[k - 1] = 1
-            rows.append(row)
-        mats.append(rows)
-    return MatrixSeq(mats, ParryShape(h)), m_steps, n_steps
+    # the rows lead with entries[(1 - n) % p].digit(1), so MatrixSeq checks every entry
+    rows = [[entries[(j - n) % p].digit(j) for j in range(1, k + 1)] for n in range(p)]
+    return MatrixSeq(rows, ParryShape(m_steps * p)), m_steps, n_steps
 
 
 def build_finite_matrices(directive: Sequence[Sequence[int]]) -> MatrixSeq:
-    """Finite-shape matrices for a purely periodic substitution directive.
+    """Finite-shape digit rows for a purely periodic substitution directive.
 
     directive[m] is the parameter tuple of the m-th substitution in the
     period; matrix A_n takes its first row from the tuple at index
     (-n) mod q, matching the indexing a_{m} <-> directive[m-1] extended
     periodically to all integers.
     """
-    params = [tuple(int(v) for v in c) for c in directive]
-    if not params:
-        raise ValueError("directive must be non-empty")
-    k = len(params[0])
-    if any(len(c) != k for c in params):
-        raise ValueError("all directive tuples must have the same length")
+    params = list(directive)
     q = len(params)
-    mats = []
-    for n in range(q):
-        first = list(params[(-n) % q])
-        rows = [first]
-        for i in range(1, k):
-            row = [0] * k
-            row[i - 1] = 1
-            rows.append(row)
-        mats.append(rows)
-    return MatrixSeq(mats, FiniteShape())
+    return MatrixSeq([params[(-n) % q] for n in range(q)], FiniteShape())
 
 
 # -- the fixed point -----------------------------------------------------------
@@ -375,11 +358,10 @@ def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPo
     result gives is at most 2^-tol_bits wide; gamma_vs_one records the exact
     comparisons.  InvariantViolation if a certificate check fails.
     """
-    q, k = ms.q, ms.k
+    q = ms.q
     n_star, product = ms.primitive_rotation()
     field, adj_row = _perron_field(product)
     lam = field.generator()
-    zero = field.from_fraction(0)
 
     start = tuple(field.reduce(c) for c in adj_row)
     signs = [field.sign(e) for e in start]
@@ -396,14 +378,9 @@ def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPo
         n = n_star - step
         inv = field.inv(u[0])
         u_elems[n % q], invs[n % q] = u, inv
-        image: list = [None] * k
-        for i, row in enumerate(ms.sparse(n)):
-            for j, v in row:
-                t = u[i] if v == 1 else field.scalar_mul(v, u[i])
-                image[j] = t if image[j] is None else field.add(image[j], t)
+        u = left_mul(field, u, ms.sparse(n))
         # gamma_n f_{n-1} = f_n A_n with f_n = u_n / u_n[0] and u_{n-1} = u_n A_n
-        gamma_elems[n % q] = field.mul(image[0], inv)
-        u = tuple(zero if e is None else e for e in image)
+        gamma_elems[n % q] = field.mul(u[0], inv)
 
     # cycle closure: u_{n*} Q = lambda u_{n*}
     for got, want in zip(u, start):

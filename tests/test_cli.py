@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altbase import errors
 from altbase.cli import main
 from altbase.coding import Directive, sadic_limit
 from altbase.numerics import IntPoly
@@ -382,6 +384,55 @@ def test_invariant_violation_exits_five(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err.startswith("error: invariant violated: fixed point failed to close")
+
+
+# the exit status of every error the package raises
+EXIT_CODES = {
+    "AltBaseError": 1,
+    "ParseError": 2,
+    "DigitRangeError": 2,
+    "FailsIfAllZeroTail": 2,
+    "DivisionByEnclosedZero": 1,
+    "NoSignChange": 1,
+    "NotPrimitive": 1,
+    "ZeroLeadDigit": 2,
+    "NoSecondNonzero": 1,
+    "DepthExhausted": 3,
+    "Undecidable": 4,
+    "FloorUndecidable": 4,
+    "CeilUndecidable": 4,
+    "InvariantViolation": 5,
+    "CodingMismatch": 1,
+    "NoLimit": 3,
+    "DLessThanN": 2,
+}
+
+
+def _documented_codes(text: str) -> set[int]:
+    listing = re.search(r"Exit codes: (.*?)\.(?:\s|$)", text, re.S).group(1)
+    return {int(c) for c in re.findall(r"(?:^|,\s)(\d) ", listing)}
+
+
+def test_every_error_exits_with_its_documented_code(capsys, monkeypatch):
+    import altbase.cli as cli
+
+    classes = [errors.AltBaseError]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+    assert sorted(c.__name__ for c in classes) == sorted(EXIT_CODES)
+    for cls in classes:
+        def fail(ns, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_validate", fail)
+        code, out, err = run(capsys, "validate", "-p", "1", "(1)")
+        assert code == EXIT_CODES[cls.__name__], cls
+        prefix = "invariant violated: " if cls is errors.InvariantViolation else ""
+        assert (out, err) == ("", f"error: {prefix}boom\n"), cls
+    in_use = set(EXIT_CODES.values())
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert in_use <= _documented_codes(cli.__doc__)
+    assert in_use <= _documented_codes(readme)
 
 
 def test_refinement_sign_evaluation_count(capsys, monkeypatch):

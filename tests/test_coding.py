@@ -284,6 +284,14 @@ def test_derive_qg_words_rational_bases():
     assert got == (UPWord((), (2, 1)), UPWord((), (1, 2)))
 
 
+def test_backend_period_must_match_the_betas():
+    # a period-1 backend would compute every shift with beta 2
+    with pytest.raises(ValueError, match="period 1"):
+        AlternateBase([2, 3], ops=AlternateBase.from_rationals([2]).ops)
+    got = derive_qg_words(AlternateBase.from_rationals([2, 3]))
+    assert got == (UPWord((), (2, 1)), UPWord((), (1, 2)))
+
+
 def test_derive_qg_words_rejects_aperiodic():
     base = AlternateBase.from_rationals([Fraction(3, 2)])
     with pytest.raises(ValueError):
@@ -550,6 +558,39 @@ def test_window_aperiodic_directive():
     assert w.beta(0).lo.as_fraction() > 3
     with pytest.raises(IndexError):
         w.beta(3)
+
+
+# (lo, hi) of every windowed beta at tol 64, as (mantissa, exponent) pairs
+WINDOW_PINS = {
+    ((1, 1),): [
+        ((29847458893032750101, -64), (14923729446516375051, -63)),
+    ],
+    ((2, 2), (1, 1)): [
+        ((48294202966742301717, -64), (24147101483371150859, -63)),
+        (
+            (322248692378058555662563388166208061381025953317, -157),
+            (1288994769512234222650253552664832245524103813269, -159),
+        ),
+    ],
+    ((3, 2, 1), (2, 2, 1)): [
+        ((283289360796073603355, -66), (141644680398036801679, -65)),
+        (
+            (1945654800918018712707879107269921191463158005467, -159),
+            (3891309601836037425415758214539842382926316010943, -160),
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "blocks", list(WINDOW_PINS), ids=lambda b: ";".join(",".join(map(str, c)) for c in b)
+)
+def test_window_betas_pinned(blocks):
+    pins = WINDOW_PINS[blocks]
+    for window in range(1, len(blocks) + 1):
+        base = base_from_directive(Directive(blocks), tol_bits=64, window=window)
+        got = [((b.lo.m, b.lo.e), (b.hi.m, b.hi.e)) for b in base.betas]
+        assert got == pins[:window]
 
 
 def test_window_bounds_checked():

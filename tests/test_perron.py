@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from altbase.errors import InvariantViolation, NotPrimitive, ZeroLeadDigit
 from altbase.numerics import Dyadic, IntPoly, IntervalReal, faddeev_leverrier
+from altbase.numerics.polynomials import sparse_rows
 from altbase.perron import (
     FiniteShape,
     MatrixSeq,
@@ -91,16 +92,18 @@ def test_finite_matrices_orientation():
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        MatrixSeq([[[1, 1], [0, 1]]], FiniteShape())
     with pytest.raises(ZeroLeadDigit):
-        MatrixSeq([[[0, 1], [1, 0]]], FiniteShape())
+        MatrixSeq([[0, 1]], FiniteShape())
     with pytest.raises(ValueError):
-        MatrixSeq([[[1, 1], [1, 0]]], ParryShape(1))  # missing corner unit
+        MatrixSeq([[1, 1]], ParryShape(2))  # h out of range
     with pytest.raises(ValueError):
-        MatrixSeq([[[1, 1], [1, 1]]], ParryShape(2))  # h out of range
+        MatrixSeq([[1, -1]], FiniteShape())
     with pytest.raises(ValueError):
-        MatrixSeq([[[1, -1], [1, 0]]], FiniteShape())
+        MatrixSeq([[1, 1], [1, 1, 1]], FiniteShape())  # unequal digit rows
+    with pytest.raises(ValueError):
+        MatrixSeq([[1]], FiniteShape())
+    with pytest.raises(ValueError):
+        MatrixSeq([], FiniteShape())
 
 
 def test_matrix_seq_accessors():
@@ -204,7 +207,7 @@ def test_fixed_point_refinement():
 
 
 def test_not_primitive():
-    ms = MatrixSeq([[[1, 0], [1, 0]]], FiniteShape())
+    ms = MatrixSeq([[1, 0]], FiniteShape())
     with pytest.raises(NotPrimitive):
         periodic_fixed_point(ms)
 
@@ -283,23 +286,36 @@ def _dense_faddeev_leverrier(m):
 
 
 @st.composite
-def companion_seqs(draw):
+def digit_rows_and_shapes(draw):
     k = draw(st.integers(2, 7))
     q = draw(st.integers(1, 3))
-    parry = draw(st.booleans())
     h = draw(st.integers(1, k - 1))
-    mats = []
-    for _ in range(q):
-        first = [draw(st.integers(1, 3))] + [draw(st.integers(0, 3)) for _ in range(k - 1)]
-        rows = [first]
+    shape = ParryShape(h) if draw(st.booleans()) else FiniteShape()
+    rows = [
+        [draw(st.integers(1, 3))] + [draw(st.integers(0, 3)) for _ in range(k - 1)]
+        for _ in range(q)
+    ]
+    return rows, shape
+
+
+def companion_seqs():
+    return digit_rows_and_shapes().map(lambda args: MatrixSeq(*args))
+
+
+@given(digit_rows_and_shapes())
+@settings(max_examples=60, deadline=None)
+def test_matrix_is_its_digit_row_and_shape(rows_shape):
+    rows, shape = rows_shape
+    ms = MatrixSeq(rows, shape)
+    k = len(rows[0])
+    h = shape.h if isinstance(shape, ParryShape) else None
+    for n, row in enumerate(rows):
+        a = ms.matrix(n)
+        assert a[0] == tuple(row)
+        # below row 0: the unit subdiagonal, the Parry corner at (h, k-1), zeros elsewhere
         for i in range(1, k):
-            row = [0] * k
-            row[i - 1] = 1
-            if parry and i == h:
-                row[k - 1] = 1
-            rows.append(row)
-        mats.append(rows)
-    return MatrixSeq(mats, ParryShape(h) if parry else FiniteShape())
+            assert a[i] == tuple(int(j == i - 1 or (i == h and j == k - 1)) for j in range(k))
+        assert ms.sparse(n) == sparse_rows(a)
 
 
 @given(companion_seqs(), st.integers(0, 5))
