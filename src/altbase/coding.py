@@ -8,12 +8,19 @@ integer set into an infinite word: the faithful coding.  That word is also
 an S-adic limit of substitutions phi_m read off the gap tables, which is
 how Fibonacci, Tribonacci, Arnoux-Rauzy and N-continued-fraction words
 arise from alternate bases.
+
+B-integers are enumerated by prepending digits to admissible words.  On a
+base that carries its quasi-greedy words, admissibility is one table lookup
+on the word's rank among the sorted tails of those words; a base without
+words keeps the digit-by-digit scan.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -316,7 +323,10 @@ class BInteger:
 
 
 def _word_below_qg(word: tuple[int, ...], qg_digit, shift: int, scan_cap: int = 10_000) -> bool:
-    """Whether word 0^omega <_lex the quasi-greedy expansion at the shift."""
+    """Whether word 0^omega <_lex the quasi-greedy expansion at the shift.
+
+    The digit scan for bases that carry no quasi-greedy words.
+    """
     for t, a in enumerate(word, start=1):
         d = qg_digit(shift, t)
         if a != d:
@@ -329,6 +339,45 @@ def _word_below_qg(word: tuple[int, ...], qg_digit, shift: int, scan_cap: int = 
     raise Undecidable("no non-zero quasi-greedy digit found within scan cap")
 
 
+class _RankTable:
+    """Ranks of finite words among the tails of the quasi-greedy words.
+
+    T is the set of tails of the words, sorted lexicographically.  A finite
+    word w has rank r(w) = #{tau in T : tau < w 0^omega}; no tail ends in
+    0^omega, so w 0^omega equals no tail and it lies below the tail of index
+    i exactly when r(w) <= i.  Prepending the digit a maps rank r to
+    row(a)[r] = #{tau : tau_1 < a} + #{tau : tau_1 = a, index(S tau) < r}.
+    This is the alternate-base Parry automaton; its shift is sofic because
+    every word is ultimately periodic (Charlier & Cisternino 2021).
+    """
+
+    def __init__(self, words: Sequence[UPWord]):
+        if any(w.is_zero_tail() for w in words):
+            raise ValueError("a quasi-greedy word cannot end in 0^omega")
+        tails = {
+            shift_suffix(w, j) for w in words for j in range(len(w.preperiod) + len(w.period))
+        }
+        # two tails that differ do so within this many digits
+        horizon = max(len(w.preperiod) for w in words) + lcm(*(len(w.period) for w in words))
+        self.tails = tuple(sorted(tails, key=lambda t: t.digits(horizon)))
+        index = {t: i for i, t in enumerate(self.tails)}
+        self.qg = tuple(index[w] for w in words)  # index of each shift's word
+        self._first = [t.digit(1) for t in self.tails]  # non-decreasing
+        self._next = [index[shift_suffix(t, 1)] for t in self.tails]
+        self._rows: dict[int, list[int]] = {}
+
+    def row(self, a: int) -> list[int]:
+        """row(a)[r]: the rank of a w for any word w of rank r."""
+        row = self._rows.get(a)
+        if row is None:
+            lo, hi = bisect_left(self._first, a), bisect_right(self._first, a)
+            marks = [0] * (len(self.tails) + 1)
+            for i in range(lo, hi):
+                marks[self._next[i] + 1] += 1
+            row = self._rows[a] = [lo + c for c in accumulate(marks)]
+        return row
+
+
 def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...]:
     """The `count` smallest B-integers with their digit words and exact values.
 
@@ -336,34 +385,52 @@ def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...
     for admissible words coincides with value order; a length-N word
     a_{N-1}..a_0 is admissible when every suffix a_{n-1}..a_0 0^omega is
     lexicographically below the quasi-greedy expansion of 1 at shift n.
+    On a base that carries its quasi-greedy words, each word keeps its rank
+    among their tails and the test for a new leading digit is one lookup in
+    a _RankTable; a base without words scans the quasi-greedy digits.
+    Enumeration stops as soon as `count` B-integers are found.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     ops = base.ops
     qg_digit = _qg_digit_source(base)
+    words = base.qg_words or base._derived_qg_words
+    ranks = _RankTable(words) if words is not None else None
     out = [BInteger((), ops.lift(0), base)]
     # suffix-admissible words of the current length, leading zeros allowed,
-    # in lexicographic order, paired with their backend values
-    level: list[tuple[tuple[int, ...], object]] = [((), ops.lift(0))]
+    # in lexicographic order, with their backend values and ranks (0 when
+    # the base has no words)
+    level: list[tuple[tuple[int, ...], object, int]] = [((), ops.lift(0), 0)]
     n = 0
     weight = ops.lift(1)  # beta_{n-1} ... beta_0
     while len(out) < count:
         n += 1
-        cap = qg_digit(n, 1)
-        nxt: list[tuple[tuple[int, ...], object]] = []
-        for lead in range(cap + 1):
+        nxt: list[tuple[tuple[int, ...], object, int]] = []
+        for lead in range(qg_digit(n, 1) + 1):
+            if ranks is not None:
+                row, limit = ranks.row(lead), ranks.qg[n % base.p]
             step = ops.mul(ops.lift(lead), weight) if lead else None
-            for word, value in level:
+            for word, value, r in level:
                 grown = (lead,) + word
-                if lead and not _word_below_qg(grown, qg_digit, n):
+                # the level is in lexicographic order, so the first word that
+                # is not admissible ends this lead; a lead 0 never fails
+                if ranks is not None:
+                    r = row[r]
+                    if r > limit:
+                        break
+                elif lead and not _word_below_qg(grown, qg_digit, n):
+                    break
+                if not lead:
+                    nxt.append((grown, value, r))
                     continue
-                v = ops.add(value, step) if lead else value
-                nxt.append((grown, v))
-                if lead and len(out) < count:
-                    out.append(BInteger(grown, v, base))
+                v = ops.add(value, step)
+                out.append(BInteger(grown, v, base))
+                if len(out) == count:
+                    return tuple(out)
+                nxt.append((grown, v, r))
         level = nxt
         weight = ops.mul(weight, ops.beta(n - 1))
-    return tuple(out[:count])
+    return tuple(out)
 
 
 # -- gap tables and the faithful coding -----------------------------------------

@@ -175,15 +175,6 @@ class MatrixSeq:
             "the positivity hypothesis fails"
         )
 
-    def to_json(self) -> dict:
-        tag = (
-            {"shape": "parry", "h": self.shape.h}
-            if isinstance(self.shape, ParryShape)
-            else {"shape": "finite"}
-        )
-        return {**tag, "k": self.k, "period": self.q,
-                "matrices": [[list(r) for r in self.matrix(n)] for n in range(self.q)]}
-
     def __repr__(self) -> str:
         return f"MatrixSeq(q={self.q}, k={self.k}, {self.shape!r})"
 

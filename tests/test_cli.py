@@ -322,6 +322,8 @@ def test_optimized_interpreter_matches(capsys):
         ("synthesize", "-p", "2", "(21)", "(12)", "--format", "json"),
         ("code", "--directive", "1,1", "--len", "200", "--check"),
         ("code", "--base", "(21)", "(12)", "--len", "100"),
+        ("code", "--directive", "2,2;1,1", "--len", "300", "--check"),
+        ("code", "--base", "(21)", "2(12)", "--len", "200"),
         ("synthesize", "-p", "1", "(21)", "--format", "json", "--tol", "4096"),
         ("synthesize", "-p", "5", "3(12)", "2(211)", "(2111)", "31(1)", "(22)",
          "--skip-parry", "--format", "json"),
@@ -332,6 +334,28 @@ def test_optimized_interpreter_matches(capsys):
         )
         code, out, _ = run(capsys, *argv)
         assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_traced_run_binds_every_required_site():
+    # the benchmark's --trace 1 run wraps functions at the modules that bind
+    # them by name; a rename in src/ must fail here, not in a traced run.
+    # install() rebinds modules globally, so it runs in its own interpreter
+    root = Path(__file__).resolve().parent.parent
+    script = "\n".join((
+        "import sys",
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]",
+        "import altbase.cli as cli",
+        "import tracing",
+        "rec = tracing.install()",
+        "assert tracing.missing_sites(rec) == [], tracing.missing_sites(rec)",
+        "code = cli.main(['code', '--directive', '1,1', '--len', '20', '--check'])",
+        "assert code == 0, code",
+        "assert rec.counts['coding.b_integers'] > 0, rec.counts",
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_src_has_no_assert_statement():

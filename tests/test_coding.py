@@ -1,8 +1,11 @@
 """Substitutions, B-integer enumeration, gap tables, faithful codings."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altbase import coding
 from altbase.bases import AlternateBase, FieldOps
@@ -28,7 +31,7 @@ from altbase.expansion import greedy_expand, is_greedy, val_up
 from altbase.numerics import Dyadic, IntPoly, IsolatedRoot
 from altbase.numerics.algebraic import RealAlgebraicField
 from altbase.synthesis import synthesize_periodic
-from altbase.words import ExpansionList, UPWord, parse_word
+from altbase.words import ExpansionList, UPWord, lex_compare_up, parse_word, shift_suffix
 from test_numerics import eval_fraction
 
 
@@ -273,6 +276,118 @@ def test_enumerate_interval_only_base():
 def test_enumerate_rejects_zero_count():
     with pytest.raises(ValueError):
         enumerate_b_integers(AlternateBase.from_rationals([2]), 0)
+
+
+ORACLE_BASES = {
+    "golden": lambda: base_from_directive(Directive(((1, 1),))),
+    "tribonacci": lambda: base_from_directive(Directive(((1, 1, 1),))),
+    "22-11": lambda: base_from_directive(Directive(((2, 2), (1, 1)))),
+    "21-2(12)": lambda: synthesize_periodic(
+        ExpansionList((parse_word("(21)"), parse_word("2(12)")))
+    )[0],
+}
+
+
+def _brute_force_b_integers(words, max_len):
+    """Every word of length <= max_len whose suffixes, followed by 0^omega,
+    are below the quasi-greedy word of their length, in radix order."""
+    p = len(words)
+    digits = range(max(w.max_digit() for w in words) + 1)
+    found = [()]
+    for n in range(1, max_len + 1):
+        for word in product(digits, repeat=n):
+            if not word[0]:
+                continue
+            padded = UPWord(word, (0,))
+            if all(
+                lex_compare_up(shift_suffix(padded, j), words[(n - j) % p]) < 0
+                for j in range(n)
+            ):
+                found.append(word)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+def test_enumerate_matches_brute_force(name):
+    # both paths, the rank automaton and the quasi-greedy digit scan of the
+    # same base stripped of its words, against a filter of all short words
+    base = ORACLE_BASES[name]()
+    expected = _brute_force_b_integers(base.qg_words, 10)
+    bare = AlternateBase(base.betas, ops=base.ops, prec=base.prec)
+    for b in (base, bare):
+        ints = enumerate_b_integers(b, len(expected) + 1)
+        assert [x.digits for x in ints[:-1]] == expected
+        assert len(ints[-1].digits) == 11
+
+
+def _zero_tail_free_words():
+    digit = st.integers(0, 3)
+    period = st.lists(digit, min_size=1, max_size=3).filter(any)
+    word = st.builds(UPWord, st.lists(digit, max_size=3), period)
+    return st.lists(word, min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _zero_tail_free_words(),
+    st.lists(st.tuples(st.integers(0, 4), st.lists(st.integers(0, 3), max_size=5)), max_size=8),
+)
+def test_rank_table_matches_direct_comparison(words, probes):
+    table = coding._RankTable(words)
+    tails = table.tails
+    assert all(lex_compare_up(a, b) < 0 for a, b in zip(tails, tails[1:]))
+    assert {shift_suffix(w, 1) for w in tails} <= set(tails)
+    assert [tails[i] for i in table.qg] == list(words)
+
+    def rank(word):
+        padded = UPWord(word, (0,))
+        return sum(lex_compare_up(t, padded) < 0 for t in tails)
+
+    def qg_digit(shift, n):
+        return words[shift % len(words)].digit(n)
+
+    assert rank(()) == 0
+    for a, w in probes:
+        grown = (a,) + tuple(w)
+        r = table.row(a)[rank(tuple(w))]
+        assert r == rank(grown)
+        for shift in range(len(words)):
+            below = coding._word_below_qg(grown, qg_digit, shift)
+            assert (r <= table.qg[shift]) == below
+
+
+def test_rank_table_rejects_zero_tail_words():
+    with pytest.raises(ValueError):
+        coding._RankTable((UPWord((1,), (0,)),))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        ORACLE_BASES["golden"],
+        ORACLE_BASES["21-2(12)"],
+        lambda: AlternateBase.from_rationals([2, 3]),  # words derived for the gap table
+    ],
+    ids=["golden", "21-2(12)", "rational-2-3"],
+)
+def test_coding_never_scans_quasi_greedy_digits(make, monkeypatch):
+    def scan(*args):
+        raise AssertionError("digit scan on a base with quasi-greedy words")
+
+    monkeypatch.setattr(coding, "_word_below_qg", scan)
+    assert len(faithful_coding(make(), 300)) == 300
+
+
+def test_enumerate_stops_at_the_count(monkeypatch):
+    # base 10^6 - 1 has one B-integer per lead digit at length 1; the old
+    # enumeration built the whole level before cutting it to the count
+    base, _ = synthesize_periodic(ExpansionList((UPWord((), (999_998,)),)))
+    adds = []
+    real = base.ops.add
+    monkeypatch.setattr(base.ops, "add", lambda x, y: adds.append(1) or real(x, y))
+    ints = enumerate_b_integers(base, 5)
+    assert [b.digits for b in ints] == [(), (1,), (2,), (3,), (4,)]
+    assert len(adds) == 4
 
 
 # -- quasi-greedy word derivation -------------------------------------------------

@@ -111,8 +111,6 @@ def test_matrix_seq_accessors():
     assert ms.digit(0, 1) == 1
     assert ms.digit(1, 2) == 2
     assert ms.digit(3, 2) == 2
-    js = ms.to_json()
-    assert js["shape"] == "finite" and js["period"] == 2 and js["k"] == 2
 
 
 def test_rotation_product():
