@@ -30,7 +30,7 @@ from .errors import CeilUndecidable, FloorUndecidable, Undecidable
 from .numerics import Dyadic, IntervalReal, IntPoly, IsolatedRoot
 from .numerics.algebraic import Elem, RealAlgebraicField
 from .numerics.intervals import DEFAULT_PREC, ONE
-from .words import UPWord
+from .words import UPWord, format_word
 
 Rational = Union[int, Fraction]
 
@@ -203,6 +203,8 @@ class AlternateBase:
 
     `betas` holds the enclosures in that ascending order and `ops` the
     backend: the exact one it was given, else intervals over `betas`.
+    `qg_words`, the quasi-greedy expansions of 1 per shift, must be worth 1
+    on an exact backend; synthesis and coding.gap_table attach their own.
     """
 
     def __init__(
@@ -222,17 +224,20 @@ class AlternateBase:
         if ops is not None and ops.p != len(betas):
             raise ValueError(f"a backend of period {ops.p} for {len(betas)} betas")
         self.betas = betas
-        self.ops = ops or IntervalOps(betas, prec)
+        self.ops = ops = ops or IntervalOps(betas, prec)
         self.prec = prec
         if qg_words is not None:
             qg_words = tuple(qg_words)
             if len(qg_words) != len(betas):
                 raise ValueError("need one quasi-greedy word per shift")
+            if ops.exact:
+                from .expansion import _val_word  # expansion imports this module
+                for i, w in enumerate(qg_words):
+                    if not ops.is_zero(ops.sub(_val_word(ops, i, w), ops.lift(1))):
+                        raise ValueError(f"word {format_word(w)} is not worth 1 at shift {i}")
         self.qg_words = qg_words
         # coding.gap_table memo, keyed by (shift mod p, depth)
         self._gap_tables: dict[tuple[int, int], object] = {}
-        # coding.derive_qg_words memo, for a base given without qg_words
-        self._derived_qg_words: Optional[tuple[UPWord, ...]] = None
 
     @classmethod
     def from_rationals(
@@ -246,17 +251,12 @@ class AlternateBase:
         return cls(betas, ops=FieldOps(field, elems), prec=prec)
 
     @classmethod
-    def from_fixed_point(
-        cls,
-        fp,
-        qg_words: Optional[Sequence[UPWord]] = None,
-        prec: int = DEFAULT_PREC,
-    ) -> "AlternateBase":
+    def from_fixed_point(cls, fp, prec: int = DEFAULT_PREC) -> "AlternateBase":
         """Base (beta_i)_{i} with beta_i = gamma_{(-i) mod q} of a Perron fixed point."""
         q = len(fp.gammas)
         elems = tuple(fp.gamma_elems[(-i) % q] for i in range(q))
         enc = tuple(fp.gammas[(-i) % q] for i in range(q))
-        return cls(enc, ops=FieldOps(fp.field, elems), qg_words=qg_words, prec=prec)
+        return cls(enc, ops=FieldOps(fp.field, elems), prec=prec)
 
     @property
     def p(self) -> int:
@@ -275,17 +275,18 @@ class AlternateBase:
         """The base S^i(B) with beta'_n = beta_{n+i}."""
         p = self.p
         betas = tuple(self.betas[(j + i) % p] for j in range(p))
-        qg = None
+        out = AlternateBase(betas, ops=self.ops.shifted(i), prec=self.prec)
         if self.qg_words is not None:
-            qg = tuple(self.qg_words[(j + i) % p] for j in range(p))
-        return AlternateBase(betas, ops=self.ops.shifted(i), qg_words=qg, prec=self.prec)
+            out.qg_words = tuple(self.qg_words[(j + i) % p] for j in range(p))
+        return out
 
     def refine(self, prec: int) -> "AlternateBase":
         """Re-enclose the betas to width <= 2^-prec; an interval-only base comes back as is."""
         if not self.ops.exact:
             return self
-        betas = self.ops.interval_ops(prec).betas
-        return AlternateBase(betas, ops=self.ops, qg_words=self.qg_words, prec=prec)
+        out = AlternateBase(self.ops.interval_ops(prec).betas, ops=self.ops, prec=prec)
+        out.qg_words = self.qg_words
+        return out
 
     def __repr__(self) -> str:
         return f"AlternateBase({self.betas!r})"

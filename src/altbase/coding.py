@@ -10,9 +10,10 @@ how Fibonacci, Tribonacci, Arnoux-Rauzy and N-continued-fraction words
 arise from alternate bases.
 
 B-integers are enumerated by prepending digits to admissible words.  On a
-base that carries its quasi-greedy words, admissibility is one table lookup
-on the word's rank among the sorted tails of those words; a base without
-words keeps the digit-by-digit scan.
+base that carries its quasi-greedy words, which must pass the Parry check,
+admissibility is one table lookup on the word's rank among their sorted
+tails; other bases scan the digits.  Gap tables hold exact values only, and
+a base's first gap table derives its words (base.qg_words) if it has none.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .perron import (
     left_mul,
     periodic_fixed_point,
 )
-from .words import UPWord, canonicalize, shift_suffix
+from .words import UPWord, canonicalize, format_word, shift_suffix
 
 # -- substitutions ------------------------------------------------------------
 
@@ -289,7 +290,7 @@ def _qg_digit_source(base: AlternateBase):
     gap table; otherwise runs the quasi-greedy loop once per shift residue,
     keeping the digits it has produced.
     """
-    words = base.qg_words or base._derived_qg_words
+    words = base.qg_words
     if words is not None:
         return lambda shift, n: words[shift % base.p].digit(n)
     ops = base.ops
@@ -377,6 +378,20 @@ class _RankTable:
             row = self._rows[a] = [lo + c for c in accumulate(marks)]
         return row
 
+    def check_parry(self, words: Sequence[UPWord]) -> None:
+        """Raise ValueError unless S^j(w_i) <= w_{i-j} for all i, j >= 1 (Parry).
+
+        Tail indices follow lexicographic order, and (S^j(w_i), i - j mod p)
+        recurs after the preperiod plus lcm(period, p) steps.
+        """
+        p = len(words)
+        for i, w in enumerate(words):
+            t = self.qg[i]
+            for j in range(1, len(w.preperiod) + lcm(len(w.period), p) + 1):
+                t = self._next[t]
+                if t > self.qg[(i - j) % p]:
+                    raise ValueError(f"word {format_word(w)} at shift {i} fails Parry at j={j}")
+
 
 def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...]:
     """The `count` smallest B-integers with their digit words and exact values.
@@ -387,15 +402,18 @@ def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...
     lexicographically below the quasi-greedy expansion of 1 at shift n.
     On a base that carries its quasi-greedy words, each word keeps its rank
     among their tails and the test for a new leading digit is one lookup in
-    a _RankTable; a base without words scans the quasi-greedy digits.
-    Enumeration stops as soon as `count` B-integers are found.
+    a _RankTable, and words that fail the Parry conditions raise ValueError;
+    a base without words scans the quasi-greedy digits.  Enumeration stops
+    as soon as `count` B-integers are found.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     ops = base.ops
     qg_digit = _qg_digit_source(base)
-    words = base.qg_words or base._derived_qg_words
+    words = base.qg_words
     ranks = _RankTable(words) if words is not None else None
+    if ranks is not None:
+        ranks.check_parry(words)
     out = [BInteger((), ops.lift(0), base)]
     # suffix-admissible words of the current length, leading zeros allowed,
     # in lexicographic order, with their backend values and ranks (0 when
@@ -438,21 +456,12 @@ def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...
 
 @dataclass(frozen=True)
 class GapTable:
-    """Gap values of S^m(B)-integers with first-occurrence classing."""
+    """Gap values of S^m(B)-integers, exact in the base's field, with first-occurrence classing."""
 
     m: int
-    deltas: tuple[IntervalReal, ...]
     pi: tuple[int, ...]  # pi[n] = first row with the same value
     alphabet: tuple[int, ...]  # representative rows, in order of appearance
-    values: tuple = dataclasses.field(compare=False, repr=False)  # backend row values
-
-    def to_json(self) -> dict:
-        return {
-            "shift": self.m,
-            "delta": [d.to_json() for d in self.deltas],
-            "pi": list(self.pi),
-            "alphabet": list(self.alphabet),
-        }
+    values: tuple = dataclasses.field(compare=False, repr=False)  # exact row values
 
 
 def gap_table(base: AlternateBase, m: int = 0, depth: int = 16) -> GapTable:
@@ -480,11 +489,19 @@ def gap_table(base: AlternateBase, m: int = 0, depth: int = 16) -> GapTable:
     return table if table.m == m else dataclasses.replace(table, m=m)
 
 
+def _row_with_value(ops, v, rows: Iterable[int], values: Sequence) -> Optional[int]:
+    """The first of the rows whose value equals v exactly, or None."""
+    for r in rows:
+        if ops.is_zero(ops.sub(v, values[r])):
+            return r
+    return None
+
+
 def _build_gap_table(base: AlternateBase, m: int, depth: int) -> GapTable:
     ops = base.ops
-    words = base.qg_words or base._derived_qg_words
+    words = base.qg_words
     if words is None:
-        words = base._derived_qg_words = derive_qg_words(base)
+        words = base.qg_words = derive_qg_words(base)
     vals = []
     for n in range(depth):
         tail = shift_suffix(words[(m + n) % base.p], n)
@@ -492,16 +509,13 @@ def _build_gap_table(base: AlternateBase, m: int, depth: int) -> GapTable:
     if ops.sign(ops.sub(vals[0], ops.lift(1))) != 0:
         raise ValueError("quasi-greedy data does not give value 1; bad base")
     pi: list[int] = []
+    alphabet: list[int] = []
     for n, v in enumerate(vals):
-        hit = None
-        for r in range(n):
-            if r == pi[r] and ops.is_zero(ops.sub(v, vals[r])):
-                hit = r
-                break
+        hit = _row_with_value(ops, v, alphabet, vals)
+        if hit is None:
+            alphabet.append(n)
         pi.append(n if hit is None else hit)
-    alphabet = tuple(n for n, r in enumerate(pi) if r == n)
-    deltas = tuple(ops.enclosure(v, base.prec) for v in vals)
-    return GapTable(m, deltas, tuple(pi), alphabet, tuple(vals))
+    return GapTable(m, tuple(pi), tuple(alphabet), tuple(vals))
 
 
 def gap_substitution(
@@ -544,15 +558,12 @@ def _class_gaps(base: AlternateBase, table: GapTable, length: int) -> tuple[int,
         gap = ops.sub(b.exact, a.exact)
         letter = seen.get(gap)
         if letter is None:
-            for r in table.alphabet:
-                if ops.is_zero(ops.sub(gap, table.values[r])):
-                    letter = seen[gap] = r
-                    break
+            letter = seen[gap] = _row_with_value(ops, gap, table.alphabet, table.values)
         if letter is None:
             raise DepthExhausted(
                 f"a gap value is missing from the gap table of depth "
-                f"{len(table.deltas)}; raise --depth",
-                depth=len(table.deltas),
+                f"{len(table.pi)}; raise --depth",
+                depth=len(table.pi),
             )
         word.append(letter)
     return tuple(word)
@@ -633,10 +644,11 @@ def base_from_directive(
     if directive.periodic and window is None:
         seq = build_finite_matrices(directive.blocks)
         fp = periodic_fixed_point(seq, tol_bits=tol_bits)
-        qg = tuple(
+        base = AlternateBase.from_fixed_point(fp, prec=tol_bits)
+        base.qg_words = tuple(
             _directive_qg_word(directive.blocks, i) for i in range(len(directive.blocks))
         )
-        return AlternateBase.from_fixed_point(fp, qg_words=qg, prec=tol_bits)
+        return base
     k = directive.arity
     blocks = directive.blocks
     if window is None:

@@ -114,31 +114,18 @@ class Dyadic:
     def sign(self) -> int:
         return (self.m > 0) - (self.m < 0)
 
-    def __float__(self) -> float:
-        try:
-            return self.m * 2.0 ** self.e
-        except OverflowError:
-            return float(self.as_fraction())
-
     def decimal(self, digits: int = 24) -> str:
         """Decimal rendering, exact if short enough, else truncated."""
-        fr = self.as_fraction()
-        if fr.denominator == 1:
-            return str(fr.numerator)
-        sign = "-" if fr < 0 else ""
-        fr = abs(fr)
-        ip = fr.numerator // fr.denominator
-        rem = fr - ip
-        out = []
-        for _ in range(digits):
-            rem *= 10
-            d = rem.numerator // rem.denominator
-            out.append(str(d))
-            rem -= d
-            if rem == 0:
-                break
-        tail = "" if rem == 0 else "..."
-        return f"{sign}{ip}.{''.join(out)}{tail}"
+        if self.e >= 0:
+            return str(self.m << self.e)
+        sign = "-" if self.m < 0 else ""
+        ip, rem = divmod(abs(self.m), 1 << -self.e)
+        # the first `digits` decimals at once; m is odd, so rem > 0
+        frac, rem = divmod(rem * 10**digits, 1 << -self.e)
+        out = str(frac + 10**digits)[1:]
+        if rem:
+            return f"{sign}{ip}.{out}..."
+        return f"{sign}{ip}.{out.rstrip('0')}"
 
     def __repr__(self) -> str:
         return f"Dyadic({self.m}, {self.e})"
@@ -272,18 +259,6 @@ class IntervalReal:
             Dyadic.from_fraction_floor(self.lo.as_fraction() - r, prec),
             Dyadic.from_fraction_ceil(self.hi.as_fraction() + r, prec),
         )
-
-    def __add__(self, other: "IntervalReal") -> "IntervalReal":
-        return self.add(other)
-
-    def __sub__(self, other: "IntervalReal") -> "IntervalReal":
-        return self.sub(other)
-
-    def __mul__(self, other: "IntervalReal") -> "IntervalReal":
-        return self.mul(other)
-
-    def __truediv__(self, other: "IntervalReal") -> "IntervalReal":
-        return self.div(other)
 
     # -- rendering -------------------------------------------------------
 

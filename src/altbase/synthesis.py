@@ -118,10 +118,11 @@ def synthesize_periodic(
     entries = quasi_greedy_transform(lst.entries)
     if not all(isinstance(a, UPWord) for a in entries):
         raise TypeError("periodic synthesis needs ultimately periodic entries")
-    qg = ExpansionList(entries, lst.digit_max)
+    qg = ExpansionList(entries)
     seq, _, _ = build_parry_matrices(qg)
     fp = periodic_fixed_point(seq, tol_bits=tol_bits)
-    base = AlternateBase.from_fixed_point(fp, qg_words=entries, prec=tol_bits)
+    base = AlternateBase.from_fixed_point(fp, prec=tol_bits)
+    base.qg_words = entries  # value 1 by construction, so not checked again
     cert = bounds(qg)
     bits = tol_bits
     while not _inside_bounds(base, cert):
@@ -193,7 +194,7 @@ def synthesize_general(
     hit first.
     """
     entries = quasi_greedy_transform(lst.entries)
-    cert = bounds(ExpansionList(entries, lst.digit_max))
+    cert = bounds(ExpansionList(entries))
     tol = Dyadic(1, -tol_bits)
     prev_words: Optional[tuple[UPWord, ...]] = None
     prev: Optional[tuple[IntervalReal, ...]] = None
@@ -219,9 +220,7 @@ def synthesize_general(
                 if done is not None:
                     return done
             continue
-        base_n, _ = synthesize_periodic(
-            ExpansionList(words_n, lst.digit_max), tol_bits=tol_bits + 16
-        )
+        base_n, _ = synthesize_periodic(ExpansionList(words_n), tol_bits=tol_bits + 16)
         raw = base_n.betas
         if prev is not None and all(
             _hausdorff(a, b) <= tol for a, b in zip(raw, prev)

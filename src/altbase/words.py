@@ -193,7 +193,6 @@ class ExpansionList:
     """
 
     entries: tuple[Entry, ...]
-    digit_max: int = DEFAULT_DIGIT_MAX
 
     def __post_init__(self):
         if not self.entries:
@@ -300,7 +299,6 @@ class ParryReport:
     violations: tuple[ParryViolation, ...]
     checked_up_to: int
     partial: bool = False
-    depth: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -359,7 +357,7 @@ def check_parry(lst: ExpansionList, depth: int | None = None) -> ParryReport:
             if not decided and mode_strict:
                 # equality over the whole window; strict mode cannot confirm
                 violations.append(ParryViolation(i, j, None))
-    return ParryReport(p, tuple(violations), depth, partial=True, depth=depth)
+    return ParryReport(p, tuple(violations), depth, partial=True)
 
 
 # -- textual form -------------------------------------------------------------

@@ -336,6 +336,20 @@ def test_optimized_interpreter_matches(capsys):
         assert (proc.returncode, proc.stdout) == (code, out)
 
 
+def test_acceptance_criteria_pass_under_optimized_interpreter():
+    # pytest still checks the asserts it rewrites in test modules under -O,
+    # while the library's own asserts are gone, so every criterion must hold
+    # on the library's explicit checks alone
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(root / "tests" / "test_acceptance.py")],
+        capture_output=True, text=True, timeout=600, env=env, cwd=root,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
 def test_traced_run_binds_every_required_site():
     # the benchmark's --trace 1 run wraps functions at the modules that bind
     # them by name; a rename in src/ must fail here, not in a traced run.

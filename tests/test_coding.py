@@ -40,6 +40,18 @@ def brackets_root(enc, poly: IntPoly) -> bool:
     return eval_fraction(poly, lo) * eval_fraction(poly, hi) < 0
 
 
+def is_exact_root(ops, poly: IntPoly, v) -> bool:
+    """Whether poly(v) is exactly zero in the base's backend."""
+    acc = ops.lift(0)
+    for c in reversed(poly.coeffs):
+        acc = ops.add(ops.mul(acc, v), ops.lift(c))
+    return ops.is_zero(acc)
+
+
+def is_one(ops, v) -> bool:
+    return ops.is_zero(ops.sub(v, ops.lift(1)))
+
+
 def word_str(w) -> str:
     return "".join(map(str, w))
 
@@ -356,6 +368,23 @@ def test_rank_table_matches_direct_comparison(words, probes):
             assert (r <= table.qg[shift]) == below
 
 
+@settings(max_examples=100, deadline=None)
+@given(_zero_tail_free_words())
+def test_rank_table_parry_check_matches_direct_comparison(words):
+    p = len(words)
+    admissible = all(
+        lex_compare_up(shift_suffix(w, j), words[(i - j) % p]) <= 0
+        for i, w in enumerate(words)
+        for j in range(1, 30)
+    )
+    table = coding._RankTable(words)
+    if admissible:
+        table.check_parry(words)
+    else:
+        with pytest.raises(ValueError, match="Parry"):
+            table.check_parry(words)
+
+
 def test_rank_table_rejects_zero_tail_words():
     with pytest.raises(ValueError):
         coding._RankTable((UPWord((1,), (0,)),))
@@ -407,6 +436,31 @@ def test_backend_period_must_match_the_betas():
     assert got == (UPWord((), (2, 1)), UPWord((), (1, 2)))
 
 
+def test_derive_qg_words_finds_a_preperiod():
+    base, _ = synthesize_periodic(ExpansionList((parse_word("2(1)"),)))
+    bare = AlternateBase(base.betas, ops=base.ops, prec=base.prec)
+    assert derive_qg_words(bare) == (UPWord((2,), (1,)),)
+
+
+def test_words_that_fail_parry_are_refused():
+    # (12) is worth 1 in its synthesized base, so the value check passes it,
+    # but its suffix (21) lies above it: it is not a quasi-greedy expansion
+    base, _ = synthesize_periodic(ExpansionList((parse_word("(12)"),)))
+    AlternateBase(base.betas, ops=base.ops, qg_words=base.qg_words, prec=base.prec)
+    with pytest.raises(ValueError, match="Parry"):
+        enumerate_b_integers(base, 12)
+    with pytest.raises(ValueError, match="Parry"):
+        faithful_coding(base, 20)
+    # S^j(w_i) is compared with w_{i-j}: the rotations of (211) pass in one order only
+    for texts, ok in ((("(211)", "(121)", "(112)"), True), (("(112)", "(121)", "(211)"), False)):
+        base, _ = synthesize_periodic(ExpansionList(tuple(map(parse_word, texts))))
+        if ok:
+            assert len(enumerate_b_integers(base, 12)) == 12
+        else:
+            with pytest.raises(ValueError, match="Parry"):
+                enumerate_b_integers(base, 12)
+
+
 def test_derive_qg_words_rejects_aperiodic():
     base = AlternateBase.from_rationals([Fraction(3, 2)])
     with pytest.raises(ValueError):
@@ -442,10 +496,11 @@ def test_gap_table_golden():
     t = gap_table(base, 0, depth=8)
     assert t.alphabet == (0, 1)
     assert t.pi == (0, 1, 0, 1, 0, 1, 0, 1)
-    assert t.deltas[0].is_point() and t.deltas[0].lo.as_fraction() == 1
-    # the second gap is phi - 1, a root of x^2 + x - 1
-    assert brackets_root(t.deltas[1], IntPoly([-1, 1, 1]))
-    assert t.deltas[0].lo > t.deltas[1].hi
+    ops = base.ops
+    assert is_one(ops, t.values[0])
+    # the second gap is phi - 1, the positive root of x^2 + x - 1
+    assert is_exact_root(ops, IntPoly([-1, 1, 1]), t.values[1]) and ops.sign(t.values[1]) > 0
+    assert ops.sign(ops.sub(t.values[0], t.values[1])) > 0
 
 
 def test_gap_table_base_two_single_class():
@@ -453,7 +508,7 @@ def test_gap_table_base_two_single_class():
     t = gap_table(base, 0, depth=6)
     assert t.alphabet == (0,)
     assert set(t.pi) == {0}
-    assert all(d.is_point() and d.lo.as_fraction() == 1 for d in t.deltas)
+    assert all(is_one(base.ops, v) for v in t.values)
 
 
 def test_gap_table_tribonacci():
@@ -461,10 +516,12 @@ def test_gap_table_tribonacci():
     t = gap_table(base, 0, depth=9)
     assert t.alphabet == (0, 1, 2)
     assert t.pi == (0, 1, 2) * 3
-    # strict chain 1 = delta_0 > delta_1 > delta_2, with delta_1 = beta - 1
-    assert t.deltas[0].lo > t.deltas[1].hi
-    assert t.deltas[1].lo > t.deltas[2].hi
-    assert brackets_root(t.deltas[1], IntPoly([-2, 0, 2, 1]))
+    # strict chain 1 = delta_0 > delta_1 > delta_2, with delta_1 = beta - 1,
+    # the positive root of x^3 + 2x^2 - 2
+    ops, v = base.ops, t.values
+    assert is_one(ops, v[0])
+    assert ops.sign(ops.sub(v[0], v[1])) > 0 and ops.sign(ops.sub(v[1], v[2])) > 0
+    assert is_exact_root(ops, IntPoly([-2, 0, 2, 1]), v[1]) and ops.sign(v[1]) > 0
 
 
 def test_gap_table_pair_base_single_class():
@@ -473,7 +530,7 @@ def test_gap_table_pair_base_single_class():
     for m in (0, 1):
         t = gap_table(base, m, depth=6)
         assert t.alphabet == (0,)
-        assert t.deltas[0].is_point() and t.deltas[0].lo.as_fraction() == 1
+        assert is_one(base.ops, t.values[0])
 
 
 def test_gap_table_shift_periodic():
@@ -490,7 +547,7 @@ def test_gap_table_memo_per_shift(monkeypatch):
     t0 = gap_table(base, 0)
     t2 = gap_table(base, 2)
     assert t2.m == 2
-    assert (t2.pi, t2.alphabet, t2.deltas) == (t0.pi, t0.alphabet, t0.deltas)
+    assert (t2.pi, t2.alphabet, t2.values) == (t0.pi, t0.alphabet, t0.values)
     built = len(calls)
     assert built == 16
     assert gap_table(base, 0) == t0 and gap_table(base, 2) == t2
@@ -499,12 +556,17 @@ def test_gap_table_memo_per_shift(monkeypatch):
 
 
 def test_gap_table_rejects_bad_value_data():
-    base = AlternateBase(
-        [Fraction(2)],
-        ops=AlternateBase.from_rationals([2]).ops,
-        qg_words=(UPWord((), (2,)),),
-    )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not worth 1"):
+        base = AlternateBase(
+            [Fraction(2)],
+            ops=AlternateBase.from_rationals([2]).ops,
+            qg_words=(UPWord((), (2,)),),
+        )
+        gap_table(base)
+    # words attached after construction skip that check and meet row 0's
+    base = AlternateBase.from_rationals([2])
+    base.qg_words = (UPWord((), (2,)),)
+    with pytest.raises(ValueError, match="value 1"):
         gap_table(base)
 
 
@@ -523,14 +585,6 @@ def test_gap_table_needs_an_exact_backend():
 def test_gap_table_rejects_nonpositive_depth(depth):
     with pytest.raises(ValueError, match="depth"):
         gap_table(AlternateBase.from_rationals([2]), depth=depth)
-
-
-def test_gap_table_json_shape():
-    base = base_from_directive(Directive(((1, 1),)))
-    blob = gap_table(base, 0, depth=4).to_json()
-    assert set(blob) == {"shift", "delta", "pi", "alphabet"}
-    assert blob["pi"] == [0, 1, 0, 1]
-    assert all({"lo", "hi"} <= set(d) for d in blob["delta"])
 
 
 # -- the eta correspondence --------------------------------------------------------
@@ -725,3 +779,8 @@ def test_derived_qg_words_are_memoised_on_the_base(monkeypatch):
     assert len(calls) == 1
     assert faithful_coding(base, 200) == word
     assert len(calls) == 1
+    # the derived words are the base's words, and its copies carry them
+    words = (UPWord((), (2, 1)), UPWord((), (1, 2)))
+    assert base.qg_words == words and base.qg_word(1) == words[1]
+    assert base.shifted(1).qg_words == words[::-1]
+    assert base.refine(128).qg_words == words

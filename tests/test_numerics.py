@@ -63,6 +63,29 @@ def test_dyadic_rounding_brackets(x, prec):
     assert hi.as_fraction() - lo.as_fraction() <= Fraction(1, 2**prec)
 
 
+def decimal_reference(x: Dyadic, digits: int) -> str:
+    """Dyadic.decimal one Fraction digit at a time: the rendering it must keep."""
+    fr = x.as_fraction()
+    if fr.denominator == 1:
+        return str(fr.numerator)
+    sign = "-" if fr < 0 else ""
+    ip, rem = divmod(abs(fr), 1)
+    out = []
+    for _ in range(digits):
+        d, rem = divmod(rem * 10, 1)
+        out.append(str(d))
+        if rem == 0:
+            break
+    return f"{sign}{ip}.{''.join(out)}{'' if rem == 0 else '...'}"
+
+
+@given(st.integers(-(2**200), 2**200), st.integers(-300, 40), st.integers(0, 40))
+@settings(max_examples=300)
+def test_decimal_matches_fraction_reference(m, e, digits):
+    x = Dyadic(m, e)
+    assert x.decimal(digits) == decimal_reference(x, digits)
+
+
 def test_interval_examples():
     one = IntervalReal.exact(1)
     two = IntervalReal.exact(2)

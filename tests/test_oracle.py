@@ -56,7 +56,7 @@ def test_field_modulus_is_the_minimal_polynomial_of_lambda():
     assert len(lists) == 252
     for lst in lists:
         entries = quasi_greedy_transform(lst.entries)
-        ms, _, _ = build_parry_matrices(ExpansionList(entries, lst.digit_max))
+        ms, _, _ = build_parry_matrices(ExpansionList(entries))
         _, product = ms.primitive_rotation()
         field, _ = _perron_field(product)
         chi, _ = faddeev_leverrier(product)

@@ -39,9 +39,7 @@ def brackets_root(enc: IntervalReal, poly: IntPoly) -> bool:
 
 
 def words(*parts) -> ExpansionList:
-    return ExpansionList(
-        tuple(canonicalize(pre, per) for pre, per in parts), digit_max=9
-    )
+    return ExpansionList(tuple(canonicalize(pre, per) for pre, per in parts))
 
 
 LAZY21 = lambda n: 2 if n % 2 == 1 else 1
@@ -76,7 +74,7 @@ def test_bounds_later_second_nonzero():
 
 def test_bounds_stream_uses_declared_digit_bound():
     s = DigitStream(LAZY21, digit_max=7, description="wide-declared")
-    cert = bounds(ExpansionList((s,), digit_max=7))
+    cert = bounds(ExpansionList((s,)))
     assert cert.H == 7 and cert.L == 2
 
 
@@ -85,7 +83,7 @@ def test_bounds_rejects_single_nonzero():
         bounds(words(((2,), (0,))))
     s = DigitStream(lambda n: 1 if n == 1 else 0, digit_max=1, description="10^w")
     with pytest.raises(NoSecondNonzero):
-        bounds(ExpansionList((s,), digit_max=1))
+        bounds(ExpansionList((s,)))
 
 
 def test_e_bound_formula():
@@ -135,7 +133,7 @@ def test_synthesize_transforms_zero_tail():
 def test_synthesize_rejects_streams():
     s = DigitStream(LAZY21, digit_max=2, description="s")
     with pytest.raises(TypeError):
-        synthesize_periodic(ExpansionList((s,), digit_max=2))
+        synthesize_periodic(ExpansionList((s,)))
 
 
 def test_synthesized_betas_inside_bounds():
@@ -162,7 +160,7 @@ def parry_lists(draw):
         w = canonicalize(pre, per)
         assume(not w.is_zero_word())
         entries.append(w)
-    lst = ExpansionList(tuple(entries), digit_max=9)
+    lst = ExpansionList(tuple(entries))
     assume(check_parry(lst).ok)
     return lst
 
@@ -171,14 +169,14 @@ def parry_lists(draw):
 @given(parry_lists())
 def test_roundtrip_and_bounds_on_random_lists(lst):
     base, _ = synthesize_periodic(lst, 48)
-    cert = bounds(ExpansionList(base.qg_words, lst.digit_max))
+    cert = bounds(ExpansionList(base.qg_words))
     for i in range(lst.p):
         want = base.qg_word(i).digits(30)
         assert quasi_greedy_expand_one(base, i, 30) == want
     for b in base.betas:
         assert b.lo.as_fraction() > cert.lower
         assert b.hi.as_fraction() <= cert.C
-    for r in verify_value_one(base, ExpansionList(base.qg_words, lst.digit_max)):
+    for r in verify_value_one(base, ExpansionList(base.qg_words)):
         assert r.contains_zero()
 
 
@@ -210,7 +208,7 @@ def test_residual_excludes_zero_for_perturbed_base():
 def test_residual_stream_partial_check():
     base = AlternateBase.from_rationals([2])
     ones = DigitStream(lambda n: 1, digit_max=1, description="ones")
-    (r,) = verify_value_one(base, ExpansionList((ones,), digit_max=1))
+    (r,) = verify_value_one(base, ExpansionList((ones,)))
     assert r.contains_zero()
     assert r.width() <= Dyadic(1, -32)
 
@@ -220,7 +218,7 @@ def test_residual_stream_partial_check():
 
 def lazy_list() -> ExpansionList:
     s = DigitStream(LAZY21, digit_max=2, description="lazy21")
-    return ExpansionList((s,), digit_max=2)
+    return ExpansionList((s,))
 
 
 def test_general_matches_periodic_path():
@@ -240,7 +238,7 @@ def test_general_matches_periodic_path():
 def test_general_constant_stream():
     ones = DigitStream(lambda n: 1, digit_max=1, description="ones")
     base, depth = synthesize_general(
-        ExpansionList((ones,), digit_max=1), tol_bits=40, max_depth=200
+        ExpansionList((ones,)), tol_bits=40, max_depth=200
     )
     assert base.beta(0).contains(Fraction(2))
     assert depth <= 20
@@ -293,7 +291,7 @@ def test_certificate_lead_digit_rule():
 def test_certificate_alpha_rule():
     # first digit 1 blocks the lead-digit rule; p=1 has alpha = 1 exactly
     ones = DigitStream(lambda n: 1, digit_max=1, description="ones")
-    lst = ExpansionList((ones,), digit_max=1)
+    lst = ExpansionList((ones,))
     base, _ = synthesize_general(lst, tol_bits=40, max_depth=60)
     cert = certify(lst, base)
     assert cert.uniqueness == UNIQUE_BY_ALPHA
@@ -303,7 +301,7 @@ def test_certificate_unknown_rule():
     # p=2 with a beta enclosure that dips below the golden ratio
     s0 = DigitStream(lambda n: 2 if n == 1 else 1, digit_max=2, description="s0")
     s1 = DigitStream(lambda n: 1, digit_max=2, description="s1")
-    lst = ExpansionList((s0, s1), digit_max=2)
+    lst = ExpansionList((s0, s1))
     base = AlternateBase.from_rationals([Fraction(3, 2), 2])
     cert = certify(lst, base)
     assert cert.uniqueness == UNKNOWN

@@ -10,6 +10,7 @@ from altbase.words import (
     LT,
     DigitStream,
     ExpansionList,
+    ParryViolation,
     UPWord,
     canonicalize,
     check_parry,
@@ -246,6 +247,22 @@ def test_parry_stream_partial():
     stream = DigitStream(lambda n: 2 if n == 1 else 1, description="2 1^w")
     report = check_parry(ExpansionList((stream,)), depth=32)
     assert report.partial and report.ok
+
+
+def test_parry_stream_violation_by_digit():
+    # the suffix 2 1 2 1 ... lies above 1 2 1 2 ..., decided at its first digit
+    stream = DigitStream(lambda n: 1 if n % 2 else 2, description="(12)")
+    report = check_parry(ExpansionList((stream,)), depth=8)
+    assert report.partial and not report.ok
+    assert report.violations[0] == ParryViolation(0, 1, 1)
+
+
+def test_parry_stream_violation_by_equality():
+    # a greedy entry must stay strictly below; 1^12 0^w equals 1^w over the window
+    ones = DigitStream(lambda n: 1, description="1^w")
+    report = check_parry(ExpansionList((W((2,) + (1,) * 12, (0,)), ones)), depth=8)
+    assert not report.ok
+    assert report.violations[0] == ParryViolation(0, 1, None)
 
 
 def test_expansion_list_rejects_ten_zero():
