@@ -204,7 +204,9 @@ class AlternateBase:
     `betas` holds the enclosures in that ascending order and `ops` the
     backend: the exact one it was given, else intervals over `betas`.
     `qg_words`, the quasi-greedy expansions of 1 per shift, must be worth 1
-    on an exact backend; synthesis and coding.gap_table attach their own.
+    on an exact backend, and a word whose enclosed value excludes 1 is
+    refused on an interval one; synthesis and coding.gap_table attach their
+    own.
     """
 
     def __init__(
@@ -230,11 +232,12 @@ class AlternateBase:
             qg_words = tuple(qg_words)
             if len(qg_words) != len(betas):
                 raise ValueError("need one quasi-greedy word per shift")
-            if ops.exact:
-                from .expansion import _val_word  # expansion imports this module
-                for i, w in enumerate(qg_words):
-                    if not ops.is_zero(ops.sub(_val_word(ops, i, w), ops.lift(1))):
-                        raise ValueError(f"word {format_word(w)} is not worth 1 at shift {i}")
+            from .expansion import _val_word  # expansion imports this module
+            for i, w in enumerate(qg_words):
+                gap = ops.sub(_val_word(ops, i, w), ops.lift(1))
+                # an exact backend decides the value; an enclosure can only refute it
+                if not (ops.is_zero(gap) if ops.exact else gap.contains_zero()):
+                    raise ValueError(f"word {format_word(w)} is not worth 1 at shift {i}")
         self.qg_words = qg_words
         # coding.gap_table memo, keyed by (shift mod p, depth)
         self._gap_tables: dict[tuple[int, int], object] = {}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import floor, gcd, isqrt
+from operator import mul
 from typing import Iterable, Sequence
 
 from ..errors import NoSignChange, Undecidable
@@ -100,61 +101,115 @@ def sparse_rows(m: Matrix) -> list[list[tuple[int, int]]]:
     return [[(j, v) for j, v in enumerate(row) if v] for row in m]
 
 
-def _mat_mul(a: SparseRows, b: Matrix) -> list[list[int]]:
-    """Product a @ b, a given by sparse_rows: one row of b per non-zero of a.
+def _mul_add(acc: list[int], a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """acc + a*b mod y^n on ascending coefficient lists; acc is extended in place."""
+    acc.extend([0] * (min(n, len(a) + len(b) - 1) - len(acc)))
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i], i):
+                acc[j] += x * y
+    return acc
 
-    A companion-shaped a, or a product of p of them, has about (p+1)*k
-    non-zeros, so the product costs that many row operations instead of k*k.
-    Every row returned is a new list.
-    """
-    out = []
-    for row in a:
-        if not row:
-            out.append([0] * len(b[0]))
-            continue
-        j, v = row[0]
-        acc = list(b[j]) if v == 1 else [v * y for y in b[j]]
-        for j, v in row[1:]:
-            if v == 1:
-                acc = [x + y for x, y in zip(acc, b[j])]
-            else:
-                acc = [x + v * y for x, y in zip(acc, b[j])]
-        out.append(acc)
-    return out
+
+def _series_div(b: Sequence[int], a: Sequence[int], n: int) -> list[int]:
+    """b / a mod y^n for a with constant term 1: integral, with no division."""
+    q: list[int] = []
+    for j in range(n):
+        # a[1] q[j-1] + a[2] q[j-2] + ... : map stops at the shorter operand
+        q.append((b[j] if j < len(b) else 0) - sum(map(mul, a[1 : j + 1], reversed(q))))
+    return q
 
 
 def faddeev_leverrier(m: Matrix) -> tuple[IntPoly, list[list[int]]]:
     """Characteristic polynomial plus the first row of adj(xI - m), both exact.
 
     Returns (chi, row) where chi = det(xI - m) and row[j] is the ascending
-    coefficient list of adjugate(xI - m)[0][j].  Each of the n products
-    m @ M_k runs over the non-zeros of m only, and only the first row of
-    each M_k is kept.  All the interior integer divisions are exact;
-    ArithmeticError if one is not.
+    coefficient list of adjugate(xI - m)[0][j], for any square integer m.
+    The benchmark traces this name; only the row still runs the
+    Faddeev-LeVerrier recursion, on row 0: r_(i+1) = r_i m + c_(n-i) e_0,
+    since every M_i of the recursion commutes with m.
+
+    chi(x) = x^n det(I - m/x), and det(I - ym) is taken on a rome, rows that
+    every cycle of m's graph passes through (Block, Guckenheimer,
+    Misiurewicz and Young, LNM 819, 1980).  A shift row is a single unit at
+    column sigma(r); the rome is every other row plus one row of each cycle
+    of sigma.  The other shift rows are nilpotent, so the Schur complement
+    gives det(I - ym) = det(I - M(y)), M[d][d'] summing m[d][c] y^(s+1) over
+    the columns c whose sigma walk reaches rome row d' in s steps.  M has no
+    constant term, so elimination mod y^(n+1), sparsest row first and with
+    no row swaps, meets pivots 1 + O(y) that divide exactly in Z[[y]].
     """
     n = len(m)
-    a = [[int(v) for v in row] for row in m]
-    if any(len(row) != n for row in a):
+    if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
-    sparse = sparse_rows(a)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    # adjugate(xI - m) = sum_k M_{k+1} x^(n-1-k); first_rows[k] = M_{k+1}[0]
-    first_rows = [mk[0]]
-    for k in range(1, n + 1):
-        am = _mat_mul(sparse, mk)
-        tr = sum(am[i][i] for i in range(n))
-        q, r = divmod(-tr, k)
-        if r:
-            raise ArithmeticError("Faddeev-LeVerrier division was not exact")
-        coeffs[n - k] = q
-        if k < n:
-            for i in range(n):
-                am[i][i] += q
-            mk = am
-            first_rows.append(mk[0])
-    return IntPoly(coeffs), [list(col) for col in zip(*reversed(first_rows))]
+    sparse = sparse_rows(m)
+    # sigma, then cut one row of each cycle off into the rome (-1)
+    nxt = [row[0][0] if len(row) == 1 and row[0][1] == 1 else -1 for row in sparse]
+    # land[c] = (d, s): the walk from column c along sigma meets rome row d after s steps
+    land: list = [None] * n
+    on_walk = (-1, -1)
+    for c in range(n):
+        walk = []
+        while land[c] is None:
+            if nxt[c] < 0:
+                land[c] = (c, 0)
+            else:
+                land[c] = on_walk
+                walk.append(c)
+                c = nxt[c]
+        if land[c] is on_walk:  # the walk closed a cycle of shift rows: c joins the rome
+            nxt[c], land[c] = -1, (c, 0)
+        for r in reversed(walk):
+            if nxt[r] >= 0:
+                d, s = land[nxt[r]]
+                land[r] = (d, s + 1)
+    # I - M(y), row by row; a walk visits each shift row once, so s + 1 <= n
+    terms = n + 1
+    rows = {}
+    for d, row in enumerate(sparse):
+        if nxt[d] < 0:
+            entries = rows[d] = {d: [1]}
+            for c, v in row:
+                t, s = land[c]
+                e = entries.setdefault(t, [0])
+                e.extend([0] * (s + 2 - len(e)))
+                e[s + 1] -= v
+    det = [1]
+    while rows:
+        i = min(rows, key=lambda d: len(rows[d]))
+        prow = rows.pop(i)
+        piv = prow.pop(i)
+        det = _mul_add([], det, piv, terms)
+        # neg[l] = -prow[l] / piv, so that every update is an addition
+        neg = {l: _series_div([-x for x in g], piv, terms) for l, g in prow.items()}
+        for entries in rows.values():
+            f = entries.pop(i, None)
+            if f is not None:
+                for l, g in neg.items():
+                    entries[l] = _mul_add(entries.get(l, []), f, g, terms)
+    det += [0] * (terms - len(det))  # det[i] = c_(n-i), chi's coefficient of x^(n-i)
+    # r m: one gather for a unit per column, then the remaining rows
+    unit = [n] * n
+    rest = []
+    for j, c in enumerate(nxt):
+        if c >= 0 and unit[c] == n:
+            unit[c] = j
+        else:
+            rest.append((j, sparse[j]))
+    r = [1] + [0] * n  # r[n] = 0 serves the columns with no gathered unit
+    first_rows = [r]
+    for i in range(1, n):
+        out = [r[u] for u in unit]
+        for j, row in rest:
+            x = r[j]
+            if x:
+                for l, v in row:
+                    out[l] += x * v
+        out[0] += det[i]
+        out.append(0)
+        r = out
+        first_rows.append(r)
+    return IntPoly(reversed(det)), [list(col) for col in zip(*reversed(first_rows))][:n]
 
 
 # -- Z[x] division: ascending integer coefficient lists --------------------------

@@ -11,7 +11,9 @@ Each A_n is held as its digit row, the first row; the shape puts the unit
 subdiagonal (and the Parry corner unit) below it.  The fixed point is
 computed exactly and uses that shape at every step: a product Q of p such
 matrices has about (p+1)k non-zero entries, so the rotation product and the
-Faddeev-LeVerrier adjugate of (xI - Q) go through those entries only.  The
+first row of adj(xI - Q) go through those entries only.  Below its p digit
+rows Q is a shift by p plus at most p corner units, so its charpoly is a
+determinant on at most 2p rows (faddeev_leverrier reduces onto them).  The
 Perron root lambda of Q is isolated on the squarefree charpoly; the field
 Q(lambda) is then built on what is left after its cyclotomic factors
 (artefacts of padding the periods to a common length) are divided out,
@@ -47,7 +49,7 @@ from .numerics import (
     isolate_dominant,
 )
 from .numerics.algebraic import Elem
-from .numerics.polynomials import SparseRows, _mat_mul
+from .numerics.polynomials import Matrix, SparseRows
 from .words import ExpansionList, UPWord
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -94,6 +96,29 @@ def _reaches_all(edges: list[list[int]]) -> bool:
                 seen.add(j)
                 stack.append(j)
     return len(seen) == len(edges)
+
+
+def _mat_mul(a: SparseRows, b: Matrix) -> list[list[int]]:
+    """Product a @ b, a given by sparse_rows: one row of b per non-zero of a.
+
+    A companion-shaped a, or a product of p of them, has about (p+1)*k
+    non-zeros, so the product costs that many row operations instead of k*k.
+    Every row returned is a new list.
+    """
+    out = []
+    for row in a:
+        if not row:
+            out.append([0] * len(b[0]))
+            continue
+        j, v = row[0]
+        acc = list(b[j]) if v == 1 else [v * y for y in b[j]]
+        for j, v in row[1:]:
+            if v == 1:
+                acc = [x + y for x, y in zip(acc, b[j])]
+            else:
+                acc = [x + v * y for x, y in zip(acc, b[j])]
+        out.append(acc)
+    return out
 
 
 class MatrixSeq:

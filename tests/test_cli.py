@@ -365,6 +365,12 @@ def test_traced_run_binds_every_required_site():
         "code = cli.main(['code', '--directive', '1,1', '--len', '20', '--check'])",
         "assert code == 0, code",
         "assert rec.counts['coding.b_integers'] > 0, rec.counts",
+        # the charpoly span that the period workload requires
+        "code = cli.main(['synthesize', '-p', '1', '(21)'])",
+        "assert code == 0, code",
+        "nid = rec.name_ids['polynomials.faddeev_leverrier']",
+        "assert nid in rec.span_name, 'no charpoly span'",
+        "assert rec.maxima['polynomials.charpoly_degree_max'] > 0, rec.maxima",
     ))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120

@@ -28,7 +28,7 @@ from altbase.coding import (
 )
 from altbase.errors import DepthExhausted, DLessThanN, NoLimit
 from altbase.expansion import greedy_expand, is_greedy, val_up
-from altbase.numerics import Dyadic, IntPoly, IsolatedRoot
+from altbase.numerics import Dyadic, IntPoly, IsolatedRoot, alpha_root
 from altbase.numerics.algebraic import RealAlgebraicField
 from altbase.synthesis import synthesize_periodic
 from altbase.words import ExpansionList, UPWord, lex_compare_up, parse_word, shift_suffix
@@ -568,6 +568,17 @@ def test_gap_table_rejects_bad_value_data():
     base.qg_words = (UPWord((), (2,)),)
     with pytest.raises(ValueError, match="value 1"):
         gap_table(base)
+
+
+def test_interval_base_refutes_words_not_worth_1():
+    # an enclosure never shows that a value is 1, but one that excludes 1
+    # refutes the word: base 2 given (2) listed (2,) and (1, 0) as B-integers
+    with pytest.raises(ValueError, match="not worth 1"):
+        AlternateBase([2], qg_words=(UPWord((), (2,)),))
+    base = AlternateBase([2], qg_words=(UPWord((), (1,)),))
+    assert not base.ops.exact and base.qg_word(0) == UPWord((), (1,))
+    golden = AlternateBase([alpha_root(2)], qg_words=(UPWord((), (1, 0)),))
+    assert not golden.ops.exact and golden.qg_word(0) == UPWord((), (1, 0))
 
 
 def test_gap_table_needs_an_exact_backend():

@@ -270,12 +270,6 @@ def test_isolate_dominant_bracket_cap_raises_undecidable(monkeypatch):
         isolate_dominant(p, 2)
 
 
-def test_faddeev_leverrier_inexact_division_raises(monkeypatch):
-    monkeypatch.setattr(polynomials, "_mat_mul", lambda a, b: [[1, 0], [0, 0]])
-    with pytest.raises(ArithmeticError):
-        faddeev_leverrier([[0, 1], [1, 0]])
-
-
 # -- refinement against plain bisection -------------------------------------------
 
 

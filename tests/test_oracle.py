@@ -1,5 +1,6 @@
-"""Optional oracle lane: sympy factors the charpolys and checks Sturm counts,
-squarefree parts and field arithmetic.
+"""Optional oracle lane: sympy checks the charpolys and the first adjugate
+row, factors the charpolys, and checks Sturm counts, squarefree parts and
+field arithmetic.
 
 Skipped when sympy is not installed; the declared test dependencies do not
 include it.
@@ -13,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from test_acceptance import corpus_p1, corpus_plists  # noqa: E402
 
@@ -68,6 +70,40 @@ ORACLE_ROWS = [
     ["3(12)", "2(211)", "(2111)", "31(1)", "(22)"],  # p=5, field degree 6
     ["(2111111111111)", "(31111)"],  # L=130, k = 132, field degree 17
 ]
+
+
+def _product(row):
+    lst = ExpansionList(tuple(parse_word(w) for w in row))
+    ms, _, _ = build_parry_matrices(ExpansionList(quasi_greedy_transform(lst.entries)))
+    return ms.primitive_rotation()[1]
+
+
+def test_whole_charpoly_matches_sympy():
+    # every coefficient, on the p=5 anchor product (k = 65) and the L=130 one (k = 132)
+    for row, k in zip(ORACLE_ROWS, (65, 132)):
+        product = _product(row)
+        assert len(product) == k
+        chi, _ = faddeev_leverrier(product)
+        want = sympy.Matrix(product).charpoly(X).all_coeffs()
+        assert chi.coeffs == tuple(int(c) for c in reversed(want)), row
+
+
+def test_adjugate_row_matches_sympy():
+    # the first row of adj(xI - Q) on the p=3 anchor product (k = 9), in ZZ[x]
+    product = _product(ROADMAP_ROWS[0])
+    k = len(product)
+    assert k == 9
+    ring = sympy.ZZ[X]
+    xi_minus_q = DomainMatrix(
+        [[ring.from_sympy((X if i == j else 0) - product[i][j]) for j in range(k)]
+         for i in range(k)],
+        (k, k),
+        ring,
+    )
+    adj = xi_minus_q.adjugate()
+    _, row = faddeev_leverrier(product)
+    for j, col in enumerate(row):
+        assert adj[0, j].element == ring.from_sympy(sum(c * X**d for d, c in enumerate(col))), j
 
 
 def _sym(elem):

@@ -2,7 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from altbase.errors import InvariantViolation, NotPrimitive, ZeroLeadDigit
@@ -266,7 +266,7 @@ def _dense_mul(a, b):
 
 
 def _dense_faddeev_leverrier(m):
-    """The dense O(k^4) Faddeev-LeVerrier recursion: the reference for the sparse one."""
+    """The dense O(k^4) Faddeev-LeVerrier recursion: the reference for faddeev_leverrier."""
     n = len(m)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
@@ -326,6 +326,47 @@ def test_sparse_products_match_dense(ms, n):
     assert product == tuple(tuple(row) for row in want)
     chi, row = faddeev_leverrier(product)
     coeffs, dense_adj = _dense_faddeev_leverrier(want)
+    assert chi.coeffs == IntPoly(coeffs).coeffs
+    assert row == dense_adj[0]
+
+
+@st.composite
+def square_matrices(draw):
+    """Small integer matrices mixing the row kinds the rome reduction tells apart.
+
+    "cycle" rows are units that follow a permutation, so they close cycles
+    of shift rows (all of them: a permutation matrix, the identity among
+    them); "unit" rows put their unit anywhere, so several can share a
+    column; the other rows are zero, all ones, a single 2, or arbitrary
+    entries of either sign.
+    """
+    k = draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(k)))
+    rows = []
+    for r in range(k):
+        kind = draw(st.sampled_from(("cycle", "cycle", "unit", "zero", "ones", "two", "any")))
+        if kind == "any":
+            rows.append(draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)))
+        else:
+            col = perm[r] if kind == "cycle" else draw(st.integers(0, k - 1))
+            v = {"cycle": 1, "unit": 1, "zero": 0, "ones": 1, "two": 2}[kind]
+            rows.append([v if kind == "ones" or j == col else 0 for j in range(k)])
+    return rows
+
+
+@given(square_matrices())
+@example([[5]])
+@example([[1]])
+@example([[0, 0], [0, 0]])
+@example([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+@example([[1, 1, 1], [2, 0, 0], [0, 1, 0]])
+@example([[0, -1], [1, 0]])
+@example([[0, 1, 0], [1, 0, 0], [1, 0, 0]])
+@settings(max_examples=300, deadline=None)
+def test_charpoly_and_row_match_dense_recursion(m):
+    chi, row = faddeev_leverrier(m)
+    coeffs, dense_adj = _dense_faddeev_leverrier(m)
     assert chi.coeffs == IntPoly(coeffs).coeffs
     assert row == dense_adj[0]
 
