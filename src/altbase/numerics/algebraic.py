@@ -2,12 +2,12 @@
 
 Elements live in Q[x]/(modulus), a monic integer modulus, as integer
 coefficients over one denominator, and are evaluated at a single isolated
-real root.  The modulus need not be irreducible: zero tests go through gcd
-computations plus Sturm counting inside the isolating bracket, and
-inversions shrink the modulus on the fly when a nontrivial factor shows up
-(the factor not vanishing at the root is divided out).  Signs of non-zero
-elements are decided by refining the root bracket, which always terminates
-because exact zeros are recognised first.
+real root.  The modulus need be neither irreducible nor squarefree: zero
+tests go through gcd computations plus Sturm counting inside the isolating
+bracket, and inversions shrink the modulus on the fly when a nontrivial
+factor shows up (the factor not vanishing at the root is divided out).
+Signs of non-zero elements are decided by refining the root bracket,
+which always terminates because exact zeros are recognised first.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .polynomials import (
     exact_div,
     int_divmod,
     int_poly_gcd,
-    squarefree_part,
     sturm_chain,
     sturm_count,
 )
@@ -78,15 +77,18 @@ def _int_inverse(a: Sequence[int], m: Sequence[int]) -> Optional[tuple[list[int]
 
 
 class RealAlgebraicField:
-    """Q[x]/(modulus) evaluated at an isolated simple real root; monic modulus."""
+    """Q[x]/(modulus) evaluated at an isolated simple real root.
+
+    The modulus is root.poly (linear for an exact root): monic, not
+    necessarily squarefree.
+    """
 
     def __init__(self, root: IsolatedRoot):
+        modulus = root.poly
         if root.is_exact():
             # rational (dyadic) root: the linear modulus, monic for an integer
             v = root.lo
             modulus = IntPoly([-(v.m << v.e), 1] if v.e >= 0 else [-v.m, 1 << -v.e])
-        else:
-            modulus = squarefree_part(root.poly)
         self._set_modulus(modulus, root.lo, root.hi)
 
     def _set_modulus(self, modulus: IntPoly, lo: Dyadic, hi: Dyadic) -> None:

@@ -206,13 +206,6 @@ class IntervalReal:
             return -1
         return 0
 
-    def intersect(self, other: "IntervalReal") -> "IntervalReal | None":
-        lo = self.lo if self.lo >= other.lo else other.lo
-        hi = self.hi if self.hi <= other.hi else other.hi
-        if lo > hi:
-            return None
-        return IntervalReal(lo, hi)
-
     # -- arithmetic ----------------------------------------------------
 
     def _rounded(self, lo: Dyadic, hi: Dyadic, prec: int | None) -> "IntervalReal":

@@ -628,7 +628,7 @@ def _cyclotomic(n: int) -> list[int]:
 
 
 def drop_trivial_factors(p: IntPoly) -> IntPoly:
-    """Squarefree p without its zero roots and its cyclotomic factors.
+    """p without its zero roots and cyclotomic factors, each as often as it divides.
 
     Every Phi_n with phi(n) <= deg p is tried, so no root of unity is left.
     Division by monic factors keeps the coefficients integral.
@@ -636,9 +636,11 @@ def drop_trivial_factors(p: IntPoly) -> IntPoly:
     c = list(p.shift_out_zero_roots()[0].coeffs)
     for n, phi in _orders_up_to(len(c) - 1):
         if phi < len(c):
-            q, r = int_divmod(c, _cyclotomic(n))
-            if not r:
+            cyc = _cyclotomic(n)
+            q, r = int_divmod(c, cyc)
+            while not r:
                 c = q
+                q, r = int_divmod(c, cyc)
     return IntPoly(c)
 
 

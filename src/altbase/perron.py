@@ -13,28 +13,26 @@ computed exactly and uses that shape at every step: a product Q of p such
 matrices has about (p+1)k non-zero entries, so the rotation product and the
 first row of adj(xI - Q) go through those entries only.  Below its p digit
 rows Q is a shift by p plus at most p corner units, so its charpoly is a
-determinant on at most 2p rows (faddeev_leverrier reduces onto them).  The
-Perron root lambda of Q is isolated on the squarefree charpoly; the field
-Q(lambda) is then built on what is left after its cyclotomic factors
-(artefacts of padding the periods to a common length) are divided out,
-with the same isolating bracket, and it divides out any other factor that
-an inverse runs into.  The first adjugate row at lambda is a left
-eigenvector u of Q.  It is carried around the cycle unnormalised,
-u_{n-1} = u_n A_n, by additions and small integer scalings over the
-sparse rows (left_mul); gamma_n = u_{n-1}[0] / u_n[0] costs one inverse
-per step, and the cycle closes exactly when u comes back as lambda times
-itself.  Since every A_n >= 0, only the k entries of the starting u need
-a sign check.  The normalised f_n = u_n / u_n[0] and every enclosure are
-built on first read.  Checks raise InvariantViolation, not assert, so
-quantities like gamma = 1 are decided, not approximated, also under
-python -O.
+determinant on at most 2p rows (faddeev_leverrier reduces onto them).  Its
+zero roots and cyclotomic factors (artefacts of padding the periods to a
+common length) are divided out first; the Perron root lambda of Q is
+isolated on what is left, and the field Q(lambda) is built on that same
+polynomial, dividing out any other factor that an inverse runs into.  The
+first adjugate row at lambda is a left eigenvector u of Q.  It is carried
+around the cycle unnormalised, u_{n-1} = u_n A_n, by additions and small
+integer scalings over the sparse rows (left_mul); gamma_n = u_{n-1}[0] /
+u_n[0] costs one inverse per step, and the cycle closes exactly when u
+comes back as lambda times itself; by Perron-Frobenius, u is then positive
+once its first entry is, the one entry signed.  The normalised f_n = u_n /
+u_n[0] and every enclosure are built on first read.  Checks, the summation
+identities included, are exact and raise InvariantViolation, not assert,
+so gamma = 1 is decided, not approximated, also under python -O.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
 
@@ -42,7 +40,6 @@ from .errors import InvariantViolation, NotPrimitive, Undecidable, ZeroLeadDigit
 from .numerics import (
     DEFAULT_PREC,
     IntervalReal,
-    IsolatedRoot,
     RealAlgebraicField,
     drop_trivial_factors,
     faddeev_leverrier,
@@ -322,7 +319,7 @@ class FixedPoint:
 
     @cached_property
     def fs(self) -> tuple[tuple[IntervalReal, ...], ...]:
-        # every f_n >= 0 was certified on the starting vector, so the sign is 0 or 1
+        # every f_n >= 0 (a positive start, every A_n >= 0), so the sign is 0 or 1
         field = self.field
         return tuple(
             tuple(
@@ -353,15 +350,13 @@ def _certified_enclosure(
 def _perron_field(product: IntMatrix) -> tuple[RealAlgebraicField, list[list[int]]]:
     """Q(lambda) for the Perron root lambda of a primitive product, and adj(xI - Q)[0].
 
-    The root is isolated on the squarefree charpoly, and the field is built
-    on that polynomial without its cyclotomic factors, in the same bracket,
-    so the refinement grid is the same.  Any other factor left over is
-    divided out later by the field itself (RealAlgebraicField.inv).
+    The root is isolated on the charpoly without its zero roots and
+    cyclotomic factors, and the field is built on that polynomial.  lambda
+    stays: no row of Q is zero and row 0 sums to >= 2, so lambda > 1.  Any
+    other factor is divided out later by the field (RealAlgebraicField.inv).
     """
     chi, adj_row = faddeev_leverrier(product)
-    root = isolate_dominant(chi, max(sum(row) for row in product))
-    if not root.is_exact():
-        root = IsolatedRoot(drop_trivial_factors(root.poly), root.lo, root.hi)
+    root = isolate_dominant(drop_trivial_factors(chi), max(sum(row) for row in product))
     return RealAlgebraicField(root), adj_row
 
 
@@ -380,11 +375,12 @@ def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPo
     lam = field.generator()
 
     start = tuple(field.reduce(c) for c in adj_row)
-    signs = [field.sign(e) for e in start]
-    if signs[0] <= 0:
+    # One sign proves start > 0: the closure check below proves start Q =
+    # lambda start, lambda (the largest root of chi in (0, max row sum]) is
+    # the Perron root of the primitive Q, whose left eigenspace is spanned by
+    # one v > 0 (Perron-Frobenius); so start = c v, and start[0] > 0 gives c > 0.
+    if field.sign(start[0]) <= 0:
         raise InvariantViolation("adjugate corner must be positive at the Perron root")
-    if min(signs) < 0:
-        raise InvariantViolation("fixed-point vectors must be non-negative")
 
     u_elems: list = [None] * q
     invs: list = [None] * q
@@ -448,44 +444,39 @@ class IdentityReport:
 
 
 def check_identities(ms: MatrixSeq, fp: FixedPoint) -> IdentityReport:
-    """Evaluate the telescoping summation identities in interval arithmetic.
+    """Decide the telescoping summation identities exactly in Q(lambda).
 
     For the Parry shape, item 2 expresses 1 by the first h digits plus an
     f-correction and item 3 closes the tail; for the finite shape a single
-    sum over all k columns equals 1.  A check passes when the target value
-    lies inside (or overlaps, for interval targets) the computed enclosure,
-    so widening enclosures never turns a true identity into a failure.
+    sum over all k columns equals 1.  Each side is a finite sum over
+    gamma_elems, f_elems and the integer digits, so one exact zero test of
+    their difference decides it.  The enclosures in the report, at
+    fp.tol_bits, are for display only.
     """
-    q, k = ms.q, ms.k
-    one = IntervalReal.exact(1)
+    field, q, k = fp.field, ms.q, ms.k
+    zero, one = field.from_fraction(0), field.from_fraction(1)
+    gamma_invs = [field.inv(g) for g in fp.gamma_elems]
 
-    def f(n: int, j: int) -> IntervalReal:
-        return fp.fs[n % q][j - 1]
+    def f(n: int, j: int) -> Elem:
+        return fp.f_elems[n % q][j - 1]
 
-    def telescope(n: int, first: int, last: int) -> tuple[IntervalReal, IntervalReal]:
-        """Sum of a_{n+j,j} / (gamma_{n+first} ... gamma_{n+j}) over j = first..last,
-        and the last of those denominators."""
-        denom = one
-        acc = IntervalReal.exact(0)
+    def check(n: int, item: str, first: int, last: int, tail: Elem, target: Elem) -> IdentityCheck:
+        """Whether the sum of a_{n+j,j} / (gamma_{n+first} ... gamma_{n+j}) over
+        j = first..last, plus tail over the last of those denominators, is target."""
+        acc, denom_inv = zero, one
         for j in range(first, last + 1):
-            denom = denom.mul(fp.gammas[(n + j) % q])
-            acc = acc.add(IntervalReal.exact(ms.digit(n + j, j)).div(denom))
-        return acc, denom
+            denom_inv = field.mul(denom_inv, gamma_invs[(n + j) % q])
+            acc = field.add(acc, field.scalar_mul(ms.digit(n + j, j), denom_inv))
+        acc = field.add(acc, field.mul(tail, denom_inv))
+        enclosures = (field.enclosure(e, fp.tol_bits) for e in (acc, target))
+        return IdentityCheck(n, item, field.is_zero(field.sub(acc, target)), *enclosures)
 
     checks: list[IdentityCheck] = []
     for n in range(q):
         if isinstance(ms.shape, ParryShape):
             h = ms.shape.h
-            acc, denom = telescope(n, 1, h)
-            acc = acc.add(f(n + h, h + 1).div(denom))
-            checks.append(IdentityCheck(n, "unit-sum", acc.contains(Fraction(1)), acc, one))
-
-            acc, denom = telescope(n, h + 1, k)
-            acc = acc.add(f(n + k, h + 1).div(denom))
-            target = f(n + h, h + 1)
-            ok = acc.intersect(target) is not None
-            checks.append(IdentityCheck(n, "tail-sum", ok, acc, target))
+            checks.append(check(n, "unit-sum", 1, h, f(n + h, h + 1), one))
+            checks.append(check(n, "tail-sum", h + 1, k, f(n + k, h + 1), f(n + h, h + 1)))
         else:
-            acc, _ = telescope(n, 1, k)
-            checks.append(IdentityCheck(n, "unit-sum", acc.contains(Fraction(1)), acc, one))
+            checks.append(check(n, "unit-sum", 1, k, zero, one))
     return IdentityReport(tuple(checks))

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -314,6 +315,22 @@ def test_byte_identical_output(capsys):
     assert first == second
 
 
+def test_outputs_match_the_benchmark_references(capsys):
+    # every job recorded in perfbench/refs replays to its exit code and to
+    # the sha256 of its stdout and stderr, so a moved output byte fails here
+    refs = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
+    replayed, moved = 0, []
+    for path in sorted(refs.glob("*.json")):
+        for jid, ref in json.loads(path.read_text())["jobs"].items():
+            code, out, err = run(capsys, *ref["argv"])
+            digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+            if [code, *digests] != [ref["exit"], ref["stdout"], ref["stderr"]]:
+                moved.append(f"{path.stem}: {jid}")
+            replayed += 1
+    assert replayed > 0
+    assert moved == []
+
+
 def test_optimized_interpreter_matches(capsys):
     # python -O strips assert statements; no answer may depend on them
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -413,21 +430,72 @@ def test_src_has_no_unused_import():
         assert not unused, f"{path.relative_to(src)}: unused imports {unused}"
 
 
-def test_invariant_violation_exits_five(capsys, monkeypatch):
+def _corrupt_adjugate_row(monkeypatch, corrupt):
     import altbase.perron as perron
 
     real = perron.faddeev_leverrier
 
-    def off_by_one(m):
+    def corrupted(m):
         chi, row = real(m)
-        row[1][0] += 1  # the first adjugate row is no longer an eigenvector
+        corrupt(row)
         return chi, row
 
-    monkeypatch.setattr(perron, "faddeev_leverrier", off_by_one)
+    monkeypatch.setattr(perron, "faddeev_leverrier", corrupted)
+
+
+def test_invariant_violation_exits_five(capsys, monkeypatch):
+    def off_by_one(row):
+        row[1][0] += 1  # the first adjugate row is no longer an eigenvector
+
+    _corrupt_adjugate_row(monkeypatch, off_by_one)
     code, out, err = run(capsys, "synthesize", "-p", "1", "(21)")
     assert code == 5
     assert out == ""
     assert err.startswith("error: invariant violated: fixed point failed to close")
+
+
+def test_negated_adjugate_row_exits_five(capsys, monkeypatch):
+    # -u is an eigenvector too: only the sign of its first entry rejects it
+    def negate_all(row):
+        row[:] = [[-c for c in entry] for entry in row]
+
+    _corrupt_adjugate_row(monkeypatch, negate_all)
+    code, out, err = run(capsys, "synthesize", "-p", "1", "(21)")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: invariant violated: adjugate corner must be positive")
+
+
+def test_one_negated_adjugate_entry_exits_five(capsys, monkeypatch):
+    def negate_one(row):
+        row[1] = [-c for c in row[1]]
+
+    _corrupt_adjugate_row(monkeypatch, negate_one)
+    code, out, err = run(capsys, "synthesize", "-p", "1", "(21)")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: invariant violated: ")
+
+
+def test_fixed_point_signs_one_entry(monkeypatch):
+    # one sign for the starting vector, plus one per gamma against 1
+    from altbase.numerics import RealAlgebraicField
+    from altbase.perron import build_parry_matrices, periodic_fixed_point
+    from altbase.words import ExpansionList, parse_word
+
+    calls = []
+    real = RealAlgebraicField.sign
+
+    def counting(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(RealAlgebraicField, "sign", counting)
+    row = ["3(12)", "2(211)", "(2111)", "31(1)", "(22)"]
+    ms, _, _ = build_parry_matrices(ExpansionList(tuple(parse_word(w) for w in row)))
+    assert ms.k == 65
+    periodic_fixed_point(ms)
+    assert 0 < len(calls) <= ms.q + 1
 
 
 # the exit status of every error the package raises

@@ -538,9 +538,13 @@ CUBIC = [-1, -1, -1, 1]
 
 def _field_case(name):
     """(field, irreducible factor of lambda, extra factor or None)."""
-    if name == "golden*(x-3)":
-        poly = IntPoly(_poly_mul(GOLDEN_C, [-3, 1]))
-        return RealAlgebraicField(IsolatedRoot(poly, Dyadic(3, -1), Dyadic(7, -2))), GOLDEN_C, [-3, 1]
+    # moduli taken as given, in a bracket around the golden ratio; (x+1)^2
+    # makes a monic modulus that is not squarefree
+    given_moduli = {"golden*(x-3)": [-3, 1], "golden*(x+1)^2": [1, 2, 1]}
+    if name in given_moduli:
+        extra = given_moduli[name]
+        poly = IntPoly(_poly_mul(GOLDEN_C, extra))
+        return RealAlgebraicField(IsolatedRoot(poly, Dyadic(3, -1), Dyadic(7, -2))), GOLDEN_C, extra
     factor, extra = {
         "golden": (GOLDEN_C, None),
         "cubic": (CUBIC, None),
@@ -562,7 +566,8 @@ _ops = st.lists(
 
 
 @given(
-    st.sampled_from(["golden", "cubic", "p5", "golden*(x-3)", "cubic*(x^2+1)", "p5*(x^2+1)"]),
+    st.sampled_from(["golden", "cubic", "p5", "golden*(x-3)", "golden*(x+1)^2", "cubic*(x^2+1)",
+                     "p5*(x^2+1)"]),
     st.lists(_coeffs, min_size=1, max_size=3),
     _ops,
     st.integers(0, 12),
@@ -639,8 +644,13 @@ def test_cyclotomic_polynomials():
 def test_drop_trivial_factors():
     golden = [-1, -1, 1]
     p = _product(golden, [0, 1], [-1, 1], [1, 1], [1, 1, 1], [1, 0, -1, 0, 1], [-2, 1], [3, 1])
-    # x, x - 1, x + 1, Phi_3 and Phi_8 go; the integer roots 2 and -3 stay
+    # x, x - 1, x + 1, Phi_3 and Phi_12 go; the integer roots 2 and -3 stay
     assert polynomials.drop_trivial_factors(p) == _product(golden, [-2, 1], [3, 1])
+    # each factor goes as often as it divides: x^2 (x-1)^3 (x+1)^2 Phi_3^2 Phi_8
+    phi3, phi8 = [1, 1, 1], [1, 0, 0, 0, 1]
+    p = _product([0, 0, 1], [-1, 1], [-1, 1], [-1, 1], [1, 1], [1, 1], phi3, phi3, phi8,
+                 golden, [-2, 1])
+    assert polynomials.drop_trivial_factors(p) == _product(golden, [-2, 1])
     # Phi_36 has degree 12, and x^2 - 3x - 1 is not cyclotomic
     phi36 = polynomials._cyclotomic(36)
     assert polynomials.drop_trivial_factors(_product([-1, -3, 1], phi36)).coeffs == (-1, -3, 1)

@@ -1,26 +1,30 @@
 """Optional oracle lane: sympy checks the charpolys and the first adjugate
 row, factors the charpolys, and checks Sturm counts, squarefree parts and
-field arithmetic.
+field arithmetic; mpmath solves the value-1 equations of the anchor rows.
 
-Skipped when sympy is not installed; the declared test dependencies do not
-include it.
+Skipped when sympy (which brings mpmath) is not installed; the declared
+test dependencies do not include it.
 """
 
 import functools
 import math
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
+mpmath = pytest.importorskip("mpmath")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from test_acceptance import corpus_p1, corpus_plists  # noqa: E402
 
 from altbase.perron import _perron_field, build_parry_matrices  # noqa: E402
+from altbase.synthesis import synthesize_periodic  # noqa: E402
 from altbase.numerics import (  # noqa: E402
     IntPoly,
+    drop_trivial_factors,
     faddeev_leverrier,
     squarefree_part,
     sturm_chain,
@@ -106,6 +110,25 @@ def test_adjugate_row_matches_sympy():
         assert adj[0, j].element == ring.from_sympy(sum(c * X**d for d, c in enumerate(col))), j
 
 
+def test_dropped_charpoly_is_chi_without_its_trivial_factors():
+    # what drop_trivial_factors keeps has no root of unity and no zero root
+    # but keeps the minimal polynomial of lambda; what it drops is x^a times
+    # cyclotomic factors, repeated ones included
+    for row in ORACLE_ROWS:
+        product = _product(row)
+        chi, _ = faddeev_leverrier(product)
+        field, _ = _perron_field(product)
+        lo, hi = field.root.lo.as_fraction(), field.root.hi.as_fraction()
+        whole = sympy.Poly(list(reversed(chi.coeffs)), X)
+        kept = sympy.Poly(list(reversed(drop_trivial_factors(chi).coeffs)), X)
+        minimal = sympy.Poly(list(reversed(_perron_factor(chi, lo, hi))), X)
+        assert kept.rem(minimal).is_zero, row
+        assert all(not f.is_cyclotomic and f != sympy.Poly(X) for f, _ in kept.factor_list()[1])
+        dropped, rest = whole.div(kept)
+        assert rest.is_zero
+        assert all(f.is_cyclotomic or f == sympy.Poly(X) for f, _ in dropped.factor_list()[1])
+
+
 def _sym(elem):
     nums, den = elem
     return sympy.Poly([sympy.Rational(n, den) for n in reversed(nums)], X, domain="QQ")
@@ -160,3 +183,50 @@ def test_sturm_counts_and_squarefree_parts_match_sympy():
             assert sturm_count(chain, a, b) == sym.count_roots(lo, hi), (p, a, b)
             checked += 1
     assert checked > 1000
+
+
+def _mp_value(betas, shift, w):
+    """Value of the word w at the given shift (expansion.py's convention), closed form."""
+    p, ell = len(betas), len(w.preperiod)
+    block_len = lcm(len(w.period), p)
+    digits = list(w.preperiod) + list(w.period) * (block_len // len(w.period))
+    head = block = mpmath.mpf(0)
+    den = mpmath.mpf(1)
+    for n, a in enumerate(digits, 1):
+        den *= betas[(shift - n) % p]
+        if n <= ell:
+            head += a / den
+        else:
+            block += a / den
+    # the block repeats with its denominators times delta^(block_len / p)
+    return head + block / (1 - 1 / mpmath.fprod(betas) ** (block_len // p))
+
+
+def _mp_fraction(x):
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def test_anchor_betas_match_mpmath():
+    # the p=3, p=5 and L=130 rows: a 200-digit root of the value-1 equations,
+    # started from the certified midpoints, agrees with every beta enclosure.
+    # The enclosures come out narrower (about 10^-356) than the mpmath root's
+    # own error (about 10^-201), so agreement is asked to 10^-180.
+    slack = Fraction(1, 10**180)
+    with mpmath.workdps(200):
+        for row in [ROADMAP_ROWS[0], *ORACLE_ROWS]:
+            lst = ExpansionList(tuple(parse_word(w) for w in row))
+            base, _ = synthesize_periodic(lst, tol_bits=600)
+            mids = []
+            for b in base.betas:
+                assert b.width().as_fraction() <= Fraction(1, 2**600)
+                mid = (b.lo.as_fraction() + b.hi.as_fraction()) / 2
+                mids.append(mpmath.mpf(mid.numerator) / mid.denominator)
+
+            def residuals(*betas):
+                return [_mp_value(betas, i, w) - 1 for i, w in enumerate(lst.entries)]
+
+            root = mpmath.findroot(residuals, mids)
+            for i, b in enumerate(base.betas):
+                r = _mp_fraction(root[i])
+                assert b.lo.as_fraction() - slack <= r <= b.hi.as_fraction() + slack, (row, i)

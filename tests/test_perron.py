@@ -248,14 +248,27 @@ def test_identities_survive_widening():
 
 
 def test_identities_catch_corruption():
+    # the check reads the exact data, so one gamma or one digit off fails it
     ms = build_finite_matrices([(1, 1)])
     fp = periodic_fixed_point(ms)
-    shifted = IntervalReal.from_fraction(Fraction(1, 10))
-    corrupted = dataclasses.replace(fp)
-    corrupted.gammas = tuple(g.add(shifted) for g in fp.gammas)
+    field = fp.field
+    corrupted = dataclasses.replace(
+        fp, gamma_elems=(field.add(fp.gamma_elems[0], field.from_fraction(1)),)
+    )
     report = check_identities(ms, corrupted)
     assert not report.ok
     assert [(c.n, c.item, c.ok) for c in report.checks] == [(0, "unit-sum", False)]
+    report = check_identities(build_finite_matrices([(1, 2)]), fp)
+    assert [(c.n, c.item, c.ok) for c in report.checks] == [(0, "unit-sum", False)]
+    # on a Parry shape every digit enters exactly one identity, and that one fails
+    ms, _, _ = build_parry_matrices(words(((), (2, 1)), ((), (1, 2))))
+    fp = periodic_fixed_point(ms)
+    for i in range(ms.q):
+        for j in range(ms.k):
+            rows = [list(r) for r in ms.rows]
+            rows[i][j] += 1
+            report = check_identities(MatrixSeq(rows, ms.shape), fp)
+            assert sum(not c.ok for c in report.checks) == 1, (i, j)
 
 
 # -- structured products and the unnormalised propagation ---------------------------
@@ -468,7 +481,7 @@ def test_lazy_fs_equals_eager_fs(make):
     assert again is not lazy
     for old_row, new_row in zip(lazy, again):
         for old, new in zip(old_row, new_row):
-            assert old.intersect(new) is not None
+            assert old.lo <= new.hi and new.lo <= old.hi
 
 
 def _certifies(field, elem, enc, tol_bits):
