@@ -43,7 +43,7 @@ from .perron import (
     left_mul,
     periodic_fixed_point,
 )
-from .words import UPWord, canonicalize, format_word, shift_suffix
+from .words import ExpansionList, UPWord, canonicalize, check_parry, format_word, shift_suffix
 
 # -- substitutions ------------------------------------------------------------
 
@@ -378,20 +378,6 @@ class _RankTable:
             row = self._rows[a] = [lo + c for c in accumulate(marks)]
         return row
 
-    def check_parry(self, words: Sequence[UPWord]) -> None:
-        """Raise ValueError unless S^j(w_i) <= w_{i-j} for all i, j >= 1 (Parry).
-
-        Tail indices follow lexicographic order, and (S^j(w_i), i - j mod p)
-        recurs after the preperiod plus lcm(period, p) steps.
-        """
-        p = len(words)
-        for i, w in enumerate(words):
-            t = self.qg[i]
-            for j in range(1, len(w.preperiod) + lcm(len(w.period), p) + 1):
-                t = self._next[t]
-                if t > self.qg[(i - j) % p]:
-                    raise ValueError(f"word {format_word(w)} at shift {i} fails Parry at j={j}")
-
 
 def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...]:
     """The `count` smallest B-integers with their digit words and exact values.
@@ -413,7 +399,13 @@ def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...
     words = base.qg_words
     ranks = _RankTable(words) if words is not None else None
     if ranks is not None:
-        ranks.check_parry(words)
+        # after the table, so that a zero-tail word gets the table's error
+        report = check_parry(ExpansionList(words))
+        if not report.ok:
+            v = report.violations[0]
+            raise ValueError(
+                f"word {format_word(words[v.entry])} at shift {v.entry} fails Parry at j={v.shift}"
+            )
     out = [BInteger((), ops.lift(0), base)]
     # suffix-admissible words of the current length, leading zeros allowed,
     # in lexicographic order, with their backend values and ranks (0 when

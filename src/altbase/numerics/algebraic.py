@@ -178,7 +178,7 @@ class RealAlgebraicField:
         # an enclosure that excludes 0 settles the sign; only one that does
         # not needs the exact zero test, which makes the refinement finite
         prec = 32
-        s = self.enclosure(a, prec, refine_until=False).sign()
+        s = self._horner(a, prec + 16).sign()
         if s != 0 or self.is_zero(a):
             return s
         while True:
@@ -186,7 +186,7 @@ class RealAlgebraicField:
             if prec > 1 << 16:
                 raise Undecidable(f"sign of a non-zero element unresolved at {prec // 2} bits")
             self.root.refine(prec)
-            s = self.enclosure(a, prec, refine_until=False).sign()
+            s = self._horner(a, prec + 16).sign()
             if s != 0:
                 return s
 
@@ -204,28 +204,28 @@ class RealAlgebraicField:
                 raise ZeroDivisionError("inverse of zero element")
             self._shrink_modulus(exact_div(self.modulus, g))
 
-    def div(self, a: Elem, b: Elem) -> Elem:
-        return self.mul(a, self.inv(b))
-
     def _shrink_modulus(self, new_modulus: IntPoly) -> None:
         # a primitive factor of a monic polynomial is monic (Gauss), and so is the quotient
         self._set_modulus(new_modulus, self.root.lo, self.root.hi)
 
     # -- enclosures ---------------------------------------------------------
 
-    def enclosure(
-        self, a: Elem, prec: int = DEFAULT_PREC, refine_until: bool = True
-    ) -> IntervalReal:
-        """Interval around the element's value, width <= 2**-prec if refining."""
+    def _horner(self, a: Elem, bits: int) -> IntervalReal:
+        """One interval Horner pass over the root bracket as it stands, at `bits`."""
         nums, den = self._reduced(a)
+        x = self.root.enclosure()
+        acc = IntervalReal.exact(0)
+        for n in reversed(nums):
+            acc = acc.mul(x, bits).add(IntervalReal.from_ratio(n, den, bits), bits)
+        return acc
+
+    def enclosure(self, a: Elem, prec: int = DEFAULT_PREC) -> IntervalReal:
+        """Interval around the element's value, at most 2**-prec wide."""
         target = Dyadic(1, -prec)
         bits = max(prec + 16, 48)
         while True:
-            x = self.root.enclosure()
-            acc = IntervalReal.exact(0)
-            for n in reversed(nums):
-                acc = acc.mul(x, bits).add(IntervalReal.from_ratio(n, den, bits), bits)
-            if not refine_until or acc.width() <= target:
+            acc = self._horner(a, bits)
+            if acc.width() <= target:
                 return acc
             bits *= 2
             if bits > 1 << 20:

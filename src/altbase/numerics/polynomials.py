@@ -92,13 +92,8 @@ class IntPoly:
 
 # -- matrix characteristic polynomial and adjugate --------------------------
 
-Matrix = Sequence[Sequence[int]]
+#: a matrix as its rows, each the (column, value) pairs of its non-zero entries
 SparseRows = Sequence[Sequence[tuple[int, int]]]
-
-
-def sparse_rows(m: Matrix) -> list[list[tuple[int, int]]]:
-    """Each row of m as its (column, value) pairs with a non-zero value."""
-    return [[(j, v) for j, v in enumerate(row) if v] for row in m]
 
 
 def _mul_add(acc: list[int], a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -120,11 +115,13 @@ def _series_div(b: Sequence[int], a: Sequence[int], n: int) -> list[int]:
     return q
 
 
-def faddeev_leverrier(m: Matrix) -> tuple[IntPoly, list[list[int]]]:
+def faddeev_leverrier(sparse: SparseRows) -> tuple[IntPoly, list[list[int]]]:
     """Characteristic polynomial plus the first row of adj(xI - m), both exact.
 
+    m is any square integer matrix, given as its n sparse rows: row i lists
+    the (column, value) pairs of its non-zero entries, each column in [0, n).
     Returns (chi, row) where chi = det(xI - m) and row[j] is the ascending
-    coefficient list of adjugate(xI - m)[0][j], for any square integer m.
+    coefficient list of adjugate(xI - m)[0][j].
     The benchmark traces this name; only the row still runs the
     Faddeev-LeVerrier recursion, on row 0: r_(i+1) = r_i m + c_(n-i) e_0,
     since every M_i of the recursion commutes with m.
@@ -139,10 +136,9 @@ def faddeev_leverrier(m: Matrix) -> tuple[IntPoly, list[list[int]]]:
     constant term, so elimination mod y^(n+1), sparsest row first and with
     no row swaps, meets pivots 1 + O(y) that divide exactly in Z[[y]].
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    sparse = sparse_rows(m)
+    n = len(sparse)
+    if any(not 0 <= c < n for row in sparse for c, _ in row):
+        raise ValueError(f"a column index lies outside [0, {n}): the matrix must be square")
     # sigma, then cut one row of each cycle off into the rome (-1)
     nxt = [row[0][0] if len(row) == 1 and row[0][1] == 1 else -1 for row in sparse]
     # land[c] = (d, s): the walk from column c along sigma meets rome row d after s steps

@@ -8,10 +8,12 @@ hypothesis is equivalent to some rotation of the one-period product being
 primitive, which is checked, never assumed.
 
 Each A_n is held as its digit row, the first row; the shape puts the unit
-subdiagonal (and the Parry corner unit) below it.  The fixed point is
-computed exactly and uses that shape at every step: a product Q of p such
-matrices has about (p+1)k non-zero entries, so the rotation product and the
-first row of adj(xI - Q) go through those entries only.  Below its p digit
+subdiagonal (and the Parry corner unit) below it.  Every matrix here, each
+A_n and every product Q of them, is held as its sparse rows, the (column,
+value) pairs of its non-zero entries, and no k x k matrix is built: Q has
+about (p+1)k non-zero entries, so the rotation product, the primitivity
+test, the charpoly and the first row of adj(xI - Q) go through those
+entries only.  The fixed point is computed exactly.  Below its p digit
 rows Q is a shift by p plus at most p corner units, so its charpoly is a
 determinant on at most 2p rows (faddeev_leverrier reduces onto them).  Its
 zero roots and cyclotomic factors (artefacts of padding the periods to a
@@ -46,10 +48,8 @@ from .numerics import (
     isolate_dominant,
 )
 from .numerics.algebraic import Elem
-from .numerics.polynomials import Matrix, SparseRows
+from .numerics.polynomials import SparseRows
 from .words import ExpansionList, UPWord
-
-IntMatrix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -67,19 +67,22 @@ class FiniteShape:
 Shape = Union[ParryShape, FiniteShape]
 
 
-def _is_primitive(m: IntMatrix) -> bool:
-    """Some power of m is positive.
+def _is_primitive(rows: SparseRows) -> bool:
+    """Some power of the matrix with these sparse rows is positive.
 
-    Every period product has m[0][0] >= 1, since it is at least the product
-    of the leading digits, and an irreducible matrix with a positive
-    diagonal entry is primitive.  So m is primitive exactly when its graph is strongly
-    connected: index 0 reaches every index and every index reaches 0.
+    Every period product has a positive entry at (0, 0), since it is at
+    least the product of the leading digits, and an irreducible matrix with
+    a positive diagonal entry is primitive.  So the matrix is primitive
+    exactly when its graph is strongly connected: index 0 reaches every
+    index and every index reaches 0.
     """
-    if m[0][0] < 1:
+    if not rows[0] or rows[0][0][0] != 0:
         raise InvariantViolation("a period product must have a positive corner")
-    k = len(m)
-    forward = [[j for j in range(k) if m[i][j]] for i in range(k)]
-    backward = [[i for i in range(k) if m[i][j]] for j in range(k)]
+    forward = [[j for j, _ in row] for row in rows]
+    backward: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, _ in row:
+            backward[j].append(i)
     return _reaches_all(forward) and _reaches_all(backward)
 
 
@@ -95,26 +98,20 @@ def _reaches_all(edges: list[list[int]]) -> bool:
     return len(seen) == len(edges)
 
 
-def _mat_mul(a: SparseRows, b: Matrix) -> list[list[int]]:
-    """Product a @ b, a given by sparse_rows: one row of b per non-zero of a.
+def _mat_mul(a: SparseRows, b: SparseRows) -> list[list[tuple[int, int]]]:
+    """Product a @ b of sparse rows: one row of b per non-zero of a.
 
     A companion-shaped a, or a product of p of them, has about (p+1)*k
     non-zeros, so the product costs that many row operations instead of k*k.
-    Every row returned is a new list.
+    The entries are non-negative, so no sum cancels and no zero is stored.
     """
     out = []
     for row in a:
-        if not row:
-            out.append([0] * len(b[0]))
-            continue
-        j, v = row[0]
-        acc = list(b[j]) if v == 1 else [v * y for y in b[j]]
-        for j, v in row[1:]:
-            if v == 1:
-                acc = [x + y for x, y in zip(acc, b[j])]
-            else:
-                acc = [x + v * y for x, y in zip(acc, b[j])]
-        out.append(acc)
+        acc: dict[int, int] = {}
+        for l, v in row:
+            for j, w in b[l]:
+                acc[j] = acc.get(j, 0) + v * w
+        out.append(sorted(acc.items()))
     return out
 
 
@@ -123,9 +120,10 @@ class MatrixSeq:
 
     A companion matrix is held as its digit row: rows[n] is the first row of
     A_n, and the shape fixes everything below it, the unit subdiagonal plus,
-    for ParryShape(h), one unit at (h+1, k).  The sparse rows that products
-    and the fixed point read are built once per digit row; the dense matrix
-    is built only when read.
+    for ParryShape(h), one unit at (h+1, k).  The sparse rows, the (column,
+    value) pairs of the non-zero entries, are built once per digit row and
+    are the only matrix form: products, the charpoly and the fixed point
+    read them, and no k x k matrix is built.
     """
 
     __slots__ = ("rows", "shape", "_sparse")
@@ -159,14 +157,6 @@ class MatrixSeq:
     def k(self) -> int:
         return len(self.rows[0])
 
-    def matrix(self, n: int) -> IntMatrix:
-        """A_n as a dense k x k matrix, built on each call."""
-        dense = [[0] * self.k for _ in range(self.k)]
-        for i, row in enumerate(self.sparse(n)):
-            for j, v in row:
-                dense[i][j] = v
-        return tuple(map(tuple, dense))
-
     def digit(self, n: int, j: int) -> int:
         """First-row digit a_{n,j}, j 1-indexed."""
         return self.rows[n % self.q][j - 1]
@@ -175,19 +165,19 @@ class MatrixSeq:
         """A_n as the (column, value) pairs of its non-zero entries, row by row."""
         return self._sparse[n % self.q]
 
-    def rotation_product(self, n: int) -> IntMatrix:
-        """Q_n = A_n A_{n-1} ... A_{n-q+1}, multiplied from the right end.
+    def rotation_product(self, n: int) -> SparseRows:
+        """Sparse rows of Q_n = A_n A_{n-1} ... A_{n-q+1}, multiplied from the right end.
 
         Each step multiplies by a companion-shaped left factor, so it costs
         one row operation per non-zero of that factor.
         """
-        out = self.matrix(n - self.q + 1)
+        out = self.sparse(n - self.q + 1)
         for step in range(self.q - 2, -1, -1):
             out = _mat_mul(self.sparse(n - step), out)
-        return tuple(tuple(row) for row in out)
+        return out
 
-    def primitive_rotation(self) -> tuple[int, IntMatrix]:
-        """(n, Q_n) for the first rotation n whose product Q_n is primitive."""
+    def primitive_rotation(self) -> tuple[int, SparseRows]:
+        """(n, Q_n) for the first rotation n whose product Q_n is primitive, Q_n as sparse rows."""
         for n in range(self.q):
             product = self.rotation_product(n)
             if _is_primitive(product):
@@ -347,7 +337,7 @@ def _certified_enclosure(
             raise Undecidable(f"sign certification stalled at {bits // 2} bits")
 
 
-def _perron_field(product: IntMatrix) -> tuple[RealAlgebraicField, list[list[int]]]:
+def _perron_field(product: SparseRows) -> tuple[RealAlgebraicField, list[list[int]]]:
     """Q(lambda) for the Perron root lambda of a primitive product, and adj(xI - Q)[0].
 
     The root is isolated on the charpoly without its zero roots and
@@ -356,7 +346,8 @@ def _perron_field(product: IntMatrix) -> tuple[RealAlgebraicField, list[list[int
     other factor is divided out later by the field (RealAlgebraicField.inv).
     """
     chi, adj_row = faddeev_leverrier(product)
-    root = isolate_dominant(drop_trivial_factors(chi), max(sum(row) for row in product))
+    upper = max(sum(v for _, v in row) for row in product)
+    root = isolate_dominant(drop_trivial_factors(chi), upper)
     return RealAlgebraicField(root), adj_row
 
 

@@ -430,6 +430,35 @@ def test_src_has_no_unused_import():
         assert not unused, f"{path.relative_to(src)}: unused imports {unused}"
 
 
+def test_src_has_no_unread_private_definition():
+    # a private function, method or class (one leading underscore) is dead
+    # unless some file in src reads its name, as a name, an attribute or an import
+    src = Path(__file__).resolve().parent.parent / "src"
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(src.rglob("*.py"))
+    }
+    assert trees
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unread = [
+        (str(path.relative_to(src)), node.lineno, node.name)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in read
+    ]
+    assert not unread, f"private definitions that nothing in src reads: {unread}"
+
+
 def _corrupt_adjugate_row(monkeypatch, corrupt):
     import altbase.perron as perron
 

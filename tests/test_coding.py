@@ -368,23 +368,6 @@ def test_rank_table_matches_direct_comparison(words, probes):
             assert (r <= table.qg[shift]) == below
 
 
-@settings(max_examples=100, deadline=None)
-@given(_zero_tail_free_words())
-def test_rank_table_parry_check_matches_direct_comparison(words):
-    p = len(words)
-    admissible = all(
-        lex_compare_up(shift_suffix(w, j), words[(i - j) % p]) <= 0
-        for i, w in enumerate(words)
-        for j in range(1, 30)
-    )
-    table = coding._RankTable(words)
-    if admissible:
-        table.check_parry(words)
-    else:
-        with pytest.raises(ValueError, match="Parry"):
-            table.check_parry(words)
-
-
 def test_rank_table_rejects_zero_tail_words():
     with pytest.raises(ValueError):
         coding._RankTable((UPWord((1,), (0,)),))

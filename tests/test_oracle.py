@@ -32,6 +32,7 @@ from altbase.numerics import (  # noqa: E402
 )
 from altbase.words import ExpansionList, parse_word, quasi_greedy_transform  # noqa: E402
 from test_numerics import _poly_mul, eval_fraction  # noqa: E402
+from test_perron import dense  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -88,7 +89,7 @@ def test_whole_charpoly_matches_sympy():
         product = _product(row)
         assert len(product) == k
         chi, _ = faddeev_leverrier(product)
-        want = sympy.Matrix(product).charpoly(X).all_coeffs()
+        want = sympy.Matrix(dense(product, k)).charpoly(X).all_coeffs()
         assert chi.coeffs == tuple(int(c) for c in reversed(want)), row
 
 
@@ -97,9 +98,10 @@ def test_adjugate_row_matches_sympy():
     product = _product(ROADMAP_ROWS[0])
     k = len(product)
     assert k == 9
+    q = dense(product, k)
     ring = sympy.ZZ[X]
     xi_minus_q = DomainMatrix(
-        [[ring.from_sympy((X if i == j else 0) - product[i][j]) for j in range(k)]
+        [[ring.from_sympy((X if i == j else 0) - q[i][j]) for j in range(k)]
          for i in range(k)],
         (k, k),
         ring,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from altbase.errors import InvariantViolation, NotPrimitive, ZeroLeadDigit
 from altbase.numerics import Dyadic, IntPoly, IntervalReal, faddeev_leverrier
-from altbase.numerics.polynomials import sparse_rows
 from altbase.perron import (
     FiniteShape,
     MatrixSeq,
@@ -41,13 +40,13 @@ def test_parry_matrices_single_word():
     assert (m, n) == (1, 2)
     assert ms.shape == ParryShape(1)
     assert ms.q == 1 and ms.k == 3
-    assert ms.matrix(0) == ((2, 1, 2), (1, 0, 1), (0, 1, 0))
+    assert dense(ms.sparse(0), ms.k) == ((2, 1, 2), (1, 0, 1), (0, 1, 0))
 
 
 def test_parry_matrices_ones():
     ms, m, n = build_parry_matrices(words(((), (1,))))
     assert (m, n) == (1, 1)
-    assert ms.matrix(0) == ((1, 1), (1, 1))
+    assert dense(ms.sparse(0), ms.k) == ((1, 1), (1, 1))
 
 
 def test_parry_matrices_two_words():
@@ -55,17 +54,17 @@ def test_parry_matrices_two_words():
     assert (m, n) == (1, 1)
     assert ms.q == 2 and ms.k == 4
     assert ms.shape == ParryShape(2)
-    assert ms.matrix(0)[0] == (1, 1, 1, 1)
-    assert ms.matrix(1)[0] == (2, 2, 2, 2)
+    assert dense(ms.sparse(0), ms.k)[0] == (1, 1, 1, 1)
+    assert dense(ms.sparse(1), ms.k)[0] == (2, 2, 2, 2)
     # extra unit sits at row h+1 = 3, column k = 4
-    assert ms.matrix(0)[2] == (0, 1, 0, 1)
-    assert ms.matrix(1)[2] == (0, 1, 0, 1)
+    assert dense(ms.sparse(0), ms.k)[2] == (0, 1, 0, 1)
+    assert dense(ms.sparse(1), ms.k)[2] == (0, 1, 0, 1)
 
 
 def test_parry_matrices_preperiod():
     ms, m, n = build_parry_matrices(words(((2,), (1,))))
     assert (m, n) == (1, 1)
-    assert ms.matrix(0) == ((2, 1), (1, 1))
+    assert dense(ms.sparse(0), ms.k) == ((2, 1), (1, 1))
 
 
 def test_parry_matrices_reject_zero_tail():
@@ -76,19 +75,19 @@ def test_parry_matrices_reject_zero_tail():
 
 def test_finite_matrices():
     ms = build_finite_matrices([(1, 1)])
-    assert ms.matrix(0) == ((1, 1), (1, 0))
+    assert dense(ms.sparse(0), ms.k) == ((1, 1), (1, 0))
     assert ms.shape == FiniteShape()
     ms = build_finite_matrices([(2, 2)])
-    assert ms.matrix(0) == ((2, 2), (1, 0))
+    assert dense(ms.sparse(0), ms.k) == ((2, 2), (1, 0))
     ms = build_finite_matrices([(1, 1, 1)])
-    assert ms.matrix(0) == ((1, 1, 1), (1, 0, 0), (0, 1, 0))
+    assert dense(ms.sparse(0), ms.k) == ((1, 1, 1), (1, 0, 0), (0, 1, 0))
 
 
 def test_finite_matrices_orientation():
     ms = build_finite_matrices([(1, 1), (2, 2)])
-    assert ms.matrix(0)[0] == (1, 1)
-    assert ms.matrix(1)[0] == (2, 2)
-    assert ms.matrix(-1)[0] == (2, 2)
+    assert dense(ms.sparse(0), ms.k)[0] == (1, 1)
+    assert dense(ms.sparse(1), ms.k)[0] == (2, 2)
+    assert dense(ms.sparse(-1), ms.k)[0] == (2, 2)
 
 
 def test_shape_validation():
@@ -115,8 +114,8 @@ def test_matrix_seq_accessors():
 
 def test_rotation_product():
     ms = build_finite_matrices([(1, 1), (2, 2)])
-    a0, a1 = ms.matrix(0), ms.matrix(1)
-    q0 = ms.rotation_product(0)
+    a0, a1 = dense(ms.sparse(0), ms.k), dense(ms.sparse(1), ms.k)
+    q0 = dense(ms.rotation_product(0), ms.k)
     assert q0 == tuple(
         tuple(sum(a0[i][l] * a1[l][j] for l in range(2)) for j in range(2))
         for i in range(2)
@@ -169,8 +168,8 @@ def test_fixed_point_integer_pair():
 def test_fixed_point_three_periodic():
     # period-3 finite-shape family whose gamma_0 equals 1 exactly
     ms = build_finite_matrices([(1, 1, 1), (1, 1, 0), (1, 0, 1)])
-    assert ms.matrix(1) == ((1, 0, 1), (1, 0, 0), (0, 1, 0))
-    assert ms.matrix(2) == ((1, 1, 0), (1, 0, 0), (0, 1, 0))
+    assert dense(ms.sparse(1), ms.k) == ((1, 0, 1), (1, 0, 0), (0, 1, 0))
+    assert dense(ms.sparse(2), ms.k) == ((1, 1, 0), (1, 0, 0), (0, 1, 0))
     fp = periodic_fixed_point(ms)
 
     assert fp.gamma_vs_one == (0, 1, 1)
@@ -274,6 +273,20 @@ def test_identities_catch_corruption():
 # -- structured products and the unnormalised propagation ---------------------------
 
 
+def dense(rows, k):
+    """The k x k matrix with these sparse rows, as a tuple of tuples."""
+    out = [[0] * k for _ in range(k)]
+    for i, row in enumerate(rows):
+        for j, v in row:
+            out[i][j] = v
+    return tuple(map(tuple, out))
+
+
+def sparse_rows(m):
+    """Each row of a dense matrix as its (column, value) pairs with a non-zero value."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in m]
+
+
 def _dense_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
@@ -321,7 +334,7 @@ def test_matrix_is_its_digit_row_and_shape(rows_shape):
     k = len(rows[0])
     h = shape.h if isinstance(shape, ParryShape) else None
     for n, row in enumerate(rows):
-        a = ms.matrix(n)
+        a = dense(ms.sparse(n), ms.k)
         assert a[0] == tuple(row)
         # below row 0: the unit subdiagonal, the Parry corner at (h, k-1), zeros elsewhere
         for i in range(1, k):
@@ -332,11 +345,11 @@ def test_matrix_is_its_digit_row_and_shape(rows_shape):
 @given(companion_seqs(), st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
 def test_sparse_products_match_dense(ms, n):
-    want = ms.matrix(n)
+    want = dense(ms.sparse(n), ms.k)
     for step in range(1, ms.q):
-        want = _dense_mul(want, ms.matrix(n - step))
+        want = _dense_mul(want, dense(ms.sparse(n - step), ms.k))
     product = ms.rotation_product(n)
-    assert product == tuple(tuple(row) for row in want)
+    assert product == sparse_rows(want)
     chi, row = faddeev_leverrier(product)
     coeffs, dense_adj = _dense_faddeev_leverrier(want)
     assert chi.coeffs == IntPoly(coeffs).coeffs
@@ -378,7 +391,7 @@ def square_matrices(draw):
 @example([[0, 1, 0], [1, 0, 0], [1, 0, 0]])
 @settings(max_examples=300, deadline=None)
 def test_charpoly_and_row_match_dense_recursion(m):
-    chi, row = faddeev_leverrier(m)
+    chi, row = faddeev_leverrier(sparse_rows(m))
     coeffs, dense_adj = _dense_faddeev_leverrier(m)
     assert chi.coeffs == IntPoly(coeffs).coeffs
     assert row == dense_adj[0]
@@ -414,17 +427,52 @@ def _is_primitive_walk(m):
 @settings(max_examples=150, deadline=None)
 def test_primitivity_matches_the_power_walk(ms, n):
     product = ms.rotation_product(n)
-    assert _is_primitive(product) == _is_primitive_walk(product)
+    assert _is_primitive(product) == _is_primitive_walk(dense(product, ms.k))
+
+
+@given(digit_rows_and_shapes())
+@settings(max_examples=100, deadline=None)
+def test_sparse_rotation_products_and_primitivity_match_dense(rows_shape):
+    # every rotation product is the dense product of the dense factors, held
+    # as sparse rows (ascending columns, no zero stored), and primitive_rotation
+    # picks the first rotation whose Boolean powers reach a positive matrix
+    ms = MatrixSeq(*rows_shape)
+    k = ms.k
+    verdicts = []
+    for n in range(ms.q):
+        want = dense(ms.sparse(n), k)
+        for step in range(1, ms.q):
+            want = _dense_mul(want, dense(ms.sparse(n - step), k))
+        product = ms.rotation_product(n)
+        assert product == sparse_rows(want)
+        verdicts.append(_is_primitive_walk(want))
+        assert _is_primitive(product) == verdicts[-1]
+    if any(verdicts):
+        n = verdicts.index(True)
+        assert ms.primitive_rotation() == (n, ms.rotation_product(n))
+    else:
+        with pytest.raises(NotPrimitive):
+            ms.primitive_rotation()
+
+
+def test_charpoly_needs_every_column_inside_the_matrix():
+    assert faddeev_leverrier([[(0, 1), (1, 1)], [(0, 1)]])[0].coeffs == (-1, -1, 1)
+    for bad in ([[(0, 1), (2, 1)], [(0, 1)]], [[(0, 1)], [(-1, 1)]]):
+        with pytest.raises(ValueError, match="outside"):
+            faddeev_leverrier(bad)
 
 
 def test_primitivity_verdicts_and_corner_check():
     # irreducible with a positive corner: primitive
-    assert _is_primitive(((1, 1, 0), (0, 0, 1), (1, 0, 0)))
+    assert _is_primitive(sparse_rows(((1, 1, 0), (0, 0, 1), (1, 0, 0))))
     # index 0 reaches nothing else
-    assert not _is_primitive(((1, 0), (1, 0)))
+    assert not _is_primitive(sparse_rows(((1, 0), (1, 0))))
+    # index 1 does not reach 0; no period product looks like this either,
+    # since row i >= 1 of every factor has its unit at column i - 1
+    assert not _is_primitive(sparse_rows(((1, 1), (0, 1))))
     # strongly connected but periodic; a period product never looks like this
     with pytest.raises(InvariantViolation):
-        _is_primitive(((0, 1), (1, 0)))
+        _is_primitive(sparse_rows(((0, 1), (1, 0))))
 
 
 LAZY_CASES = [
@@ -454,18 +502,18 @@ def test_lazy_fs_equals_eager_fs(make):
     # eager reference: f_{n*} = u_{n*} / u_{n*}[0], then gamma_n f_{n-1} = f_n A_n
     field, q, k = fp.field, ms.q, ms.k
     start = fp.u_elems[fp.rotation]
-    f = [field.div(e, start[0]) for e in start]
+    f = [field.mul(e, field.inv(start[0])) for e in start]
     eager = {fp.rotation: f}
     for step in range(q - 1):
         n = fp.rotation - step
-        a = ms.matrix(n)
+        a = dense(ms.sparse(n), ms.k)
         image = []
         for j in range(k):
             acc = field.from_fraction(0)
             for i in range(k):
                 acc = field.add(acc, field.scalar_mul(a[i][j], f[i]))
             image.append(acc)
-        f = [field.div(e, fp.gamma_elems[n % q]) for e in image]
+        f = [field.mul(e, field.inv(fp.gamma_elems[n % q])) for e in image]
         eager[(n - 1) % q] = f
     for n in range(q):
         assert fp.f_elems[n] == tuple(eager[n])
