@@ -155,6 +155,38 @@ def cmd_code(ns) -> int:
     return EXIT_OK
 
 
+#: the commands, with the one-line help the full parser lists for each
+COMMANDS = {
+    "validate": "check the lexicographic conditions",
+    "synthesize": "solve for the base of an expansion list",
+    "code": "print a faithful coding or S-adic word",
+}
+
+
+def _add_arguments(sp: argparse.ArgumentParser, command: str) -> None:
+    """Declare the arguments of one command, on a subparser or a parser of its own."""
+    if command == "code":
+        sp.add_argument("--directive", help="eta blocks, e.g. '1,1' or '2,2;1,1'")
+        sp.add_argument("--base", nargs="*", default=(),
+                        help="expansion words to synthesize the base from")
+        sp.add_argument("--len", type=int, required=True, help="prefix length")
+        sp.add_argument("--check", action="store_true",
+                        help="cross-check the direct and S-adic codings")
+        func = cmd_code
+    else:
+        sp.add_argument("-p", type=int, required=True, help="period")
+        sp.add_argument("words", nargs="+", help="words a_0 a_1 ... as pre(period); '-' reads stdin")
+        if command == "synthesize":
+            sp.add_argument("--skip-parry", action="store_true")
+        func = cmd_validate if command == "validate" else cmd_synthesize
+    sp.add_argument("--format", choices=("json", "text"), default="text")
+    sp.add_argument("--tol", type=int, default=DEFAULT_PREC, metavar="Q",
+                    help="target enclosure width 2^-Q, Q >= 8")
+    sp.add_argument("--depth", type=int, default=None,
+                    help="suffix depth for validation, table depth for coding")
+    sp.set_defaults(command=command, func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="altbase",
@@ -162,43 +194,24 @@ def build_parser() -> argparse.ArgumentParser:
         "for alternate bases.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--format", choices=("json", "text"), default="text")
-        sp.add_argument("--tol", type=int, default=DEFAULT_PREC, metavar="Q",
-                        help="target enclosure width 2^-Q, Q >= 8")
-        sp.add_argument("--depth", type=int, default=None,
-                        help="suffix depth for validation, table depth for coding")
-
-    sp = sub.add_parser("validate", help="check the lexicographic conditions")
-    sp.add_argument("-p", type=int, required=True, help="period")
-    sp.add_argument("words", nargs="+", help="words a_0 a_1 ... as pre(period); '-' reads stdin")
-    common(sp)
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("synthesize", help="solve for the base of an expansion list")
-    sp.add_argument("-p", type=int, required=True, help="period")
-    sp.add_argument("words", nargs="+", help="words a_0 a_1 ... as pre(period); '-' reads stdin")
-    sp.add_argument("--skip-parry", action="store_true")
-    common(sp)
-    sp.set_defaults(func=cmd_synthesize)
-
-    sp = sub.add_parser("code", help="print a faithful coding or S-adic word")
-    sp.add_argument("--directive", help="eta blocks, e.g. '1,1' or '2,2;1,1'")
-    sp.add_argument("--base", nargs="*", default=(),
-                    help="expansion words to synthesize the base from")
-    sp.add_argument("--len", type=int, required=True, help="prefix length")
-    sp.add_argument("--check", action="store_true",
-                    help="cross-check the direct and S-adic codings")
-    common(sp)
-    sp.set_defaults(func=cmd_code)
+    for command, help_text in COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_text), command)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
+        # a named command parses with its own parser, built fresh on every
+        # call; help and usage errors the parent reports come from the full
+        # tree, so they keep its usage line
+        ns = rest = None
+        if argv and argv[0] in COMMANDS:
+            parser = argparse.ArgumentParser(prog="altbase " + argv[0])
+            _add_arguments(parser, argv[0])
+            ns, rest = parser.parse_known_args(argv[1:])
+        if ns is None or rest:
+            ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(ns, "tol", DEFAULT_PREC) < 8:

@@ -329,13 +329,20 @@ def check_parry(lst: ExpansionList, depth: int | None = None) -> ParryReport:
     if lst.all_up():
         entries = [a for a in lst.entries if isinstance(a, UPWord)]
         bound = _parry_bound(entries, p)
+        # digits 1..2*bound of each entry; no window below reaches past them,
+        # since max preperiod + the lcm of any two periods is at most bound
+        unrolled = [a.preperiod + a.period * (2 * bound // len(a.period) + 1) for a in entries]
         for i in range(p):
             mode_strict = lst.mode(i) == GREEDY
+            pre, per = len(entries[i].preperiod), len(entries[i].period)
             for j in range(1, bound + 1):
-                suffix = shift_suffix(entries[i], j)
-                target = entries[(i - j) % p]
-                cmp, pos = lex_compare_up(suffix, target, with_pos=True)
-                if cmp > 0 or (cmp == 0 and mode_strict):
+                t = (i - j) % p
+                target = entries[t]
+                # two words that agree this far are equal (see lex_compare_up)
+                n = max(pre - j, len(target.preperiod)) + lcm(per, len(target.period))
+                suffix, head = unrolled[i][j:j + n], unrolled[t][:n]
+                if suffix > head or (suffix == head and mode_strict):
+                    _, pos = lex_compare_up(shift_suffix(entries[i], j), target, with_pos=True)
                     violations.append(ParryViolation(i, j, pos))
         return ParryReport(p, tuple(violations), bound)
 

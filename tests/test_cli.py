@@ -1,5 +1,6 @@
 """Exit codes, output shapes, and determinism of the command line."""
 
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -304,8 +305,59 @@ def test_code_bad_directive(capsys):
     assert run(capsys, "code", "--directive", "2,x", "--len", "5")[0] == 2
 
 
-def test_unknown_flag_exits_two(capsys):
-    assert run(capsys, "validate", "--bogus")[0] == 2
+def test_unknown_flag_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    code, out, err = run(capsys, "validate", "--bogus")
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage: altbase validate [-h] -p P [--format {json,text}] [--tol Q]\n"
+        "                        [--depth DEPTH]\n"
+        "                        words [words ...]\n"
+        "altbase validate: error: the following arguments are required: -p, words\n"
+    )
+
+
+# help, usage errors and abbreviations, recorded through cli.main at 80 columns
+PINS = json.loads((Path(__file__).resolve().parent / "cli_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", PINS, ids=[" ".join(p["argv"]) or "(none)" for p in PINS])
+def test_parser_output_is_pinned(capsys, monkeypatch, pin):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *pin["argv"]) == (pin["exit"], pin["stdout"], pin["stderr"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "-p", "2", "(21)", "(12)"),
+    ("synthesize", "-p", "1", "(21)", "--format", "json"),
+    ("code", "--directive", "1,1", "--len", "13"),
+], ids=lambda argv: argv[0])
+def test_a_command_builds_its_parser_alone_and_anew(capsys, monkeypatch, argv):
+    # one parser per well-formed call, and a new one on the next call: no cache
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert built == [f"altbase {argv[0]}"]
+    assert run(capsys, *argv)[0] == 0
+    assert len(built) == 2
+
+
+def test_entry_point_matches_in_process(capsys, monkeypatch):
+    # python -m altbase.cli reads sys.argv[1:], as the console script does
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for argv in (("validate", "-p", "2", "(21)", "(12)"), ("validate", "--foo")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "altbase.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
 
 
 def test_byte_identical_output(capsys):

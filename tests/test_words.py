@@ -1,3 +1,5 @@
+from math import lcm
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -6,6 +8,7 @@ from altbase.errors import DigitRangeError, ParseError
 from altbase.words import (
     DEFAULT_DIGIT_MAX,
     EQ,
+    GREEDY,
     GT,
     LT,
     DigitStream,
@@ -241,6 +244,41 @@ def test_parry_transform_preserves_validity(entries):
     if check_parry(lst).ok:
         out = ExpansionList(quasi_greedy_transform(tuple(entries)))
         assert check_parry(out).ok
+
+
+def parry_reference(lst):
+    """The per-pair check: each shifted entry walked against its target word."""
+    entries, p = lst.entries, lst.p
+    bound = max(len(a.preperiod) for a in entries) + lcm(p, *(len(a.period) for a in entries))
+    violations = []
+    for i in range(p):
+        strict = lst.mode(i) == GREEDY
+        for j in range(1, bound + 1):
+            cmp, pos = lex_compare_up(shift_suffix(entries[i], j), entries[(i - j) % p], True)
+            if cmp > 0 or (cmp == 0 and strict):
+                violations.append(ParryViolation(i, j, pos))
+    return tuple(violations), bound
+
+
+@st.composite
+def expansion_candidates(draw):
+    """A greedy (0^w tail) or quasi-greedy candidate above 1 0^w."""
+    first = draw(st.integers(1, 3))
+    pre = draw(st.lists(st.integers(0, 3), max_size=4))
+    per = (0,) if draw(st.booleans()) else draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    word = W((first, *pre), per)
+    if not word.gt_ten_zero():
+        word = W((first + 1, *pre), per)
+    return word
+
+
+@given(st.lists(expansion_candidates(), min_size=1, max_size=3))
+@settings(max_examples=300)
+def test_parry_report_matches_per_pair_reference(entries):
+    lst = ExpansionList(tuple(entries))
+    report = check_parry(lst)
+    assert (report.violations, report.checked_up_to) == parry_reference(lst)
+    assert not report.partial
 
 
 def test_parry_stream_partial():
