@@ -21,8 +21,9 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, starmap, zip_longest
 from math import lcm
+from operator import add, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .bases import AlternateBase
@@ -36,6 +37,7 @@ from .errors import (
 )
 from .expansion import _qg_steps, _val_word
 from .numerics import DEFAULT_PREC, Dyadic, IntervalReal
+from .numerics.algebraic import _normal
 from .perron import (
     FiniteShape,
     MatrixSeq,
@@ -309,7 +311,7 @@ def _qg_digit_source(base: AlternateBase):
 # -- B-integers ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BInteger:
     """A B-integer: its integer-part digits and its value in the base's backend."""
 
@@ -382,23 +384,23 @@ class _RankTable:
 def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...]:
     """The `count` smallest B-integers with their digit words and exact values.
 
-    Words are generated in radix order (length, then lexicographic), which
-    for admissible words coincides with value order; a length-N word
-    a_{N-1}..a_0 is admissible when every suffix a_{n-1}..a_0 0^omega is
-    lexicographically below the quasi-greedy expansion of 1 at shift n.
-    On a base that carries its quasi-greedy words, each word keeps its rank
-    among their tails and the test for a new leading digit is one lookup in
-    a _RankTable, and words that fail the Parry conditions raise ValueError;
-    a base without words scans the quasi-greedy digits.  Enumeration stops
-    as soon as `count` B-integers are found.
+    Words come in radix order (length, then lexicographic), which for
+    admissible words is value order; a length-N word a_{N-1}..a_0 is
+    admissible when every suffix a_{n-1}..a_0 0^omega is lexicographically
+    below the quasi-greedy expansion of 1 at shift n.  With leading zeros,
+    the words of length n - 1 are the B-integers found so far, in order, and
+    each nonzero lead digit extends a prefix of them.  On a base that carries
+    its quasi-greedy words, which must pass the Parry check (or ValueError),
+    a lead costs one _RankTable lookup on the word's rank; a base without
+    words scans the quasi-greedy digits.  Enumeration stops at `count`.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     ops = base.ops
     qg_digit = _qg_digit_source(base)
     words = base.qg_words
-    ranks = _RankTable(words) if words is not None else None
-    if ranks is not None:
+    table = _RankTable(words) if words is not None else None
+    if table is not None:
         # after the table, so that a zero-tail word gets the table's error
         report = check_parry(ExpansionList(words))
         if not report.ok:
@@ -407,38 +409,43 @@ def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...
                 f"word {format_word(words[v.entry])} at shift {v.entry} fails Parry at j={v.shift}"
             )
     out = [BInteger((), ops.lift(0), base)]
-    # suffix-admissible words of the current length, leading zeros allowed,
-    # in lexicographic order, with their backend values and ranks (0 when
-    # the base has no words)
-    level: list[tuple[tuple[int, ...], object, int]] = [((), ops.lift(0), 0)]
-    n = 0
-    weight = ops.lift(1)  # beta_{n-1} ... beta_0
+    # rank[i] and val[i] belong to out[i] as a word of the current length; an
+    # exact val is integer numerators over den, the lcm of the weights'
+    # denominators, and is made canonical only in the BInteger
+    exact, rank, den = ops.exact, [0], 1
+    val = [[0] * ops.field.degree] if exact else [out[0].exact]
+    grow = (lambda v, s: list(map(add, v, s))) if exact else ops.add
+    n, weight = 0, ops.lift(1)  # weight = beta_{n-1} ... beta_0
     while len(out) < count:
         n += 1
-        nxt: list[tuple[tuple[int, ...], object, int]] = []
-        for lead in range(qg_digit(n, 1) + 1):
-            if ranks is not None:
-                row, limit = ranks.row(lead), ranks.qg[n % base.p]
-            step = ops.mul(ops.lift(lead), weight) if lead else None
-            for word, value, r in level:
-                grown = (lead,) + word
-                # the level is in lexicographic order, so the first word that
-                # is not admissible ends this lead; a lead 0 never fails
-                if ranks is not None:
-                    r = row[r]
+        size = len(out)
+        if exact:
+            nums, wden = weight
+            if den % wden:
+                scale = lcm(den, wden) // den
+                den, val = den * scale, [[scale * x for x in v] for v in val]
+            unit = [den // wden * x for x in nums] + [0] * (len(val[0]) - len(nums))
+        for lead in range(1, qg_digit(n, 1) + 1):
+            step = [lead * x for x in unit] if exact else ops.mul(ops.lift(lead), weight)
+            if table is not None:
+                row, limit = table.row(lead), table.qg[n % base.p]
+            for i in range(size):
+                d = out[i].digits
+                word = (lead,) + (0,) * (n - 1 - len(d)) + d
+                # the level is lexicographic: its first inadmissible word ends the lead
+                if table is not None:
+                    r = row[rank[i]]
                     if r > limit:
                         break
-                elif lead and not _word_below_qg(grown, qg_digit, n):
+                    rank.append(r)
+                elif not _word_below_qg(word, qg_digit, n):
                     break
-                if not lead:
-                    nxt.append((grown, value, r))
-                    continue
-                v = ops.add(value, step)
-                out.append(BInteger(grown, v, base))
+                val.append(v := grow(val[i], step))
+                out.append(BInteger(word, _normal(list(v), den) if exact else v, base))
                 if len(out) == count:
                     return tuple(out)
-                nxt.append((grown, v, r))
-        level = nxt
+        if table is not None:  # only now may the level's words take a leading 0
+            rank[:size] = map(table.row(0).__getitem__, rank[:size])
         weight = ops.mul(weight, ops.beta(n - 1))
     return tuple(out)
 
@@ -542,12 +549,15 @@ def _class_gaps(base: AlternateBase, table: GapTable, length: int) -> tuple[int,
     """
     ops = base.ops
     ints = enumerate_b_integers(base, length + 1)
-    # a gap comes out reduced, as a canonical (nums, den) pair, so equal keys
-    # are the same element of Q[x]/(modulus): a gap seen before keeps its letter
+    # a gap of two values over one denominator is keyed on the raw difference
+    # of their numerators, any other on ops.sub; equal keys are equal values,
+    # so a gap seen before keeps its letter, and a miss is decided exactly
     seen: dict = {}
     word: list[int] = []
     for a, b in zip(ints, ints[1:]):
-        gap = ops.sub(b.exact, a.exact)
+        (an, ad), (bn, bd) = a.exact, b.exact
+        gap = ((tuple(starmap(sub, zip_longest(bn, an, fillvalue=0))), ad) if ad == bd
+               else ops.sub(b.exact, a.exact))
         letter = seen.get(gap)
         if letter is None:
             letter = seen[gap] = _row_with_value(ops, gap, table.alphabet, table.values)

@@ -29,7 +29,7 @@ from altbase.coding import (
 from altbase.errors import DepthExhausted, DLessThanN, NoLimit
 from altbase.expansion import greedy_expand, is_greedy, val_up
 from altbase.numerics import Dyadic, IntPoly, IsolatedRoot, alpha_root
-from altbase.numerics.algebraic import RealAlgebraicField
+from altbase.numerics.algebraic import RealAlgebraicField, _normal
 from altbase.synthesis import synthesize_periodic
 from altbase.words import ExpansionList, UPWord, lex_compare_up, parse_word, shift_suffix
 from test_numerics import eval_fraction
@@ -240,14 +240,20 @@ def _digit_value(ops, digits):
         lambda: base_from_directive(Directive(((1, 1, 1),))),
         lambda: base_from_directive(Directive(((2, 2), (1, 1)))),
         lambda: AlternateBase.from_rationals([2, 3]),
+        # weight denominators 2^n, on the digit scan
+        lambda: AlternateBase.from_rationals([Fraction(3, 2)]),
+        # betas 7/2 and 20/7: weight denominators 1 and 2, on the rank table
+        lambda: synthesize_periodic(ExpansionList((parse_word("(2)"), parse_word("3(1)"))))[0],
     ],
-    ids=["golden", "tribonacci", "22-11", "rational-3-2"],
+    ids=["golden", "tribonacci", "22-11", "rational-3-2", "rational-three-halves", "2-3(1)"],
 )
 def test_enumerate_exact_values_match_digits(make):
     base = make()
     ops = base.ops
     for b in enumerate_b_integers(base, 200):
         assert ops.is_zero(ops.sub(b.exact, _digit_value(ops, b.digits)))
+        # values are carried over one shared denominator, but leave canonical
+        assert _normal(list(b.exact[0]), b.exact[1]) == b.exact
 
 
 def test_binteger_value_encloses_exact():
@@ -394,12 +400,28 @@ def test_enumerate_stops_at_the_count(monkeypatch):
     # base 10^6 - 1 has one B-integer per lead digit at length 1; the old
     # enumeration built the whole level before cutting it to the count
     base, _ = synthesize_periodic(ExpansionList((UPWord((), (999_998,)),)))
-    adds = []
-    real = base.ops.add
-    monkeypatch.setattr(base.ops, "add", lambda x, y: adds.append(1) or real(x, y))
+    built = []
+    real = coding.BInteger
+    monkeypatch.setattr(coding, "BInteger", lambda *a: built.append(1) or real(*a))
     ints = enumerate_b_integers(base, 5)
     assert [b.digits for b in ints] == [(), (1,), (2,), (3,), (4,)]
-    assert len(adds) == 4
+    assert len(built) == 5
+
+
+def test_coding_makes_no_field_call_per_b_integer(monkeypatch):
+    # values and gaps of one denominator are integer vectors: the field is
+    # called for the tables and the first sight of each gap only
+    calls = []
+    real = RealAlgebraicField._combine
+    monkeypatch.setattr(
+        RealAlgebraicField, "_combine", lambda *a: calls.append(1) or real(*a)
+    )
+    counts = []
+    for length in (500, 2000):
+        calls.clear()
+        faithful_coding(base_from_directive(Directive(((1, 1),))), length)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # -- quasi-greedy word derivation -------------------------------------------------
@@ -468,7 +490,8 @@ def test_derive_qg_words_by_value(modulus):
     phi = field.generator()
     base = AlternateBase((field.enclosure(phi, 64),), ops=FieldOps(field, (phi,)), prec=64)
     assert derive_qg_words(base, cap=200) == (UPWord((), (1, 0)),)
-    assert word_str(faithful_coding(base, 13)) == "0100101001001"
+    # gaps keyed on raw numerators may miss on equal values; the miss is exact
+    assert faithful_coding(base, 300) == sadic_limit(Directive(((1, 1),)), 300)
 
 
 # -- gap tables -------------------------------------------------------------------
