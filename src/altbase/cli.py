@@ -106,14 +106,10 @@ def cmd_synthesize(ns) -> int:
 
 
 def _parse_directive(text: str) -> Directive:
-    try:
-        blocks = tuple(
+    try:  # int() and Directive both raise ValueError
+        return Directive(tuple(
             tuple(int(x) for x in part.split(",")) for part in text.split(";")
-        )
-    except ValueError as exc:
-        raise ParseError(f"bad directive {text!r}: {exc}") from exc
-    try:
-        return Directive(blocks)
+        ))
     except ValueError as exc:
         raise ParseError(f"bad directive {text!r}: {exc}") from exc
 
@@ -182,7 +178,7 @@ def _add_arguments(sp: argparse.ArgumentParser, command: str) -> None:
     sp.add_argument("--format", choices=("json", "text"), default="text")
     sp.add_argument("--tol", type=int, default=DEFAULT_PREC, metavar="Q",
                     help="target enclosure width 2^-Q, Q >= 8")
-    sp.add_argument("--depth", type=int, default=None,
+    sp.add_argument("--depth", type=int, default=16 if command == "code" else None,
                     help="suffix depth for validation, table depth for coding")
     sp.set_defaults(command=command, func=func)
 
@@ -220,8 +216,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(ns, "p", 1) < 1:
         sys.stderr.write("error: -p must be at least 1\n")
         return EXIT_PARSE
-    if getattr(ns, "depth", None) is None and ns.command == "code":
-        ns.depth = 16
     if getattr(ns, "len", 0) < 0:
         sys.stderr.write("error: --len must be non-negative\n")
         return EXIT_PARSE

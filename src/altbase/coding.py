@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import accumulate, starmap, zip_longest
 from math import lcm
 from operator import add, sub
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .bases import AlternateBase
 from .errors import (
@@ -175,19 +175,6 @@ def ncf_to_eta(n: int, ds: Sequence[int], periodic: bool = True) -> Directive:
 SubsLike = Union[Substitution, Directive, Sequence[Substitution]]
 
 
-def _subs_provider(subs: SubsLike) -> tuple[Callable[[int], Substitution], Optional[int]]:
-    """Normalize to (provider, limit): limit is the window length if finite."""
-    if isinstance(subs, Substitution):
-        return (lambda n: subs), None
-    if isinstance(subs, Directive):
-        seq = subs.substitutions()
-        if subs.periodic:
-            return (lambda n: seq[n % len(seq)]), None
-        return (lambda n: seq[n]), len(seq)
-    seq = tuple(subs)
-    return (lambda n: seq[n % len(seq)]), None
-
-
 def sadic_limit(subs: SubsLike, length: int, max_steps: int = 10_000) -> tuple[int, ...]:
     """First `length` letters of lim phi_0 phi_1 ... phi_{n-1}(0).
 
@@ -200,7 +187,13 @@ def sadic_limit(subs: SubsLike, length: int, max_steps: int = 10_000) -> tuple[i
         raise ValueError("length must be non-negative")
     if length == 0:
         return ()
-    provider, window = _subs_provider(subs)
+    if isinstance(subs, Substitution):
+        seq: tuple[Substitution, ...] = (subs,)
+    elif isinstance(subs, Directive):
+        seq = subs.substitutions()
+    else:
+        seq = tuple(subs)
+    window = len(seq) if isinstance(subs, Directive) and not subs.periodic else None
     maps: Optional[dict[int, tuple[int, ...]]] = None  # None = identity
     word: tuple[int, ...] = (0,)
     stalls = 0
@@ -209,7 +202,7 @@ def sadic_limit(subs: SubsLike, length: int, max_steps: int = 10_000) -> tuple[i
             raise NoLimit(
                 f"directive window exhausted at length {len(word)} < {length}"
             )
-        phi = provider(step)
+        phi = seq[step % len(seq)]
         new: dict[int, tuple[int, ...]] = {}
         for j in phi.domain:
             img: list[int] = []
@@ -528,8 +521,7 @@ def gap_substitution(
     """
     table_m = gap_table(base, m, depth)
     table_next = gap_table(base, m + 1, depth)
-    qg_digit = _qg_digit_source(base)
-    images = {}
+    images = {}  # the tables left base.qg_words set, derived if missing
     for n in table_next.alphabet:
         if n + 1 >= depth:
             raise DepthExhausted(
@@ -537,7 +529,7 @@ def gap_substitution(
                 f"of shift {m + 1}; raise --depth",
                 depth=depth,
             )
-        images[n] = (0,) * qg_digit(m + n + 1, n + 1) + (table_m.pi[n + 1],)
+        images[n] = (0,) * base.qg_word(m + n + 1).digit(n + 1) + (table_m.pi[n + 1],)
     return Substitution.from_map(images)
 
 

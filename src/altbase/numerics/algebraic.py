@@ -96,7 +96,6 @@ class RealAlgebraicField:
             raise ValueError(f"the field needs a monic modulus, not {modulus}")
         self.modulus = modulus
         self.root = IsolatedRoot(modulus, lo, hi)
-        self._chain_cache: dict[tuple[int, ...], list[IntPoly]] = {}
 
     # -- element constructors -------------------------------------------
 
@@ -166,13 +165,10 @@ class RealAlgebraicField:
         return self._has_root_in_bracket(g)
 
     def _has_root_in_bracket(self, g: IntPoly) -> bool:
-        chain = self._chain_cache.get(g.coeffs)
-        if chain is None:
-            chain = sturm_chain(g)
-            self._chain_cache[g.coeffs] = chain
         if self.root.is_exact():
             return g.eval_dyadic_sign(self.root.lo) == 0
-        return sturm_count(chain, self.root.lo.as_fraction(), self.root.hi.as_fraction()) >= 1
+        lo, hi = self.root.lo.as_fraction(), self.root.hi.as_fraction()
+        return sturm_count(sturm_chain(g), lo, hi) >= 1
 
     def sign(self, a: Elem) -> int:
         # an enclosure that excludes 0 settles the sign; only one that does

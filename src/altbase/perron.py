@@ -68,34 +68,25 @@ Shape = Union[ParryShape, FiniteShape]
 
 
 def _is_primitive(rows: SparseRows) -> bool:
-    """Some power of the matrix with these sparse rows is positive.
+    """Some power of the period product with these sparse rows is positive.
 
-    Every period product has a positive entry at (0, 0), since it is at
-    least the product of the leading digits, and an irreducible matrix with
-    a positive diagonal entry is primitive.  So the matrix is primitive
-    exactly when its graph is strongly connected: index 0 reaches every
-    index and every index reaches 0.
+    Its (0, 0) entry is at least the product of the leading digits, so it
+    is positive, and an irreducible matrix with a positive diagonal entry
+    is primitive (Seneta 1981, ch. 1).  Every index reaches 0: row i >= 1
+    of each companion factor, in either shape, has a unit at column i - 1,
+    so in a product of q factors index i reaches max(i - q, 0).  The
+    product is therefore primitive exactly when 0 reaches every index.
     """
     if not rows[0] or rows[0][0][0] != 0:
         raise InvariantViolation("a period product must have a positive corner")
-    forward = [[j for j, _ in row] for row in rows]
-    backward: list[list[int]] = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        for j, _ in row:
-            backward[j].append(i)
-    return _reaches_all(forward) and _reaches_all(backward)
-
-
-def _reaches_all(edges: list[list[int]]) -> bool:
-    """Whether every vertex of the graph is reachable from vertex 0."""
     seen = {0}
     stack = [0]
     while stack:
-        for j in edges[stack.pop()]:
+        for j, _ in rows[stack.pop()]:
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
-    return len(seen) == len(edges)
+    return len(seen) == len(rows)
 
 
 def _mat_mul(a: SparseRows, b: SparseRows) -> list[list[tuple[int, int]]]:

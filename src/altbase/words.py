@@ -338,11 +338,12 @@ def check_parry(lst: ExpansionList, depth: int | None = None) -> ParryReport:
             for j in range(1, bound + 1):
                 t = (i - j) % p
                 target = entries[t]
-                # two words that agree this far are equal (see lex_compare_up)
+                # two words that agree this far are equal (see lex_compare_up),
+                # so the first digit where the slices differ decides the pair
                 n = max(pre - j, len(target.preperiod)) + lcm(per, len(target.period))
                 suffix, head = unrolled[i][j:j + n], unrolled[t][:n]
                 if suffix > head or (suffix == head and mode_strict):
-                    _, pos = lex_compare_up(shift_suffix(entries[i], j), target, with_pos=True)
+                    pos = next((d for d, (x, y) in enumerate(zip(suffix, head), 1) if x != y), None)
                     violations.append(ParryViolation(i, j, pos))
         return ParryReport(p, tuple(violations), bound)
 

@@ -447,6 +447,25 @@ def test_derive_qg_words_finds_a_preperiod():
     assert derive_qg_words(bare) == (UPWord((2,), (1,)),)
 
 
+@st.composite
+def periodic_directives(draw):
+    k = draw(st.integers(2, 3))
+    q = draw(st.integers(1, 3))
+    block = st.lists(st.integers(1, 3), min_size=k, max_size=k).map(
+        lambda c: tuple(sorted(c, reverse=True))
+    )
+    return Directive(tuple(draw(block) for _ in range(q)))
+
+
+@given(periodic_directives())
+@settings(max_examples=40, deadline=None)
+def test_directive_words_match_the_words_derived_from_the_betas(directive):
+    # base_from_directive attaches these words unchecked, and code --check reads them
+    base = base_from_directive(directive)
+    bare = AlternateBase(base.betas, ops=base.ops, prec=base.prec)
+    assert base.qg_words == derive_qg_words(bare)
+
+
 def test_words_that_fail_parry_are_refused():
     # (12) is worth 1 in its synthesized base, so the value check passes it,
     # but its suffix (21) lies above it: it is not a quasi-greedy expansion

@@ -455,6 +455,25 @@ def test_sparse_rotation_products_and_primitivity_match_dense(rows_shape):
             ms.primitive_rotation()
 
 
+@given(digit_rows_and_shapes())
+@settings(max_examples=60, deadline=None)
+def test_every_index_of_a_rotation_product_reaches_index_0(rows_shape):
+    # the fact _is_primitive rests on: it walks forward from 0 only
+    ms = MatrixSeq(*rows_shape)
+    for n in range(ms.q):
+        backward = [[] for _ in range(ms.k)]
+        for i, row in enumerate(ms.rotation_product(n)):
+            for j, _ in row:
+                backward[j].append(i)
+        seen, stack = {0}, [0]
+        while stack:
+            for i in backward[stack.pop()]:
+                if i not in seen:
+                    seen.add(i)
+                    stack.append(i)
+        assert seen == set(range(ms.k))
+
+
 def test_charpoly_needs_every_column_inside_the_matrix():
     assert faddeev_leverrier([[(0, 1), (1, 1)], [(0, 1)]])[0].coeffs == (-1, -1, 1)
     for bad in ([[(0, 1), (2, 1)], [(0, 1)]], [[(0, 1)], [(-1, 1)]]):
@@ -467,9 +486,6 @@ def test_primitivity_verdicts_and_corner_check():
     assert _is_primitive(sparse_rows(((1, 1, 0), (0, 0, 1), (1, 0, 0))))
     # index 0 reaches nothing else
     assert not _is_primitive(sparse_rows(((1, 0), (1, 0))))
-    # index 1 does not reach 0; no period product looks like this either,
-    # since row i >= 1 of every factor has its unit at column i - 1
-    assert not _is_primitive(sparse_rows(((1, 1), (0, 1))))
     # strongly connected but periodic; a period product never looks like this
     with pytest.raises(InvariantViolation):
         _is_primitive(sparse_rows(((0, 1), (1, 0))))
