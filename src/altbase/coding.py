@@ -494,10 +494,15 @@ def _build_gap_table(base: AlternateBase, m: int, depth: int) -> GapTable:
     words = base.qg_words
     if words is None:
         words = base.qg_words = derive_qg_words(base)
+    # rows share tails (the shift-0 table of (2,2);(1,1) has 2 in 16 rows),
+    # and each distinct tail is evaluated once
+    by_tail: dict[UPWord, object] = {}
     vals = []
     for n in range(depth):
         tail = shift_suffix(words[(m + n) % base.p], n)
-        vals.append(_val_word(ops, m, tail))
+        if tail not in by_tail:
+            by_tail[tail] = _val_word(ops, m, tail)
+        vals.append(by_tail[tail])
     if ops.sign(ops.sub(vals[0], ops.lift(1))) != 0:
         raise ValueError("quasi-greedy data does not give value 1; bad base")
     pi: list[int] = []

@@ -2,10 +2,11 @@
 
 Elements live in Q[x]/(modulus), a monic integer modulus, as integer
 coefficients over one denominator, and are evaluated at a single isolated
-real root.  The modulus need be neither irreducible nor squarefree: zero
-tests go through gcd computations plus Sturm counting inside the isolating
-bracket, and inversions shrink the modulus on the fly when a nontrivial
-factor shows up (the factor not vanishing at the root is divided out).
+real root.  The modulus need be neither irreducible nor squarefree: a zero
+test or an inverse that meets a common factor g of the element and the
+modulus decides by a Sturm count inside the isolating bracket whether the
+root is a root of g, and keeps the part of the modulus that holds the
+root, g itself or modulus/g, so later elements reduce by the smaller one.
 Signs of non-zero elements are decided by refining the root bracket,
 which always terminates because exact zeros are recognised first.
 """
@@ -160,15 +161,22 @@ class RealAlgebraicField:
         if nums == (0,):
             return True
         g = int_poly_gcd(IntPoly(nums), self.modulus)
-        if g.degree < 1:
-            return False
-        return self._has_root_in_bracket(g)
+        return g.degree >= 1 and self._split(g)
 
-    def _has_root_in_bracket(self, g: IntPoly) -> bool:
+    def _split(self, g: IntPoly) -> bool:
+        """Whether the root is a root of g, a factor of the modulus; keeps the part holding it.
+
+        The modulus becomes g when it holds the root and modulus/g otherwise
+        (a primitive factor of a monic polynomial is monic, by Gauss, and so
+        is the quotient); the bracket isolates the root on either part.
+        """
         if self.root.is_exact():
-            return g.eval_dyadic_sign(self.root.lo) == 0
-        lo, hi = self.root.lo.as_fraction(), self.root.hi.as_fraction()
-        return sturm_count(sturm_chain(g), lo, hi) >= 1
+            holds = g.eval_dyadic_sign(self.root.lo) == 0
+        else:
+            lo, hi = self.root.lo.as_fraction(), self.root.hi.as_fraction()
+            holds = sturm_count(sturm_chain(g), lo, hi) >= 1
+        self._set_modulus(g if holds else exact_div(self.modulus, g), self.root.lo, self.root.hi)
+        return holds
 
     def sign(self, a: Elem) -> int:
         # an enclosure that excludes 0 settles the sign; only one that does
@@ -195,14 +203,8 @@ class RealAlgebraicField:
                 return _normal([den * v for v in s], c)
             # a common factor with the modulus: zero at the root means a is
             # zero; otherwise it is divided out of the modulus
-            g = int_poly_gcd(IntPoly(nums), self.modulus)
-            if self._has_root_in_bracket(g):
+            if self._split(int_poly_gcd(IntPoly(nums), self.modulus)):
                 raise ZeroDivisionError("inverse of zero element")
-            self._shrink_modulus(exact_div(self.modulus, g))
-
-    def _shrink_modulus(self, new_modulus: IntPoly) -> None:
-        # a primitive factor of a monic polynomial is monic (Gauss), and so is the quotient
-        self._set_modulus(new_modulus, self.root.lo, self.root.hi)
 
     # -- enclosures ---------------------------------------------------------
 

@@ -412,8 +412,6 @@ class IdentityCheck:
     n: int
     item: str
     ok: bool
-    enclosure: IntervalReal
-    target: IntervalReal
 
 
 @dataclass(frozen=True)
@@ -432,8 +430,7 @@ def check_identities(ms: MatrixSeq, fp: FixedPoint) -> IdentityReport:
     f-correction and item 3 closes the tail; for the finite shape a single
     sum over all k columns equals 1.  Each side is a finite sum over
     gamma_elems, f_elems and the integer digits, so one exact zero test of
-    their difference decides it.  The enclosures in the report, at
-    fp.tol_bits, are for display only.
+    their difference decides it.
     """
     field, q, k = fp.field, ms.q, ms.k
     zero, one = field.from_fraction(0), field.from_fraction(1)
@@ -450,8 +447,7 @@ def check_identities(ms: MatrixSeq, fp: FixedPoint) -> IdentityReport:
             denom_inv = field.mul(denom_inv, gamma_invs[(n + j) % q])
             acc = field.add(acc, field.scalar_mul(ms.digit(n + j, j), denom_inv))
         acc = field.add(acc, field.mul(tail, denom_inv))
-        enclosures = (field.enclosure(e, fp.tol_bits) for e in (acc, target))
-        return IdentityCheck(n, item, field.is_zero(field.sub(acc, target)), *enclosures)
+        return IdentityCheck(n, item, field.is_zero(field.sub(acc, target)))
 
     checks: list[IdentityCheck] = []
     for n in range(q):

@@ -21,11 +21,11 @@ from typing import Optional
 
 from .bases import AlternateBase
 from .errors import DepthExhausted, InvariantViolation, NoSecondNonzero
-from .expansion import val_up
+from .expansion import _val_word, val_up
 from .numerics import DEFAULT_PREC, Dyadic, IntervalReal
 from .numerics.intervals import ONE
 from .numerics.polynomials import alpha_root
-from .perron import FixedPoint, build_parry_matrices, periodic_fixed_point
+from .perron import FixedPoint, _certified_enclosure, build_parry_matrices, periodic_fixed_point
 from .words import (
     ExpansionList,
     UPWord,
@@ -67,30 +67,23 @@ def bounds(lst: ExpansionList) -> BoundsCert:
 
     Ultimately periodic entries contribute their exact maximal digit;
     streams contribute their declared digit bound, which keeps H sound
-    without reading the whole sequence.
+    without reading the whole sequence.  L comes from one scan for the
+    second non-zero digit, to pre + 2 * per + 1 digits for a word and to
+    _STREAM_SCAN_CAP for a stream.
     """
     h = 0
     ell = 2
     for a in lst.entries:
         if isinstance(a, UPWord):
-            h = max(h, a.max_digit())
-            pos = a.second_nonzero_pos()
-            if pos is None:
-                raise NoSecondNonzero(f"{a!r} has fewer than two non-zero digits")
+            # a period holding a non-zero digit shows two within two periods
+            h, horizon = max(h, a.max_digit()), len(a.preperiod) + 2 * len(a.period) + 1
         else:
-            h = max(h, a.digit_max)
-            pos = None
-            seen_first = False
-            for n in range(1, _STREAM_SCAN_CAP + 1):
-                if a.digit(n) > 0:
-                    if seen_first:
-                        pos = n
-                        break
-                    seen_first = True
-            if pos is None:
-                raise NoSecondNonzero(
-                    f"{a!r} shows no second non-zero digit in {_STREAM_SCAN_CAP} places"
-                )
+            h, horizon = max(h, a.digit_max), _STREAM_SCAN_CAP
+        nonzero = (n for n in range(1, horizon + 1) if a.digit(n))
+        next(nonzero, None)
+        pos = next(nonzero, None)
+        if pos is None:
+            raise NoSecondNonzero(f"{a!r} shows no second non-zero digit in {horizon} places")
         ell = max(ell, pos)
     c_cap = h * lst.p + 1
     return BoundsCert(h, ell, c_cap, Fraction(c_cap**ell, c_cap**ell - 1))
@@ -147,10 +140,13 @@ def verify_value_one(
 ) -> tuple[IntervalReal, ...]:
     """Residual enclosures |val_{S^i(B)}(0 . a_i) - 1|, one per shift.
 
-    Ultimately periodic entries are evaluated in closed form.  Streams are
-    summed to `depth` digits with the tail enclosed by its declared digit
-    bound, so a wide residual that still contains 0 means "not refuted",
-    not "verified".
+    Ultimately periodic entries are evaluated in closed form.  On an exact
+    backend value 1 is decided: a residual that contains 0 without being
+    the point 0 is settled by the field, and a word not worth exactly 1
+    gets a residual refined until it excludes 0.  Streams, and words on an
+    interval-only base, are only enclosed (streams summed to `depth` digits
+    with the tail enclosed by their declared digit bound), so a residual
+    there that contains 0 means "not refuted", not "verified".
     """
     one = IntervalReal.exact(1)
     out = []
@@ -169,7 +165,14 @@ def verify_value_one(
             m = min(b.lo.as_fraction() for b in base.betas)
             tail_hi = Fraction(a.digit_max) / (prod_lo * (m - 1))
             enc = acc.add(IntervalReal.from_fractions(Fraction(0), tail_hi, prec))
-        out.append(_abs_interval(enc.sub(one)))
+        res = _abs_interval(enc.sub(one))
+        if isinstance(a, UPWord) and base.ops.exact and res.contains_zero() and not res.is_point():
+            # the enclosure cannot refute value 1, so the field decides it
+            field = base.ops.field
+            gap = field.sub(_val_word(base.ops, i, a), field.from_fraction(1))
+            if s := field.sign(gap):
+                res = _certified_enclosure(field, field.scalar_mul(s, gap), 1, base.prec)
+        out.append(res)
     return tuple(out)
 
 

@@ -68,7 +68,9 @@ class UPWord:
         return self.period[(n - 1 - len(self.preperiod)) % len(self.period)]
 
     def digits(self, count: int) -> Word:
-        return tuple(self.digit(n) for n in range(1, count + 1))
+        """Digits 1..count, sliced from the unrolled word."""
+        pre, per = self.preperiod, self.period
+        return (pre + per * (count // len(per) + 1))[:count]
 
     def is_zero_tail(self) -> bool:
         return self.period == (0,)
@@ -87,18 +89,6 @@ class UPWord:
         if d1 == 0:
             return False
         return not shift_suffix(self, 1).is_zero_word()
-
-    def second_nonzero_pos(self) -> int | None:
-        """Position of the second non-zero digit, scanning one period past the first."""
-        first = None
-        horizon = len(self.preperiod) + 2 * len(self.period) + 1
-        for n in range(1, horizon + 1):
-            if self.digit(n) != 0:
-                if first is None:
-                    first = n
-                else:
-                    return n
-        return None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UPWord):
@@ -120,19 +110,15 @@ def canonicalize(raw_preperiod: Sequence[int], raw_period: Sequence[int]) -> UPW
 LT, EQ, GT = -1, 0, 1
 
 
-def lex_compare_up(u: UPWord, v: UPWord, with_pos: bool = False):
-    """Compare two infinite words; returns LT/EQ/GT = -1/0/+1 (optionally with position).
+def lex_compare_up(u: UPWord, v: UPWord) -> int:
+    """Compare two infinite words; returns LT/EQ/GT = -1/0/+1.
 
     Agreement up to max(preperiod lengths) + lcm(period lengths) forces
-    equality, so the walk is finite.
+    equality, so prefixes of that length decide.
     """
     bound = max(len(u.preperiod), len(v.preperiod)) + lcm(len(u.period), len(v.period))
-    for n in range(1, bound + 1):
-        a, b = u.digit(n), v.digit(n)
-        if a != b:
-            r = 1 if a > b else -1
-            return (r, n) if with_pos else r
-    return (0, None) if with_pos else 0
+    a, b = u.digits(bound), v.digits(bound)
+    return (a > b) - (a < b)
 
 
 def shift_suffix(u: UPWord, j: int) -> UPWord:
@@ -305,14 +291,6 @@ class ParryReport:
         return not self.violations
 
 
-def _parry_bound(entries: Sequence[UPWord], p: int) -> int:
-    max_pre = max(len(a.preperiod) for a in entries)
-    l = p
-    for a in entries:
-        l = lcm(l, len(a.period))
-    return max_pre + l
-
-
 def check_parry(lst: ExpansionList, depth: int | None = None) -> ParryReport:
     """Check the lexicographic admissibility conditions of an expansion list.
 
@@ -320,52 +298,34 @@ def check_parry(lst: ExpansionList, depth: int | None = None) -> ParryReport:
     strictly when entry i is a greedy candidate.  For ultimately periodic
     entries the pairs (suffix word, target entry) recur with period
     lcm(period lengths, p) once j clears every preperiod, so checking up to
-    max preperiod + that lcm is complete.  Stream entries are checked up to
-    `depth` digit positions and the report is marked partial.
+    max preperiod + that lcm is complete.  A list with a stream entry is
+    checked for j up to `depth` (default 64) over windows of `depth` digits,
+    so every entry is read to 2 * depth digits, and the report is partial.
     """
-    p = lst.p
+    p, entries = lst.p, lst.entries
+    exact = lst.all_up()
+    if exact:
+        bound = max(len(a.preperiod) for a in entries) + lcm(p, *(len(a.period) for a in entries))
+    else:
+        bound = 64 if depth is None else depth
+    # no window below reaches past digit 2*bound: a word's window, max
+    # preperiod + the lcm of two periods, is at most bound
+    unrolled = [a.digits(2 * bound) for a in entries]
     violations: list[ParryViolation] = []
-
-    if lst.all_up():
-        entries = [a for a in lst.entries if isinstance(a, UPWord)]
-        bound = _parry_bound(entries, p)
-        # digits 1..2*bound of each entry; no window below reaches past them,
-        # since max preperiod + the lcm of any two periods is at most bound
-        unrolled = [a.preperiod + a.period * (2 * bound // len(a.period) + 1) for a in entries]
-        for i in range(p):
-            mode_strict = lst.mode(i) == GREEDY
-            pre, per = len(entries[i].preperiod), len(entries[i].period)
-            for j in range(1, bound + 1):
-                t = (i - j) % p
-                target = entries[t]
-                # two words that agree this far are equal (see lex_compare_up),
-                # so the first digit where the slices differ decides the pair
-                n = max(pre - j, len(target.preperiod)) + lcm(per, len(target.period))
-                suffix, head = unrolled[i][j:j + n], unrolled[t][:n]
-                if suffix > head or (suffix == head and mode_strict):
-                    pos = next((d for d, (x, y) in enumerate(zip(suffix, head), 1) if x != y), None)
-                    violations.append(ParryViolation(i, j, pos))
-        return ParryReport(p, tuple(violations), bound)
-
-    if depth is None:
-        depth = 64
-    for i in range(p):
+    for i, a in enumerate(entries):
         mode_strict = lst.mode(i) == GREEDY
-        a = lst.entries[i]
-        for j in range(1, depth + 1):
-            target = lst.entries[(i - j) % p]
-            decided = False
-            for n in range(1, depth + 1):
-                x, y = a.digit(j + n), target.digit(n)
-                if x != y:
-                    if x > y:
-                        violations.append(ParryViolation(i, j, n))
-                    decided = True
-                    break
-            if not decided and mode_strict:
-                # equality over the whole window; strict mode cannot confirm
-                violations.append(ParryViolation(i, j, None))
-    return ParryReport(p, tuple(violations), depth, partial=True)
+        for j in range(1, bound + 1):
+            t = (i - j) % p
+            n = bound
+            if exact:  # two words that agree this far are equal (see lex_compare_up)
+                b = entries[t]
+                n = max(len(a.preperiod) - j, len(b.preperiod)) + lcm(len(a.period), len(b.period))
+            suffix, head = unrolled[i][j:j + n], unrolled[t][:n]
+            if suffix > head or (suffix == head and mode_strict):
+                # None for an equality over the window
+                pos = next((d for d, (x, y) in enumerate(zip(suffix, head), 1) if x != y), None)
+                violations.append(ParryViolation(i, j, pos))
+    return ParryReport(p, tuple(violations), bound, partial=not exact)
 
 
 # -- textual form -------------------------------------------------------------

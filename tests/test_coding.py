@@ -513,6 +513,25 @@ def test_derive_qg_words_by_value(modulus):
     assert faithful_coding(base, 300) == sadic_limit(Directive(((1, 1),)), 300)
 
 
+@pytest.mark.parametrize(
+    "coeffs, zero",
+    [((-1, -1, 1), True), ((-3, 1), False)],
+    ids=["x^2-x-1", "x-3"],
+)
+def test_zero_test_keeps_the_factor_holding_the_root(coeffs, zero):
+    # the golden-times-(x-3) field above: a zero test that meets a factor of
+    # the modulus keeps x^2-x-1, the part holding the root, whichever factor
+    # it met, so B-integer numerators stay small
+    field = RealAlgebraicField(IsolatedRoot(IntPoly([3, 2, -4, 1]), Dyadic(3, -1), Dyadic(7, -2)))
+    phi = field.generator()
+    base = AlternateBase((field.enclosure(phi, 64),), ops=FieldOps(field, (phi,)), prec=64)
+    assert field.is_zero(field.reduce(coeffs)) is zero
+    assert field.modulus.coeffs == GOLDEN.coeffs
+    assert faithful_coding(base, 300) == sadic_limit(Directive(((1, 1),)), 300)
+    ints = enumerate_b_integers(base, 301)
+    assert max(abs(v).bit_length() for b in ints for v in b.exact[0]) <= 7
+
+
 # -- gap tables -------------------------------------------------------------------
 
 
@@ -573,8 +592,9 @@ def test_gap_table_memo_per_shift(monkeypatch):
     t2 = gap_table(base, 2)
     assert t2.m == 2
     assert (t2.pi, t2.alphabet, t2.values) == (t0.pi, t0.alphabet, t0.values)
+    # one call per distinct tail: the 16 rows of the shift-0 table have 2
     built = len(calls)
-    assert built == 16
+    assert built == 2
     assert gap_table(base, 0) == t0 and gap_table(base, 2) == t2
     assert len(calls) == built
     assert base.shifted(1)._gap_tables == {}
@@ -696,7 +716,8 @@ def test_coding_mul_and_row_counts(monkeypatch):
     monkeypatch.setattr(coding, "_val_word", val_word)
     faithful_coding(base, 1000)
     assert counts["mul"] <= 4 * 1000
-    assert counts["val_word"] == base.p * 16
+    # the 16 rows of the one table have the 2 tails (10)^w and (01)^w
+    assert counts["val_word"] == 2
 
 
 def test_coding_shallow_table_raises():

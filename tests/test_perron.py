@@ -592,11 +592,12 @@ def test_p5_field_is_built_on_the_perron_factor(monkeypatch):
             super().__init__(root)
             built.append(self.degree)
 
+        def _set_modulus(self, modulus, lo, hi):
+            if hasattr(self, "modulus"):  # set again after construction: a shrink
+                shrinks.append(modulus)
+            super()._set_modulus(modulus, lo, hi)
+
     monkeypatch.setattr(perron, "RealAlgebraicField", Recording)
-    real_shrink = RealAlgebraicField._shrink_modulus
-    monkeypatch.setattr(
-        RealAlgebraicField, "_shrink_modulus", lambda self, m: shrinks.append(m) or real_shrink(self, m)
-    )
     base, fp = synthesize_periodic(P5_ROW)
     assert fp.k == 65
     assert built == [6]

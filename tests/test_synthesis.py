@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from altbase.bases import AlternateBase
+from altbase.bases import AlternateBase, FieldOps
 from altbase.errors import DepthExhausted, NoSecondNonzero
 from altbase.expansion import quasi_greedy_expand_one, val_up
 from altbase.numerics import Dyadic, IntervalReal, IntPoly
@@ -313,6 +313,25 @@ def test_certificate_flags_violations():
     cert = certify(lst, base)
     assert cert.parry_ok == (False,)
     assert not cert.ok
+
+
+@pytest.mark.parametrize(
+    "lst",
+    [words(((), (2, 1, 1))), words(((), (2, 2)), ((), (3, 1)))],
+    ids=["(211)", "(22) (31)"],
+)
+def test_certify_decides_value_one_exactly(lst):
+    # beta_0 + 2^-1000 lies inside every printed enclosure, so only the
+    # field can tell that the words are no longer worth 1
+    base, _ = synthesize_periodic(lst)
+    assert certify(lst, base).ok
+    field = base.ops.field
+    nudged = field.add(base.ops.beta(0), field.from_fraction(Fraction(1, 2**1000)))
+    ops = FieldOps(field, (nudged, *base.ops.beta_elems[1:]))
+    cert = certify(lst, AlternateBase(base.betas, ops=ops, prec=base.prec))
+    assert cert.parry_ok == (True,) * lst.p
+    assert not cert.ok
+    assert not any(r.contains_zero() for r in cert.residuals)
 
 
 def test_distinct_lists_synthesize_disjoint_bases():

@@ -1,3 +1,4 @@
+from itertools import count
 from math import lcm
 
 from hypothesis import given, settings
@@ -254,8 +255,10 @@ def parry_reference(lst):
     for i in range(p):
         strict = lst.mode(i) == GREEDY
         for j in range(1, bound + 1):
-            cmp, pos = lex_compare_up(shift_suffix(entries[i], j), entries[(i - j) % p], True)
+            u, v = shift_suffix(entries[i], j), entries[(i - j) % p]
+            cmp = lex_compare_up(u, v)
             if cmp > 0 or (cmp == 0 and strict):
+                pos = next(n for n in count(1) if u.digit(n) != v.digit(n)) if cmp else None
                 violations.append(ParryViolation(i, j, pos))
     return tuple(violations), bound
 
@@ -279,6 +282,28 @@ def test_parry_report_matches_per_pair_reference(entries):
     report = check_parry(lst)
     assert (report.violations, report.checked_up_to) == parry_reference(lst)
     assert not report.partial
+
+
+@st.composite
+def quasi_greedy_candidates(draw):
+    """A candidate above 1 0^w whose period holds a non-zero digit."""
+    first = draw(st.integers(1, 3))
+    pre = draw(st.lists(st.integers(0, 3), max_size=4))
+    per = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
+    return W((first, *pre), per)
+
+
+@given(st.lists(quasi_greedy_candidates(), min_size=1, max_size=3))
+@settings(max_examples=200)
+def test_parry_streams_report_the_words_violations(entries):
+    # read as streams to the words' complete depth, quasi-greedy words give
+    # the same violations; a greedy word is left out, since a stream entry
+    # is never strict
+    report = check_parry(ExpansionList(tuple(entries)))
+    streams = ExpansionList(tuple(DigitStream(w.digit, description=repr(w)) for w in entries))
+    got = check_parry(streams, depth=report.checked_up_to)
+    assert got.partial and got.checked_up_to == report.checked_up_to
+    assert got.violations == report.violations
 
 
 def test_parry_stream_partial():
