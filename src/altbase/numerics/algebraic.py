@@ -24,6 +24,7 @@ from .polynomials import (
     IsolatedRoot,
     exact_div,
     int_divmod,
+    int_mul,
     int_poly_gcd,
     sturm_chain,
     sturm_count,
@@ -145,12 +146,7 @@ class RealAlgebraicField:
 
     def mul(self, a: Elem, b: Elem) -> Elem:
         (an, ad), (bn, bd) = a, b
-        out = [0] * (len(an) + len(bn) - 1)
-        for i, x in enumerate(an):
-            if x:
-                for j, y in enumerate(bn):
-                    out[i + j] += x * y
-        return _normal(self._rem(out), ad * bd)
+        return _normal(self._rem(int_mul(an, bn)), ad * bd)
 
     def scalar_mul(self, q: Fraction | int, a: Elem) -> Elem:
         n = q.numerator

@@ -15,7 +15,7 @@ about (p+1)k non-zero entries, so the rotation product, the primitivity
 test, the charpoly and the first row of adj(xI - Q) go through those
 entries only.  The fixed point is computed exactly.  Below its p digit
 rows Q is a shift by p plus at most p corner units, so its charpoly is a
-determinant on at most 2p rows (faddeev_leverrier reduces onto them).  Its
+p x p determinant over Z[x] (faddeev_leverrier eliminates the shift).  Its
 zero roots and cyclotomic factors (artefacts of padding the periods to a
 common length) are divided out first; the Perron root lambda of Q is
 isolated on what is left, and the field Q(lambda) is built on that same

@@ -310,9 +310,9 @@ def _dense_faddeev_leverrier(m):
 
 
 @st.composite
-def digit_rows_and_shapes(draw):
-    k = draw(st.integers(2, 7))
-    q = draw(st.integers(1, 3))
+def digit_rows_and_shapes(draw, max_k=7, max_q=3):
+    k = draw(st.integers(2, max_k))
+    q = draw(st.integers(1, max_q))
     h = draw(st.integers(1, k - 1))
     shape = ParryShape(h) if draw(st.booleans()) else FiniteShape()
     rows = [
@@ -322,8 +322,8 @@ def digit_rows_and_shapes(draw):
     return rows, shape
 
 
-def companion_seqs():
-    return digit_rows_and_shapes().map(lambda args: MatrixSeq(*args))
+def companion_seqs(max_k=7, max_q=3):
+    return digit_rows_and_shapes(max_k, max_q).map(lambda args: MatrixSeq(*args))
 
 
 @given(digit_rows_and_shapes())
@@ -342,9 +342,23 @@ def test_matrix_is_its_digit_row_and_shape(rows_shape):
         assert ms.sparse(n) == sparse_rows(a)
 
 
-@given(companion_seqs(), st.integers(0, 5))
+@given(companion_seqs(max_k=12, max_q=5), st.integers(0, 5))
+@example(
+    MatrixSeq(
+        [
+            [3, 1, 2, 0, 0, 1, 2, 0, 0, 1, 0, 2],
+            [1] * 12,
+            [2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3],
+            [1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0],
+            [2, 2, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1],
+        ],
+        ParryShape(11),
+    ),
+    3,
+)
 @settings(max_examples=60, deadline=None)
 def test_sparse_products_match_dense(ms, n):
+    # products of up to 5 factors of size up to 12, the Parry corner at h = k - 1 among them
     want = dense(ms.sparse(n), ms.k)
     for step in range(1, ms.q):
         want = _dense_mul(want, dense(ms.sparse(n - step), ms.k))
@@ -358,7 +372,7 @@ def test_sparse_products_match_dense(ms, n):
 
 @st.composite
 def square_matrices(draw):
-    """Small integer matrices mixing the row kinds the rome reduction tells apart.
+    """Small integer matrices mixing unit rows, which shrink the charpoly's determinant, and others.
 
     "cycle" rows are units that follow a permutation, so they close cycles
     of shift rows (all of them: a permutation matrix, the identity among
@@ -389,6 +403,11 @@ def square_matrices(draw):
 @example([[1, 1, 1], [2, 0, 0], [0, 1, 0]])
 @example([[0, -1], [1, 0]])
 @example([[0, 1, 0], [1, 0, 0], [1, 0, 0]])
+# a product of q = 2 companion factors plus a 1 at (4, 0), left of column n - q:
+# only t = 4 leaves every row i >= t the unit e_(i-t) below column n - t
+@example([[3, 0, 1, 1, 1], [2, 0, 1, 0, 1], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [1, 0, 1, 0, 0]])
+# no unit row, so t = n
+@example([[1, 2, 0, 1], [0, 3, 1, 0], [2, 0, 0, -1], [-1, 1, 2, 1]])
 @settings(max_examples=300, deadline=None)
 def test_charpoly_and_row_match_dense_recursion(m):
     chi, row = faddeev_leverrier(sparse_rows(m))
