@@ -159,28 +159,86 @@ COMMANDS = {
 }
 
 
+def _declarations(command: str) -> tuple:
+    """The function of one command, and its (name, add_argument keywords) in help order."""
+    if command == "code":
+        func, table = cmd_code, [
+            ("--directive", {"help": "eta blocks, e.g. '1,1' or '2,2;1,1'"}),
+            ("--base", {"nargs": "*", "default": (),
+                        "help": "expansion words to synthesize the base from"}),
+            ("--len", {"type": int, "required": True, "help": "prefix length"}),
+            ("--check", {"action": "store_true",
+                         "help": "cross-check the direct and S-adic codings"}),
+        ]
+    else:
+        func = cmd_validate if command == "validate" else cmd_synthesize
+        table = [
+            ("-p", {"type": int, "required": True, "help": "period"}),
+            ("words", {"nargs": "+", "help": "words a_0 a_1 ... as pre(period); '-' reads stdin"}),
+        ]
+        if command == "synthesize":
+            table.append(("--skip-parry", {"action": "store_true"}))
+    return func, table + [
+        ("--format", {"choices": ("json", "text"), "default": "text"}),
+        ("--tol", {"type": int, "default": DEFAULT_PREC, "metavar": "Q",
+                   "help": "target enclosure width 2^-Q, Q >= 8"}),
+        ("--depth", {"type": int, "default": 16 if command == "code" else None,
+                     "help": "suffix depth for validation, table depth for coding"}),
+    ]
+
+
 def _add_arguments(sp: argparse.ArgumentParser, command: str) -> None:
     """Declare the arguments of one command, on a subparser or a parser of its own."""
-    if command == "code":
-        sp.add_argument("--directive", help="eta blocks, e.g. '1,1' or '2,2;1,1'")
-        sp.add_argument("--base", nargs="*", default=(),
-                        help="expansion words to synthesize the base from")
-        sp.add_argument("--len", type=int, required=True, help="prefix length")
-        sp.add_argument("--check", action="store_true",
-                        help="cross-check the direct and S-adic codings")
-        func = cmd_code
-    else:
-        sp.add_argument("-p", type=int, required=True, help="period")
-        sp.add_argument("words", nargs="+", help="words a_0 a_1 ... as pre(period); '-' reads stdin")
-        if command == "synthesize":
-            sp.add_argument("--skip-parry", action="store_true")
-        func = cmd_validate if command == "validate" else cmd_synthesize
-    sp.add_argument("--format", choices=("json", "text"), default="text")
-    sp.add_argument("--tol", type=int, default=DEFAULT_PREC, metavar="Q",
-                    help="target enclosure width 2^-Q, Q >= 8")
-    sp.add_argument("--depth", type=int, default=16 if command == "code" else None,
-                    help="suffix depth for validation, table depth for coding")
+    func, table = _declarations(command)
+    for name, kwargs in table:
+        sp.add_argument(name, **kwargs)
     sp.set_defaults(command=command, func=func)
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _is_option(token: str) -> bool:
+    return token[:1] == "-" and token != "-"
+
+
+def _read(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """argparse's Namespace for a well-formed command line, else None: exact
+    spellings as `--opt value`, each at most once, one run of words, values
+    that int() and the choices take, and no other token that starts with '-'
+    than '-' itself.  Help, errors and all other spellings go to argparse."""
+    func, table = _declarations(argv[0])
+    declared = dict(table)
+    ns = argparse.Namespace(command=argv[0], func=func, **{
+        _dest(name): kw.get("default", False if "action" in kw else None) for name, kw in table})
+    seen, i = set(), 1
+    while i < len(argv):
+        name = argv[i] if _is_option(argv[i]) else "words"
+        kw = declared.get(name)
+        if kw is None or name in seen:
+            return None
+        seen.add(name)
+        start = i = i + (name != "words")
+        while i < len(argv) and not _is_option(argv[i]):
+            i += 1
+        if "action" in kw:  # a flag: any word after it starts the run of words
+            i, value = start, True
+        elif "nargs" in kw:
+            value = list(argv[start:i])
+        elif i == start:
+            return None
+        else:  # one value, and any word after it starts the run of words
+            i = start + 1
+            try:
+                value = kw.get("type", str)(argv[start])
+            except ValueError:
+                return None
+            if "choices" in kw and value not in kw["choices"]:
+                return None
+        setattr(ns, _dest(name), value)
+    required = {name for name, kw in table if kw.get("required") or kw.get("nargs") == "+"}
+    return ns if required <= seen else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,30 +256,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # a named command parses with its own parser, built fresh on every
-        # call; help and usage errors the parent reports come from the full
-        # tree, so they keep its usage line
+        # a well-formed command line is read from the declaration table; any
+        # other goes to its command's own parser, built fresh on every call, or
+        # to the full tree, so every help and error text is argparse's
         ns = rest = None
         if argv and argv[0] in COMMANDS:
-            parser = argparse.ArgumentParser(prog="altbase " + argv[0])
-            _add_arguments(parser, argv[0])
-            ns, rest = parser.parse_known_args(argv[1:])
+            ns = _read(argv)
+            if ns is None:
+                parser = argparse.ArgumentParser(prog="altbase " + argv[0])
+                _add_arguments(parser, argv[0])
+                ns, rest = parser.parse_known_args(argv[1:])
         if ns is None or rest:
             ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(ns, "tol", DEFAULT_PREC) < 8:
-        sys.stderr.write("error: --tol must be at least 8\n")
-        return EXIT_PARSE
-    if getattr(ns, "p", 1) < 1:
-        sys.stderr.write("error: -p must be at least 1\n")
-        return EXIT_PARSE
-    if getattr(ns, "len", 0) < 0:
-        sys.stderr.write("error: --len must be non-negative\n")
-        return EXIT_PARSE
-    if ns.command == "code" and ns.depth < 1:
-        sys.stderr.write("error: --depth must be at least 1\n")
-        return EXIT_PARSE
+    for option, least in (("--tol", 8), ("-p", 1), ("--len", 0), ("--depth", 1)):
+        value = getattr(ns, _dest(option), None)  # None: not an option of ns.command
+        if value is not None and value < least:
+            bound = "non-negative" if least == 0 else f"at least {least}"
+            sys.stderr.write(f"error: {option} must be {bound}\n")
+            return EXIT_PARSE
     try:
         return ns.func(ns)
     except AltBaseError as exc:

@@ -18,11 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altbase import errors
+from altbase import cli, errors
 from altbase.cli import main
 from altbase.coding import Directive, sadic_limit
 from altbase.numerics import IntPoly
 from test_numerics import eval_fraction
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import cli_bytes  # noqa: E402  (tools/ is not a package)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "certificate.schema.json")
@@ -230,6 +233,14 @@ def test_code_nonpositive_depth_exits_two(capsys, source, depth):
     assert err == "error: --depth must be at least 1\n"
 
 
+@pytest.mark.parametrize("cmd", ["validate", "synthesize"])
+@pytest.mark.parametrize("depth", ["0", "-5"])
+def test_word_list_nonpositive_depth_exits_two(capsys, cmd, depth):
+    code, out, err = run(capsys, cmd, "-p", "1", "(21)", "--depth", depth)
+    assert (code, out) == (2, "")
+    assert err == "error: --depth must be at least 1\n"
+
+
 SOURCES = (
     ("--directive", "1,1"),
     ("--directive", "2,2;1,1"),
@@ -327,13 +338,23 @@ def test_parser_output_is_pinned(capsys, monkeypatch, pin):
     assert run(capsys, *pin["argv"]) == (pin["exit"], pin["stdout"], pin["stderr"])
 
 
-@pytest.mark.parametrize("argv", [
-    ("validate", "-p", "2", "(21)", "(12)"),
-    ("synthesize", "-p", "1", "(21)", "--format", "json"),
-    ("code", "--directive", "1,1", "--len", "13"),
-], ids=lambda argv: argv[0])
-def test_a_command_builds_its_parser_alone_and_anew(capsys, monkeypatch, argv):
-    # one parser per well-formed call, and a new one on the next call: no cache
+FULL_TREE = ["altbase", "altbase validate", "altbase synthesize", "altbase code"]
+
+
+@pytest.mark.parametrize("argv, code, parsers", [
+    (("validate", "-p", "2", "(21)", "(12)"), 0, []),
+    (("synthesize", "-p", "1", "(21)", "--format", "json"), 0, []),
+    (("code", "--directive", "1,1", "--len", "13"), 0, []),
+    # outside the reader's subset: an abbreviation, --opt=value, split words
+    (("validate", "-p", "2", "(21)", "(12)", "--form", "json"), 0, ["altbase validate"]),
+    (("synthesize", "-p", "1", "(21)", "--tol=64"), 0, ["altbase synthesize"]),
+    (("validate", "-p", "2", "(21)", "--format", "json", "(12)"), 2,
+     ["altbase validate", *FULL_TREE]),
+], ids=["validate", "synthesize", "code", "abbreviation", "equals", "split-words"])
+def test_a_command_builds_its_parser_alone_and_anew(capsys, monkeypatch, argv, code, parsers):
+    # a well-formed line builds no parser; any other builds its command's
+    # parser, and the full tree only if that parser leaves something over;
+    # the next call builds them all again: no cache
     built = []
     real = argparse.ArgumentParser.__init__
 
@@ -342,10 +363,75 @@ def test_a_command_builds_its_parser_alone_and_anew(capsys, monkeypatch, argv):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert run(capsys, *argv)[0] == 0
-    assert built == [f"altbase {argv[0]}"]
-    assert run(capsys, *argv)[0] == 0
-    assert len(built) == 2
+    for _ in range(2):
+        built.clear()
+        assert run(capsys, *argv)[0] == code
+        assert built == parsers
+
+
+def _standalone_parse(argv):
+    parser = argparse.ArgumentParser(prog="altbase " + argv[0])
+    cli._add_arguments(parser, argv[0])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return parser.parse_known_args(argv[1:])
+
+
+def _typed(ns):
+    return {key: (type(value), value) for key, value in vars(ns).items()}
+
+
+def _assert_reader_matches_argparse(argv_list):
+    """The reader's Namespace, where it gives one, is argparse's; returns how many."""
+    accepted = 0
+    for argv in argv_list:
+        ns = cli._read(argv)
+        if ns is not None:
+            accepted += 1
+            parsed, rest = _standalone_parse(argv)
+            assert (rest, _typed(ns)) == ([], _typed(parsed)), argv
+    return accepted
+
+
+def test_reader_reads_every_benchmark_argv_as_argparse_does():
+    argv_list = cli_bytes.benchmark_argv()
+    assert _assert_reader_matches_argparse(argv_list) == len(argv_list)
+
+
+def test_reader_matches_argparse_on_the_pins():
+    argv_list = [argv for argv in cli_bytes.pin_argv() if argv and argv[0] in cli.COMMANDS]
+    assert _assert_reader_matches_argparse(argv_list) >= 1
+
+
+def test_reader_matches_argparse_on_near_misses():
+    argv_list = cli_bytes.near_miss_argv(1, 8000)
+    accepted = _assert_reader_matches_argparse(argv_list)
+    assert 0 < accepted < len(argv_list)  # both paths are exercised
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "-p", "١", "(21)"),  # Arabic-Indic one: int() takes it
+    ("validate", "-p", "+1", "(21)", "--tol", " 64"),
+    ("synthesize", "-p", "1", "(21)", "--tol", "6_4"),
+    ("code", "--directive", "1,1", "--base", "--len", "5"),
+])
+def test_reader_takes_what_int_takes(argv):
+    assert _assert_reader_matches_argparse([argv]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "-p", "7" * 4301, "(21)"),  # int() refuses over 4,300 digits
+    ("validate", "-p", "2", "(21)", "--", "(12)"),
+    ("validate", "-p", "-3", "(21)"),
+    ("validate", "-p2", "(21)"),
+    ("validate", "-p", "1", "(21)", "--format", "JSON"),
+    ("validate", "-p", "1", "(21)", "--depth", "3", "--depth", "4"),
+    ("synthesize", "-p", "1", "(21)", "--skip-parry", "--skip-parry"),
+    ("code", "--directive", "1,1", "--len", "5", "x"),
+    ("code", "--directive", "1,1"),  # --len is required
+    ("validate", "-h"),
+])
+def test_reader_leaves_the_rest_to_argparse(argv):
+    assert cli._read(argv) is None
 
 
 def test_entry_point_matches_in_process(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Fingerprint the CLI's bytes on every benchmark argv.
+"""Fingerprint the CLI's bytes on every benchmark argv and around them.
 
     python3 tools/cli_bytes.py SRC OUT
 
@@ -6,7 +6,10 @@ SRC is the `src` directory of the checkout to run (so two checkouts can be
 compared with one copy of this script), OUT the file to write.  The argv
 are every distinct argv of the four workloads of perfbench/jobs.py at
 seeds 1-3, plus the text form of each JSON job (`--format text` in place of
-`--format json`).  Each one runs in-process through `altbase.cli.main`
+`--format json`), then the argv of tests/cli_pins.json, then a fixed-seed
+sample of `near_miss_argv`: command lines one or two edits away from
+well-formed ones, which probe where the CLI's own reader hands a line to
+argparse.  Each one runs in-process through `altbase.cli.main`
 with COLUMNS=80 and an empty stdin, and OUT gets one line per argv: the
 sha256 of (exit code, stdout, stderr), then the argv as JSON.  Two runs
 over the same perfbench/jobs.py list the same argv in the same order, so
@@ -20,10 +23,95 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (1, 2, 3)
+NEAR_MISS_SEED, NEAR_MISS_SAMPLE = 0, 400
+
+# quick well-formed command lines that near_miss_argv edits
+WELL_FORMED = (
+    ["validate", "-p", "2", "(21)", "(12)"],
+    ["validate", "-p", "1", "120(0)", "--format", "json", "--depth", "8"],
+    ["synthesize", "-p", "1", "(21)", "--tol", "64"],
+    ["synthesize", "-p", "2", "(21)", "(12)", "--skip-parry", "--format", "json"],
+    ["code", "--directive", "1,1", "--len", "13", "--check"],
+    ["code", "--base", "(2)", "--len", "5", "--format", "json"],
+    ["code", "--len", "20", "--directive", "2,2;1,1", "--depth", "16", "--tol", "64"],
+)
+OPTIONS = ("-p", "--format", "--tol", "--depth", "--directive", "--base", "--len",
+           "--check", "--skip-parry")
+INTEGER = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")  # Arabic-Indic digits
+
+
+def _int_spelling(rng: random.Random, value: str) -> str:
+    """Another spelling of an int value; int() takes all but the last three."""
+    return rng.choice([
+        "+" + value, " " + value, value + " ", "0" + value, value.translate(INTEGER),
+        value[:1] + "_" + value[1:] if len(value) > 1 else value,
+        "-" + value, "7" * 4301, "0x10", "1e3",
+    ])
+
+
+def _edit(rng: random.Random, argv: list[str]) -> list[str]:
+    """argv after one random edit at the grammar's edges."""
+    argv = list(argv)
+    at = rng.randrange(1, len(argv) + 1)
+    opts = [i for i, t in enumerate(argv) if t in OPTIONS]
+    valued = [i for i in opts if i + 1 < len(argv) and argv[i] not in ("--check", "--skip-parry")]
+    kind = rng.randrange(13)
+    if kind == 0 and opts:  # an abbreviation, or a wrong case
+        i = rng.choice(opts)
+        argv[i] = rng.choice([argv[i][:rng.randrange(2, max(3, len(argv[i])))], argv[i].upper()])
+    elif kind == 1 and valued:  # --tol=64, -p2
+        i = rng.choice(valued)
+        argv[i:i + 2] = [argv[i] + rng.choice(["=", ""]) + argv[i + 1]]
+    elif kind == 2 and valued:  # an int spelled otherwise, or a choice in upper case
+        i = rng.choice(valued) + 1
+        argv[i] = argv[i].upper() if argv[i] in ("json", "text") else _int_spelling(rng, argv[i])
+    elif kind == 3 and opts:  # an option or flag given twice
+        i = rng.choice(opts)
+        argv[at:at] = argv[i:i + 1 + (i in valued)]
+    elif kind == 4:  # the last token moved to a random place
+        argv.insert(at - (at == len(argv)), argv.pop())
+    elif kind == 5:  # a separator, stdin, or an empty word
+        argv.insert(at, rng.choice(["--", "-", ""]))
+    elif kind == 6:  # help, an unknown option, a negative number
+        argv.insert(at, rng.choice(["-h", "--help", "--bogus", "-x", "-3"]))
+    elif kind == 7:  # another command, the same arguments
+        argv[0] = rng.choice(["validate", "synthesize", "code"])
+    elif kind == 8:  # a token dropped
+        del argv[max(at - 1, 1)]
+    elif kind == 9:  # --base with no words
+        argv += ["--base"] if "--base" not in argv else []
+        i = argv.index("--base") + 1
+        while i < len(argv) and not argv[i].startswith("-"):
+            del argv[i]
+    elif kind == 10:  # a depth below 1
+        argv += ["--depth", rng.choice(["0", "-5", "1"])]
+    elif kind == 11:  # a flag of another command
+        argv.insert(at, rng.choice(["--check", "--skip-parry"]))
+    elif kind == 12:  # a bare word at a random place
+        argv.insert(at, rng.choice(["(21)", "(1)", "x"]))
+    return argv
+
+
+def near_miss_argv(seed: int, count: int) -> list[list[str]]:
+    """count command lines, each one or two seeded edits from WELL_FORMED."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        argv = rng.choice(WELL_FORMED)
+        for _ in range(rng.randint(1, 2)):
+            argv = _edit(rng, argv)
+        out.append(argv)
+    return out
+
+
+def pin_argv() -> list[list[str]]:
+    with open(os.path.join(HERE, os.pardir, "tests", "cli_pins.json"), encoding="utf-8") as fh:
+        return [pin["argv"] for pin in json.load(fh)]
 
 
 def benchmark_argv() -> list[list[str]]:
@@ -63,7 +151,8 @@ def main(args: list[str]) -> int:
         return 2
     src, path = args
     os.environ["COLUMNS"] = "80"
-    all_argv = benchmark_argv()
+    all_argv = (benchmark_argv() + pin_argv()
+                + near_miss_argv(NEAR_MISS_SEED, NEAR_MISS_SAMPLE))
     sys.path.insert(0, os.path.abspath(src))
     from altbase.cli import main as cli_main
 
