@@ -205,13 +205,25 @@ class RealAlgebraicField:
     # -- enclosures ---------------------------------------------------------
 
     def _horner(self, a: Elem, bits: int) -> IntervalReal:
-        """One interval Horner pass over the root bracket as it stands, at `bits`."""
+        """One interval Horner pass over the root bracket as it stands, at `bits`.
+
+        In fixed point: the accumulator is [lo, hi] * 2**-bits and the
+        bracket [xlo, xhi] * 2**e with e <= 0, in integers.  Each step
+        rounds the least and the greatest of the four products outward onto
+        the grid by a shift and adds n/den rounded outward, so the endpoints
+        are those of IntervalReal's mul and add at `bits`.
+        """
         nums, den = self._reduced(a)
-        x = self.root.enclosure()
-        acc = IntervalReal.exact(0)
+        rlo, rhi = self.root.lo, self.root.hi
+        e = min(rlo.e, rhi.e, 0)
+        xlo, xhi = rlo.m << (rlo.e - e), rhi.m << (rhi.e - e)
+        lo = hi = 0
         for n in reversed(nums):
-            acc = acc.mul(x, bits).add(IntervalReal.from_ratio(n, den, bits), bits)
-        return acc
+            cands = (lo * xlo, lo * xhi, hi * xlo, hi * xhi)
+            lo, hi = min(cands) >> -e, -(-max(cands) >> -e)
+            lo += (n << bits) // den
+            hi -= (-n << bits) // den
+        return IntervalReal(Dyadic(lo, -bits), Dyadic(hi, -bits))
 
     def enclosure(self, a: Elem, prec: int = DEFAULT_PREC) -> IntervalReal:
         """Interval around the element's value, at most 2**-prec wide."""

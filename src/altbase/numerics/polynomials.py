@@ -76,9 +76,12 @@ class IntPoly:
         return "IntPoly(" + " ".join(parts) + ")"
 
     def eval_dyadic_sign(self, x: Dyadic) -> int:
-        if x.e >= 0:
-            return _sign_at(self.coeffs, x.m << x.e, 1)
-        return _sign_at(self.coeffs, x.m, 1 << -x.e)
+        # _sign_at(coeffs, m, 2**s), with the powers of 2**s as shifts
+        m, s = (x.m << x.e, 0) if x.e >= 0 else (x.m, -x.e)
+        acc = 0
+        for j, c in enumerate(reversed(self.coeffs)):
+            acc = acc * m + (c << s * j)
+        return (acc > 0) - (acc < 0)
 
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -489,25 +492,25 @@ def refine_root_bisect(p: IntPoly, lo: Dyadic, hi: Dyadic, prec: int) -> Interva
     w = hi - lo
     n = max(0, w.e + prec + (w.m - 1).bit_length())
     cell = Dyadic(w.m, w.e - n)
-    start = Dyadic(1, -_NEWTON_BITS)
-    guessed = False
-    while n > 0:
-        if not guessed and hi - lo <= start:
-            guessed = True
-            x = _newton_guess(p, lo, hi, prec)
-            got = _snap(p, lo, slo, cell, x) if x is not None else None
+    # the bracket is [L, L + W] * 2**e, in integers; it is 2**-40 wide or
+    # less from the halving `guess` on
+    e = min(lo.e, hi.e)
+    L, W = lo.m << (lo.e - e), w.m << (w.e - e)
+    guess = max(0, w.e + _NEWTON_BITS + (w.m - 1).bit_length())
+    for k in range(n):
+        if k == guess:
+            x = _newton_guess(p, Dyadic(L, e), Dyadic(L + W, e), prec)
+            got = _snap(p, Dyadic(L, e), slo, cell, x) if x is not None else None
             if got is not None:
                 return got
-        mid = Dyadic((lo + hi).m, (lo + hi).e - 1)
+        L, e = 2 * L, e - 1
+        mid = Dyadic(L + W, e)
         smid = p.eval_dyadic_sign(mid)
         if smid == 0:
             return IntervalReal(mid, mid)
         if smid == slo:
-            lo = mid
-        else:
-            hi = mid
-        n -= 1
-    return IntervalReal(lo, hi)
+            L += W
+    return IntervalReal(Dyadic(L, e), Dyadic(L + W, e))
 
 
 class IsolatedRoot:

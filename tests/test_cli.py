@@ -715,10 +715,11 @@ def test_every_error_exits_with_its_documented_code(capsys, monkeypatch):
 
 
 def test_refinement_sign_evaluation_count(capsys, monkeypatch):
-    # a Newton guess snapped to the bisection grid: a few dozen exact signs, not one per bit
+    # a Newton guess snapped to the bisection grid: a few dozen exact signs, not
+    # one per bit; the exact count pins the halving at which the guess starts
     calls = []
     real = IntPoly.eval_dyadic_sign
     monkeypatch.setattr(IntPoly, "eval_dyadic_sign", lambda self, x: calls.append(x) or real(self, x))
     code, _, _ = run(capsys, "synthesize", "-p", "1", "(21)", "--format", "json", "--tol", "4096")
     assert code == 0
-    assert len(calls) <= 200
+    assert len(calls) == 53

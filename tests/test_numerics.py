@@ -1,8 +1,8 @@
 from fractions import Fraction
 from functools import reduce
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd, isqrt, lcm
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -263,6 +263,24 @@ def test_eval_dyadic_sign_matches_fraction(coeffs, m, e):
     assert p.eval_dyadic_sign(x) == (v > 0) - (v < 0)
 
 
+@st.composite
+def _points_near_roots(draw):
+    """(coeffs, m, s): an odd m, and a polynomial with a root within 2**(1-s) of m / 2**s."""
+    s = draw(st.integers(1, 600))
+    m = 2 * draw(st.integers(-(2 << s), 2 << s)) + 1
+    near = [-(m + draw(st.integers(-2, 2))), 1 << s]
+    return _poly_mul(draw(st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=6)), near), m, s
+
+
+@given(_points_near_roots())
+@settings(max_examples=200)
+def test_shift_horner_sign_matches_sign_at(point):
+    # an odd mantissa keeps the exponent at -s, so the shift Horner runs
+    coeffs, m, s = point
+    p = IntPoly(coeffs)
+    assert p.eval_dyadic_sign(Dyadic(m, -s)) == polynomials._sign_at(p.coeffs, m, 1 << s)
+
+
 def test_nonroot_near_gives_up_with_undecidable():
     with pytest.raises(Undecidable, match="512 bits"):
         _nonroot_near(IntPoly([]), Fraction(1), Fraction(0), Fraction(2))
@@ -347,13 +365,43 @@ def isolated_roots(draw):
     return p, lo, hi
 
 
+SQRT2 = IntPoly([-2, 0, 1])
+_S = isqrt(2 << 84)  # floor(sqrt(2) * 2**42)
+
+
 @given(isolated_roots(), st.integers(8, 3000))
 @settings(max_examples=60, deadline=None)
+# the Newton guess comes before the first halving on a bracket 2**-40 or
+# 3 * 2**-42 wide and after it on one 5 * 2**-42 wide
+@example((SQRT2, Dyadic(_S - 1, -42), Dyadic(_S + 3, -42)), 200)
+@example((SQRT2, Dyadic(_S - 1, -42), Dyadic(_S + 2, -42)), 200)
+@example((SQRT2, Dyadic(_S - 2, -42), Dyadic(_S + 3, -42)), 200)
+@example((IntPoly([-5, 0, 1]), Dyadic(2), Dyadic(4)), 8)  # ends with exponents 1 and 2
+@example((IntPoly([-5, 0, 1]), Dyadic(2), Dyadic(4)), 100)
 def test_refine_matches_bisection(root, prec):
     p, lo, hi = root
     got = refine_root_bisect(p, lo, hi, prec)
     want = _bisect_reference(p, lo, hi, prec)
     assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+@pytest.mark.parametrize("lo, hi, width", [
+    (Dyadic(_S - 1, -42), Dyadic(_S + 3, -42), Dyadic(1, -40)),
+    (Dyadic(_S - 1, -42), Dyadic(_S + 2, -42), Dyadic(3, -42)),
+    (Dyadic(_S - 2, -42), Dyadic(_S + 3, -42), Dyadic(5, -43)),
+    (Dyadic(1), Dyadic(2), Dyadic(1, -40)),
+])
+def test_newton_guess_starts_on_the_first_bracket_at_most_2_40_wide(monkeypatch, lo, hi, width):
+    seen = []
+    real = polynomials._newton_guess
+
+    def recording(p, lo, hi, prec):
+        seen.append(hi - lo)
+        return real(p, lo, hi, prec)
+
+    monkeypatch.setattr(polynomials, "_newton_guess", recording)
+    refine_root_bisect(SQRT2, lo, hi, 200)
+    assert seen == [width]
 
 
 def test_refine_root_on_a_deep_grid_point():
@@ -770,10 +818,28 @@ def test_round_down_and_up_are_floor_and_ceil(m, e, prec):
     assert x.round_up(prec) == Dyadic(ceil(scaled), -prec)
 
 
-@given(st.sampled_from(["golden", "cubic", "p5", "golden*(x-3)"]), _coeffs, st.integers(1, 400))
-@settings(max_examples=80, deadline=None)
-def test_enclosure_matches_the_from_fraction_horner(case, coeffs, prec):
-    f = _field_case(case)[0]
+# (modulus, bracket) of fields whose bracket is not a positive one from isolate_dominant
+_BRACKETS = {
+    "negative root": ([-1, 1, 1], Dyadic(-2), Dyadic(-1)),  # x^2 + x - 1 on [-2, -1]
+    "straddles 0": ([-1, 3, 1], Dyadic(-1), Dyadic(1)),  # x^2 + 3x - 1 on [-1, 1]
+    "integer ends": ([-5, 0, 1], Dyadic(2), Dyadic(4)),  # x^2 - 5 on [2, 4]: exponents 1 and 2
+    "integer root": ([-6, 1, 1], Dyadic(2), Dyadic(2)),  # (x + 3)(x - 2) at the point 2
+}
+
+
+@given(st.sampled_from(["golden", "cubic", "p5", "golden*(x-3)", *_BRACKETS]), _coeffs,
+       st.integers(1, 400), st.sampled_from([None, 3, 70]))
+@settings(max_examples=120, deadline=None)
+def test_enclosure_matches_the_from_fraction_horner(case, coeffs, prec, refine):
+    # the integer Horner against IntervalReal's at every sign of the bracket
+    # and of the accumulator, on brackets whose ends have exponents < 0 and > 0
+    if case in _BRACKETS:
+        poly, lo, hi = _BRACKETS[case]
+        f = RealAlgebraicField(IsolatedRoot(IntPoly(poly), lo, hi))
+    else:
+        f = _field_case(case)[0]
+    if refine is not None:
+        f.root.refine(refine)
     a = f.reduce(coeffs)
     bits, x = max(prec + 16, 48), f.root.enclosure()
     got = f._horner(a, bits)
