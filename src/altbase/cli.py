@@ -188,7 +188,7 @@ def _declarations(command: str) -> tuple:
 
 
 def _add_arguments(sp: argparse.ArgumentParser, command: str) -> None:
-    """Declare the arguments of one command, on a subparser or a parser of its own."""
+    """Declare the arguments of one command on its subparser."""
     func, table = _declarations(command)
     for name, kwargs in table:
         sp.add_argument(name, **kwargs)
@@ -257,16 +257,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         # a well-formed command line is read from the declaration table; any
-        # other goes to its command's own parser, built fresh on every call, or
-        # to the full tree, so every help and error text is argparse's
-        ns = rest = None
-        if argv and argv[0] in COMMANDS:
-            ns = _read(argv)
-            if ns is None:
-                parser = argparse.ArgumentParser(prog="altbase " + argv[0])
-                _add_arguments(parser, argv[0])
-                ns, rest = parser.parse_known_args(argv[1:])
-        if ns is None or rest:
+        # other goes to the full parser, built fresh on every call, so every
+        # help and error text is argparse's
+        ns = _read(argv) if argv and argv[0] in COMMANDS else None
+        if ns is None:
             ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)

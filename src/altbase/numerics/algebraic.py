@@ -169,8 +169,7 @@ class RealAlgebraicField:
         if self.root.is_exact():
             holds = g.eval_dyadic_sign(self.root.lo) == 0
         else:
-            lo, hi = self.root.lo.as_fraction(), self.root.hi.as_fraction()
-            holds = sturm_count(sturm_chain(g), lo, hi) >= 1
+            holds = sturm_count(sturm_chain(g), self.root.lo, self.root.hi) >= 1
         self._set_modulus(g if holds else exact_div(self.modulus, g), self.root.lo, self.root.hi)
         return holds
 

@@ -4,28 +4,29 @@ Coefficients are stored in ascending order, and Z[x] has one product
 (int_mul) and one division (int_divmod).  A characteristic polynomial is a
 small determinant over Z[x] taken by fraction-free elimination, so no
 fraction or power series appears.  Root work is done with exact sign
-evaluations at rational points, in integers only, plus Sturm-sequence
+evaluations at dyadic points, in integers only, plus Sturm-sequence
 counting, so every returned enclosure is certified.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import floor, gcd, isqrt
+from functools import cache
+from math import gcd, isqrt
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from ..errors import NoSignChange, Undecidable
-from .intervals import DEFAULT_PREC, Dyadic, IntervalReal
+from .intervals import DEFAULT_PREC, ONE, Dyadic, IntervalReal
+
+_HALF = Dyadic(1, -1)
 
 
-def _sign_at(coeffs: Sequence[int], n: int, d: int) -> int:
-    """Sign of p(n/d) for d > 0: homogeneous Horner on d**deg * p(n/d) in ints."""
+def _sign_at(coeffs: Sequence[int], x: Dyadic) -> int:
+    """Sign of p(m * 2**-s): Horner on 2**(s*deg) * p in ints, the powers of 2**s as shifts."""
+    m, s = (x.m << x.e, 0) if x.e >= 0 else (x.m, -x.e)
     acc = 0
-    dk = 1
-    for c in reversed(coeffs):
-        acc = acc * n + c * dk
-        dk *= d
+    for j, c in enumerate(reversed(coeffs)):
+        acc = acc * m + (c << s * j)
     return (acc > 0) - (acc < 0)
 
 
@@ -76,12 +77,7 @@ class IntPoly:
         return "IntPoly(" + " ".join(parts) + ")"
 
     def eval_dyadic_sign(self, x: Dyadic) -> int:
-        # _sign_at(coeffs, m, 2**s), with the powers of 2**s as shifts
-        m, s = (x.m << x.e, 0) if x.e >= 0 else (x.m, -x.e)
-        acc = 0
-        for j, c in enumerate(reversed(self.coeffs)):
-            acc = acc * m + (c << s * j)
-        return (acc > 0) - (acc < 0)
+        return _sign_at(self.coeffs, x)
 
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -263,19 +259,27 @@ def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a)
 
 
+def _remainders(a: IntPoly, b: IntPoly) -> list[IntPoly]:
+    """a, b and then -rem(previous two) made primitive until a zero remainder.
+
+    Each new member is minus a positive multiple of the remainder, divided
+    by its (positive) content.  Zero members are left out; the last one is
+    a gcd of a and b.
+    """
+    chain = [a, b]
+    while chain[-1].degree > 0:
+        rem = _pseudo_rem(chain[-2].coeffs, chain[-1].coeffs)
+        if not rem:
+            break
+        g = _content(rem)
+        chain.append(IntPoly(-v // g for v in rem))
+    return [c for c in chain if not c.is_zero()]
+
+
 def int_poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Primitive gcd of two integer polynomials (positive leading coeff)."""
-    a, b = _primitive(p.coeffs), _primitive(q.coeffs)
-    if not a:
-        return IntPoly(b)
-    if not b:
-        return IntPoly(a)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive(r)
-    return IntPoly(a)
+    """Primitive gcd of two integer polynomials (positive leading coeff), from their remainders."""
+    chain = _remainders(p, q)
+    return IntPoly(_primitive(chain[-1].coeffs) if chain else ())
 
 
 def exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
@@ -287,44 +291,36 @@ def exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
-    g = int_poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return IntPoly(_primitive(p.coeffs))
-    return IntPoly(_primitive(exact_div(IntPoly(_primitive(p.coeffs)), g).coeffs))
+    """prim(p) over the primitive last member of its Sturm chain, gcd(p, p'); 0 for 0.
+
+    Both lead positive, so by Gauss the quotient is primitive and integral.
+    """
+    chain = sturm_chain(p)
+    if not chain:
+        return p
+    return exact_div(IntPoly(_primitive(p.coeffs)), IntPoly(_primitive(chain[-1].coeffs)))
 
 
 # -- Sturm sequences ---------------------------------------------------------
 
 
 def sturm_chain(p: IntPoly) -> list[IntPoly]:
-    """Sturm chain of the squarefree part of p (so counts are of distinct roots)."""
-    return _sturm_chain(squarefree_part(p))
+    """p, p' and their signed remainders: the Sturm chain of p itself.
 
-
-def _sturm_chain(sf: IntPoly) -> list[IntPoly]:
-    """Sturm chain of a squarefree sf.
-
-    Each member is -rem(previous two) made primitive: minus a positive
-    multiple of the remainder, divided by its (positive) content.
+    Its last member is gcd(p, p') up to a constant.  At non-roots of p its
+    variations count distinct roots even when p is not squarefree (Basu,
+    Pollack & Roy, Algorithms in Real Algebraic Geometry, ch. 2).
     """
-    chain = [sf, sf.derivative()]
-    while chain[-1].degree > 0:
-        rem = _pseudo_rem(chain[-2].coeffs, chain[-1].coeffs)
-        if not rem:
-            break
-        g = _content(rem)
-        chain.append(IntPoly(-v // g for v in rem))
-    return [c for c in chain if not c.is_zero()]
+    return _remainders(p, p.derivative())
 
 
-def _variations(chain: Sequence[IntPoly], x: Fraction) -> int:
-    n, d = x.numerator, x.denominator
-    signs = [s for s in (_sign_at(poly.coeffs, n, d) for poly in chain) if s]
+def _variations(chain: Sequence[IntPoly], x: Dyadic) -> int:
+    signs = [s for s in (_sign_at(poly.coeffs, x) for poly in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(chain: Sequence[IntPoly], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b]."""
+def sturm_count(chain: Sequence[IntPoly], a: Dyadic, b: Dyadic) -> int:
+    """Number of distinct real roots in (a, b], for non-roots a and b."""
     if a >= b:
         return 0
     return _variations(chain, a) - _variations(chain, b)
@@ -340,48 +336,46 @@ _GUARD_BITS = 32
 _BRACKET_BITS_MAX = 4096
 
 
-def _nonroot_near(p: IntPoly, x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
+def _nonroot_near(p: IntPoly, x: Dyadic, lo: Dyadic, hi: Dyadic) -> Dyadic:
     """A point near x inside [lo, hi] where p does not vanish."""
-    if _sign_at(p.coeffs, x.numerator, x.denominator) != 0:
+    if _sign_at(p.coeffs, x) != 0:
         return x
     span = hi - lo
     k = 4
     while True:
-        for delta in (span / 2**k, -span / 2**k):
-            cand = x + delta
-            if lo <= cand <= hi and _sign_at(p.coeffs, cand.numerator, cand.denominator) != 0:
+        step = Dyadic(span.m, span.e - k)
+        for cand in (x + step, x - step):
+            if lo <= cand <= hi and _sign_at(p.coeffs, cand) != 0:
                 return cand
         k += 1
         if k > 512:
             raise Undecidable(f"could not step off a root cluster at {k - 1} bits below the span")
 
 
-def isolate_largest_root(
-    p: IntPoly, chain: Sequence[IntPoly], upper: int
-) -> tuple[Fraction, Fraction]:
+def isolate_largest_root(p: IntPoly, chain: Sequence[IntPoly], upper: int) -> tuple[Dyadic, Dyadic]:
     """Interval (a, b] holding exactly the largest real root of p in (0, upper].
 
     chain is the Sturm chain of p, and p(0) != 0.  Requires p to have at
     least one real root in (0, upper] and none above.  Endpoints are
-    non-roots of p.
+    non-roots of p.  A halving counts variations at its midpoint only.
     """
-    a, b = Fraction(0), Fraction(upper)
-    while _sign_at(p.coeffs, b.numerator, b.denominator) == 0:
-        b += 1
-    total = sturm_count(chain, a, b)
-    if total < 1:
+    a, b = Dyadic(0), Dyadic(upper)
+    while _sign_at(p.coeffs, b) == 0:
+        b += ONE
+    va, vb = _variations(chain, a), _variations(chain, b)
+    if va - vb < 1:
         raise NoSignChange("no real root in the search range")
-    while sturm_count(chain, a, b) > 1:
-        mid = _nonroot_near(p, (a + b) / 2, a, b)
-        if sturm_count(chain, mid, b) >= 1:
-            a = mid
+    while va - vb > 1:
+        mid = _nonroot_near(p, (a + b) * _HALF, a, b)
+        vmid = _variations(chain, mid)
+        if vmid - vb >= 1:
+            a, va = mid, vmid
         else:
-            b = mid
-    a = _nonroot_near(p, a, a, b)
+            b, vb = mid, vmid
     return a, b
 
 
-def integer_root_in(p: IntPoly, a: Fraction, b: Fraction) -> int | None:
+def integer_root_in(p: IntPoly, a: Dyadic, b: Dyadic) -> int | None:
     """The root of p in (a, b] if it is an integer, else None.
 
     (a, b] must hold exactly one root of p, a simple one, and a, b must be
@@ -389,18 +383,18 @@ def integer_root_in(p: IntPoly, a: Fraction, b: Fraction) -> int | None:
     signs until it is narrower than 1, about log2(b - a) steps, then tests
     the one integer it can still hold.
     """
-    sa = _sign_at(p.coeffs, a.numerator, a.denominator)
-    while b - a >= 1:
-        mid = (a + b) / 2
-        s = _sign_at(p.coeffs, mid.numerator, mid.denominator)
+    sa = _sign_at(p.coeffs, a)
+    while b - a >= ONE:
+        mid = (a + b) * _HALF
+        s = _sign_at(p.coeffs, mid)
         if s == 0:
-            return mid.numerator if mid.denominator == 1 else None
+            return mid.m << mid.e if mid.e >= 0 else None
         if s == sa:
             a = mid
         else:
             b = mid
-    n = floor(b)
-    return n if n > a and _sign_at(p.coeffs, n, 1) == 0 else None
+    n = b.round_down(0)
+    return n.m << n.e if n > a and _sign_at(p.coeffs, n) == 0 else None
 
 
 def _newton_guess(p: IntPoly, lo: Dyadic, hi: Dyadic, prec: int) -> Dyadic | None:
@@ -551,8 +545,11 @@ def isolate_dominant(p: IntPoly, upper: int, prec: int = DEFAULT_PREC) -> Isolat
     (charpolys are monic, so every rational root is an integer).  The
     returned root sits on the squarefree part of p without its zero roots.
     """
-    sf = squarefree_part(p.shift_out_zero_roots()[0])
-    chain = _sturm_chain(sf)
+    p = p.shift_out_zero_roots()[0]
+    # one remainder sequence: p's Sturm chain counts, and its last member
+    # gives the squarefree part, with the same roots
+    chain = sturm_chain(p)
+    sf = exact_div(IntPoly(_primitive(p.coeffs)), IntPoly(_primitive(chain[-1].coeffs)))
     a, b = isolate_largest_root(sf, chain, upper)
     n = integer_root_in(sf, a, b)
     if n is not None:
@@ -560,12 +557,11 @@ def isolate_dominant(p: IntPoly, upper: int, prec: int = DEFAULT_PREC) -> Isolat
         return IsolatedRoot(sf, d, d)
     prec0 = 16
     while True:
-        dlo = Dyadic.from_fraction_floor(a, prec0)
-        dhi = Dyadic.from_fraction_ceil(b, prec0)
+        dlo, dhi = a.round_down(prec0), b.round_up(prec0)
         if (
             sf.eval_dyadic_sign(dlo) != 0
             and sf.eval_dyadic_sign(dhi) != 0
-            and sturm_count(chain, dlo.as_fraction(), dhi.as_fraction()) == 1
+            and sturm_count(chain, dlo, dhi) == 1
         ):
             break
         prec0 *= 2
@@ -593,8 +589,9 @@ def _orders_up_to(deg: int) -> list[tuple[int, int]]:
     return sorted(found)
 
 
-def _cyclotomic(n: int) -> list[int]:
-    """Coefficients of the n-th cyclotomic polynomial Phi_n.
+@cache
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial Phi_n, built once per n.
 
     From Phi_1 = x - 1, one prime factor p at a time: Phi_mp(x) = Phi_m(x^p),
     divided by Phi_m(x) when p does not divide m.
@@ -608,7 +605,7 @@ def _cyclotomic(n: int) -> list[int]:
             m *= p
             rest //= p
         p += 1
-    return c
+    return tuple(c)
 
 
 def drop_trivial_factors(p: IntPoly) -> IntPoly:

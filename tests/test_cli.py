@@ -346,15 +346,13 @@ FULL_TREE = ["altbase", "altbase validate", "altbase synthesize", "altbase code"
     (("synthesize", "-p", "1", "(21)", "--format", "json"), 0, []),
     (("code", "--directive", "1,1", "--len", "13"), 0, []),
     # outside the reader's subset: an abbreviation, --opt=value, split words
-    (("validate", "-p", "2", "(21)", "(12)", "--form", "json"), 0, ["altbase validate"]),
-    (("synthesize", "-p", "1", "(21)", "--tol=64"), 0, ["altbase synthesize"]),
-    (("validate", "-p", "2", "(21)", "--format", "json", "(12)"), 2,
-     ["altbase validate", *FULL_TREE]),
+    (("validate", "-p", "2", "(21)", "(12)", "--form", "json"), 0, FULL_TREE),
+    (("synthesize", "-p", "1", "(21)", "--tol=64"), 0, FULL_TREE),
+    (("validate", "-p", "2", "(21)", "--format", "json", "(12)"), 2, FULL_TREE),
 ], ids=["validate", "synthesize", "code", "abbreviation", "equals", "split-words"])
 def test_a_command_builds_its_parser_alone_and_anew(capsys, monkeypatch, argv, code, parsers):
-    # a well-formed line builds no parser; any other builds its command's
-    # parser, and the full tree only if that parser leaves something over;
-    # the next call builds them all again: no cache
+    # a well-formed line builds no parser; any other builds the full tree,
+    # and the next call builds it again: no cache
     built = []
     real = argparse.ArgumentParser.__init__
 
@@ -566,6 +564,18 @@ def test_src_has_no_unused_import():
             if (alias.asname or alias.name.split(".")[0]) not in used
         ]
         assert not unused, f"{path.relative_to(src)}: unused imports {unused}"
+
+
+def test_polynomials_imports_nothing_from_fractions():
+    # root isolation runs on dyadic points, so L1 has no Fraction
+    path = Path(__file__).resolve().parent.parent / "src/altbase/numerics/polynomials.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+    ]
+    assert not imported, f"polynomials.py imports fractions at lines {imported}"
 
 
 def test_src_has_no_unread_private_definition():

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from altbase.errors import DivisionByEnclosedZero, Undecidable
+from altbase.errors import DivisionByEnclosedZero, NoSignChange, Undecidable
 from altbase.numerics import (
     Dyadic,
     IntervalReal,
@@ -191,6 +191,10 @@ def test_squarefree_part():
     # (x-1)^2 (x+1)
     p = IntPoly([1, -1, -1, 1])
     assert squarefree_part(p).coeffs == (-1, 0, 1)
+    # -2 (x-3)^2: the chain stops at p' = -4x + 12, which is not primitive
+    assert squarefree_part(IntPoly([-18, 12, -2])).coeffs == (-3, 1)
+    assert squarefree_part(IntPoly([-5])).coeffs == (1,)
+    assert squarefree_part(IntPoly([])).is_zero()
 
 
 def test_gcd():
@@ -204,10 +208,14 @@ def test_gcd():
 def test_sturm_counts():
     p = IntPoly([6, 0, -5, 0, 1])  # (x^2-2)(x^2-3)
     chain = sturm_chain(p)
-    assert sturm_count(chain, Fraction(0), Fraction(2)) == 2
-    assert sturm_count(chain, Fraction(3, 2), Fraction(2)) == 1
-    assert sturm_count(chain, Fraction(-2), Fraction(0)) == 2
-    assert sturm_count(chain, Fraction(2), Fraction(10)) == 0
+    assert sturm_count(chain, Dyadic(0), Dyadic(2)) == 2
+    assert sturm_count(chain, Dyadic(3, -1), Dyadic(2)) == 1
+    assert sturm_count(chain, Dyadic(-2), Dyadic(0)) == 2
+    assert sturm_count(chain, Dyadic(2), Dyadic(10)) == 0
+    # p's own chain counts distinct roots when p is not squarefree: x^2 - 2 twice, x^2 - 3 once
+    chain = sturm_chain(IntPoly(_poly_mul([6, 0, -5, 0, 1], [-2, 0, 1])))
+    assert sturm_count(chain, Dyadic(0), Dyadic(2)) == 2
+    assert sturm_count(chain, Dyadic(-2), Dyadic(3, -1)) == 3
 
 
 # -- root isolation ---------------------------------------------------------------
@@ -274,16 +282,17 @@ def _points_near_roots(draw):
 
 @given(_points_near_roots())
 @settings(max_examples=200)
-def test_shift_horner_sign_matches_sign_at(point):
+def test_shift_horner_sign_matches_the_fraction_horner(point):
     # an odd mantissa keeps the exponent at -s, so the shift Horner runs
     coeffs, m, s = point
     p = IntPoly(coeffs)
-    assert p.eval_dyadic_sign(Dyadic(m, -s)) == polynomials._sign_at(p.coeffs, m, 1 << s)
+    v = eval_fraction(p, Fraction(m, 1 << s))
+    assert p.eval_dyadic_sign(Dyadic(m, -s)) == (v > 0) - (v < 0)
 
 
 def test_nonroot_near_gives_up_with_undecidable():
     with pytest.raises(Undecidable, match="512 bits"):
-        _nonroot_near(IntPoly([]), Fraction(1), Fraction(0), Fraction(2))
+        _nonroot_near(IntPoly([]), Dyadic(1), Dyadic(0), Dyadic(2))
 
 
 def test_isolate_dominant_bracket_cap_raises_undecidable(monkeypatch):
@@ -347,7 +356,7 @@ def isolated_roots(draw):
     bound = Dyadic(1, sum(abs(c) for c in p.coeffs).bit_length())
 
     def count(lo, hi):
-        return sturm_count(chain, lo.as_fraction(), hi.as_fraction())
+        return sturm_count(chain, lo, hi)
 
     lo, hi = -bound, bound
     total = count(lo, hi)
@@ -682,11 +691,11 @@ def _product(*factors):
 
 
 def test_cyclotomic_polynomials():
-    assert polynomials._cyclotomic(1) == [-1, 1]
-    assert polynomials._cyclotomic(2) == [1, 1]
-    assert polynomials._cyclotomic(12) == [1, 0, -1, 0, 1]
-    assert polynomials._cyclotomic(9) == [1, 0, 0, 1, 0, 0, 1]
-    assert polynomials._cyclotomic(15) == [1, -1, 0, 1, -1, 1, 0, -1, 1]
+    assert polynomials._cyclotomic(1) == (-1, 1)
+    assert polynomials._cyclotomic(2) == (1, 1)
+    assert polynomials._cyclotomic(12) == (1, 0, -1, 0, 1)
+    assert polynomials._cyclotomic(9) == (1, 0, 0, 1, 0, 0, 1)
+    assert polynomials._cyclotomic(15) == (1, -1, 0, 1, -1, 1, 0, -1, 1)
     for n in range(1, 60):
         c = polynomials._cyclotomic(n)
         # x^n - 1 is the product of Phi_d over the divisors d of n
@@ -711,13 +720,30 @@ def test_drop_trivial_factors():
     assert polynomials.drop_trivial_factors(_product([-1, -3, 1], phi36)).coeffs == (-1, -3, 1)
 
 
+def test_drop_trivial_factors_builds_each_cyclotomic_once():
+    polynomials._cyclotomic.cache_clear()
+    p = _product([-1, -1, 1], [1, 1, 1], [1, 0, -1, 0, 1])  # degree 8
+    assert polynomials.drop_trivial_factors(p).coeffs == (-1, -1, 1)
+    first = polynomials._cyclotomic.cache_info()
+    assert first.misses >= 1
+    # a second call on the same degree builds no Phi_n
+    q = _product([-1, -3, 1], [-2, 1], [1, 1], [1, 0, 0, 0, 0, 0, 1])
+    assert polynomials.drop_trivial_factors(q).coeffs == (2, 5, -5, 1)
+    second = polynomials._cyclotomic.cache_info()
+    assert second.misses == first.misses and second.hits > first.hits
+
+
 def test_integer_root_in():
     # x^2 - 7x + 10 = (x - 2)(x - 5); (x - 5)(x^2 - 2) has no integer root in (2, 9]
-    assert polynomials.integer_root_in(IntPoly([10, -7, 1]), Fraction(3), Fraction(100)) == 5
-    assert polynomials.integer_root_in(IntPoly([10, -7, 1]), Fraction(1), Fraction(3)) == 2
+    assert polynomials.integer_root_in(IntPoly([10, -7, 1]), Dyadic(3), Dyadic(100)) == 5
+    assert polynomials.integer_root_in(IntPoly([10, -7, 1]), Dyadic(1), Dyadic(3)) == 2
     p = _product([-5, 1], [-2, 0, 1])
-    assert polynomials.integer_root_in(p, Fraction(1), Fraction(2)) is None
-    assert polynomials.integer_root_in(p, Fraction(2), Fraction(9)) == 5
+    assert polynomials.integer_root_in(p, Dyadic(1), Dyadic(2)) is None
+    assert polynomials.integer_root_in(p, Dyadic(2), Dyadic(9)) == 5
+    # a midpoint that is the root, and a root at the floor of a non-integer end
+    assert polynomials.integer_root_in(IntPoly([-3, 1]), Dyadic(1), Dyadic(5)) == 3
+    assert polynomials.integer_root_in(IntPoly([-3, 1]), Dyadic(9, -2), Dyadic(13, -2)) == 3
+    assert polynomials.integer_root_in(IntPoly([-5, 2]), Dyadic(1), Dyadic(3)) is None
     # a wide bracket costs about log2 of its width in sign evaluations
     calls = []
     real = polynomials._sign_at
@@ -729,7 +755,7 @@ def test_integer_root_in():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polynomials, "_sign_at", counting)
         n = 10**12 + 39
-        assert polynomials.integer_root_in(IntPoly([-n, 1]), Fraction(0), Fraction(2**60)) == n
+        assert polynomials.integer_root_in(IntPoly([-n, 1]), Dyadic(0), Dyadic(2**60)) == n
     assert len(calls) <= 64
 
 
@@ -771,9 +797,9 @@ def test_int_divmod_matches_division_over_q(num, den_low, den_lead):
             int_divmod(num, den)
 
 
-def _fraction_sturm_chain(sf: IntPoly) -> list[IntPoly]:
+def _fraction_sturm_chain(p: IntPoly) -> list[IntPoly]:
     """Sturm chain by division over Q, each -remainder scaled to a primitive integer polynomial."""
-    chain = [sf, sf.derivative()]
+    chain = [p, p.derivative()]
     while chain[-1].degree > 0:
         _, rem = qdivmod(chain[-2].coeffs, chain[-1].coeffs)
         if not rem:
@@ -793,10 +819,9 @@ def test_sturm_chain_matches_the_fraction_route(factors, square_first):
         factors = factors + factors[:1]
     p = IntPoly(reduce(_poly_mul, factors))
     assume(p.degree >= 1)
-    assert sturm_chain(p) == _fraction_sturm_chain(squarefree_part(p))
-    if int_poly_gcd(p, p.derivative()).degree == 0:
-        # squarefree as drawn, so negative and non-unit leading coefficients stay
-        assert polynomials._sturm_chain(p) == _fraction_sturm_chain(p)
+    # the chain of p as drawn: repeated factors, negative and non-unit
+    # leading coefficients stay
+    assert sturm_chain(p) == _fraction_sturm_chain(p)
 
 
 @given(st.integers(-2**80, 2**80), st.integers(1, 2**40), st.integers(-40, 200))
@@ -856,3 +881,167 @@ def test_exact_div_raises_on_inexact_quotient():
         exact_div(IntPoly([1, 0, 1]), IntPoly([1, 1]))  # x^2 + 1 = (x+1)(x-1) + 2
     with pytest.raises(ArithmeticError):
         exact_div(IntPoly([1, 1]), IntPoly([2, 2]))  # exact, but the quotient is 1/2
+
+
+# -- isolation on p's own Sturm chain against the Fraction route --------------------
+#
+# _fraction_isolate_dominant is the isolation that takes the squarefree part
+# through a gcd over Q, counts on that part's Sturm chain and bisects in
+# Fractions, re-counting both ends of the bracket at every halving.
+# isolate_dominant must give the same (poly, lo, hi) from p's own chain at
+# dyadic points.
+
+
+def _fraction_sign(p: IntPoly, x: Fraction) -> int:
+    v = eval_fraction(p, x)
+    return (v > 0) - (v < 0)
+
+
+def _fraction_count(chain: list[IntPoly], a: Fraction, b: Fraction) -> int:
+    def variations(x):
+        signs = [s for s in (_fraction_sign(q, x) for q in chain) if s]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    return variations(a) - variations(b) if a < b else 0
+
+
+def _fraction_nonroot_near(p: IntPoly, x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
+    if _fraction_sign(p, x):
+        return x
+    for k in range(4, 513):
+        for cand in (x + (hi - lo) / 2**k, x - (hi - lo) / 2**k):
+            if lo <= cand <= hi and _fraction_sign(p, cand):
+                return cand
+    raise Undecidable("no non-root near the point")
+
+
+def _fraction_integer_root_in(p: IntPoly, a: Fraction, b: Fraction) -> int | None:
+    sa = _fraction_sign(p, a)
+    while b - a >= 1:
+        mid = (a + b) / 2
+        s = _fraction_sign(p, mid)
+        if s == 0:
+            return mid.numerator if mid.denominator == 1 else None
+        if s == sa:
+            a = mid
+        else:
+            b = mid
+    n = floor(b)
+    return n if n > a and _fraction_sign(p, Fraction(n)) == 0 else None
+
+
+def _primitive_ints(coeffs: list[int]) -> list[int]:
+    g = gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+    return [c // g for c in coeffs]
+
+
+def _fraction_isolate_dominant(p: IntPoly, upper: int, prec: int) -> tuple[IntPoly, Dyadic, Dyadic]:
+    p = p.shift_out_zero_roots()[0]
+    g = _fraction_xgcd(p.coeffs, p.derivative().coeffs)[0]
+    g = _primitive_ints([int(c * lcm(*(v.denominator for v in g))) for c in g])
+    sf = exact_div(IntPoly(_primitive_ints(p.coeffs)), IntPoly(g))
+    chain = _fraction_sturm_chain(sf)
+    a, b = Fraction(0), Fraction(upper)
+    while _fraction_sign(sf, b) == 0:
+        b += 1
+    if _fraction_count(chain, a, b) < 1:
+        raise NoSignChange("no real root in the search range")
+    while _fraction_count(chain, a, b) > 1:
+        mid = _fraction_nonroot_near(sf, (a + b) / 2, a, b)
+        if _fraction_count(chain, mid, b) >= 1:
+            a = mid
+        else:
+            b = mid
+    a = _fraction_nonroot_near(sf, a, a, b)
+    n = _fraction_integer_root_in(sf, a, b)
+    if n is not None:
+        return sf, Dyadic(n), Dyadic(n)
+    prec0 = 16
+    while True:
+        dlo, dhi = Dyadic.from_fraction_floor(a, prec0), Dyadic.from_fraction_ceil(b, prec0)
+        lo, hi = dlo.as_fraction(), dhi.as_fraction()
+        if _fraction_sign(sf, lo) and _fraction_sign(sf, hi):
+            if _fraction_count(chain, lo, hi) == 1:
+                break
+        prec0 *= 2
+    root = IsolatedRoot(sf, dlo, dhi)
+    root.refine(prec)
+    return sf, root.lo, root.hi
+
+
+@pytest.mark.parametrize("factors, sf, lo", [
+    # the chain ends in x - 1, and the root is (3 + sqrt5)/2
+    ([[-1, 1], [-1, 1], [1, -3, 1]], (-1, 4, -4, 1), Fraction(5, 2)),
+    # the chain ends in x - 2, and the largest root is the repeated one, 2
+    ([[-2, 1], [-2, 1], [1, 1]], (-2, -1, 1), Fraction(2)),
+    # the chain stops at p' = 2x - 6, which is not primitive
+    ([[-3, 1], [-3, 1]], (-3, 1), Fraction(3)),
+])
+def test_isolate_dominant_on_repeated_factors(factors, sf, lo):
+    p = _product(*factors)
+    root = isolate_dominant(p, 8)
+    assert root.poly.coeffs == sf
+    assert (root.poly, root.lo, root.hi) == _fraction_isolate_dominant(p, 8, 64)
+    assert brackets_root(root.enclosure(), root.poly)
+    assert lo <= root.lo.as_fraction() < lo + 1
+    assert root.enclosure().width().as_fraction() <= Fraction(1, 2**64)
+
+
+_small_factor = st.tuples(st.lists(st.integers(-6, 6), min_size=1, max_size=3),
+                          st.sampled_from([-3, -2, -1, 1, 2, 3])).map(lambda t: t[0] + [t[1]])
+
+
+@given(st.tuples(st.integers(-6, 6), st.integers(1, 6)), st.lists(_small_factor, max_size=1),
+       _small_factor, st.integers(2, 3), st.sampled_from([32, 64, 300]))
+@settings(max_examples=100, deadline=None)
+def test_isolate_dominant_matches_the_fraction_route_on_repeated_factors(bc, rest, twice, times, prec):
+    # x^2 + bx - c has a positive root; `twice` divides p 2 or 3 times
+    p = IntPoly(reduce(_poly_mul, [[-bc[1], bc[0], 1]] + rest + [twice] * times))
+    upper = sum(abs(c) for c in p.coeffs)
+    sf, lo, hi = want = _fraction_isolate_dominant(p, upper, prec)
+    # the largest root is simple: gcd(p, p') has no root in its bracket
+    g = exact_div(IntPoly(_primitive_ints(p.shift_out_zero_roots()[0].coeffs)), sf)
+    if lo == hi:
+        assume(g.eval_dyadic_sign(lo) != 0)
+    else:
+        assume(_fraction_count(_fraction_sturm_chain(g), lo.as_fraction(), hi.as_fraction()) == 0)
+    root = isolate_dominant(p, upper, prec)
+    assert (root.poly, root.lo, root.hi) == want
+
+
+def test_isolate_dominant_runs_one_remainder_sequence(monkeypatch):
+    calls = []
+    real = polynomials._remainders
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(polynomials, "_remainders", counting)
+    for factors in ([[-1, 1], [-1, 1], [1, -3, 1]], [[-2, 1], [-2, 1], [1, 1]], [[-1, -1, 1]]):
+        calls.clear()
+        isolate_dominant(_product(*factors), 8)
+        assert len(calls) == 1
+
+
+def test_isolate_largest_root_counts_once_per_halving(monkeypatch):
+    # roots 49/16 and 25/8 sit close: the halvings end at 2, 3, 7/2, 13/4, 25/8
+    # (a root, stepped off to 201/64) and 393/128
+    sf = _product([-49, 16], [-25, 8], [-2, 0, 1], [-1, 1])
+    chain = sturm_chain(IntPoly(_poly_mul(sf.coeffs, [-1, 0, 1])))  # x - 1 twice, x + 1 once
+    counted, halvings = [], []
+    real_variations, real_near = polynomials._variations, polynomials._nonroot_near
+
+    def variations(chain, x):
+        counted.append(x)
+        return real_variations(chain, x)
+
+    def near(*args):
+        halvings.append(args)
+        return real_near(*args)
+
+    monkeypatch.setattr(polynomials, "_variations", variations)
+    monkeypatch.setattr(polynomials, "_nonroot_near", near)
+    a, b = polynomials.isolate_largest_root(sf, chain, 4)
+    assert (a, b) == (Dyadic(393, -7), Dyadic(201, -6))
+    assert len(halvings) == 6 and len(counted) == 2 + len(halvings)

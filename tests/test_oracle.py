@@ -23,6 +23,7 @@ from test_acceptance import corpus_p1, corpus_plists  # noqa: E402
 from altbase.perron import _perron_field, build_parry_matrices  # noqa: E402
 from altbase.synthesis import synthesize_periodic  # noqa: E402
 from altbase.numerics import (  # noqa: E402
+    Dyadic,
     IntPoly,
     drop_trivial_factors,
     faddeev_leverrier,
@@ -176,12 +177,15 @@ def test_sturm_counts_and_squarefree_parts_match_sympy():
         sym = sympy.Poly(list(reversed(p.coeffs)), X)
         want = [int(c) for c in reversed(sym.sqf_part().all_coeffs())]
         assert squarefree_part(p).coeffs == _normalised(want), p
-        chain = sturm_chain(p)
+        chain = sturm_chain(p)  # p's own chain: repeated factors stay in it
         for _ in range(6):
-            a, b = sorted(Fraction(rng.randint(-300, 300), rng.randint(1, 16)) for _ in range(2))
-            if a == b or eval_fraction(p, a) == 0 or eval_fraction(p, b) == 0:
+            # dyadic points m / 2^k with k in 0..4
+            a, b = sorted((Dyadic(rng.randint(-300, 300), -rng.randint(0, 4)) for _ in range(2)),
+                          key=Dyadic.as_fraction)
+            fa, fb = a.as_fraction(), b.as_fraction()
+            if a == b or eval_fraction(p, fa) == 0 or eval_fraction(p, fb) == 0:
                 continue
-            lo, hi = sympy.Rational(a.numerator, a.denominator), sympy.Rational(b.numerator, b.denominator)
+            lo, hi = (sympy.Rational(f.numerator, f.denominator) for f in (fa, fb))
             assert sturm_count(chain, a, b) == sym.count_roots(lo, hi), (p, a, b)
             checked += 1
     assert checked > 1000
