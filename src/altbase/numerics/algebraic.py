@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..errors import Undecidable
 from .intervals import DEFAULT_PREC, Dyadic, IntervalReal
@@ -24,6 +24,7 @@ from .polynomials import (
     IsolatedRoot,
     exact_div,
     int_divmod,
+    int_inverse,
     int_mul,
     int_poly_gcd,
     sturm_chain,
@@ -47,35 +48,6 @@ def _normal(nums: list[int], den: int) -> Elem:
         nums = [v // g for v in nums]
         den //= g
     return tuple(nums), den
-
-
-def _int_inverse(a: Sequence[int], m: Sequence[int]) -> Optional[tuple[list[int], int]]:
-    """(s, c) with s*a = c modulo m for a non-zero integer c, or None if gcd(a, m) != 1.
-
-    A pseudo-remainder sequence on (m, a) that applies each elimination step
-    to the cofactors of a as well, so r = s*a (mod m) holds for every pair;
-    each remainder and its cofactor are divided by their common content.
-    """
-    r0, r1 = list(m), list(a)
-    s0, s1 = [0], [1]
-    while len(r1) > 1:
-        lead, n = r1[-1], len(r1) - 1
-        while len(r0) > n:
-            # r0 := lead*r0 - c*x^k*r1 cancels the leading term
-            c, k = r0[-1], len(r0) - 1 - n
-            r0 = [lead * v for v in r0]
-            s0 = [lead * v for v in s0] + [0] * (k + len(s1) - len(s0))
-            for i, v in enumerate(r1):
-                r0[k + i] -= c * v
-            for i, v in enumerate(s1):
-                s0[k + i] -= c * v
-            while r0 and not r0[-1]:
-                r0.pop()
-        if not r0:
-            return None
-        g = gcd(*r0, *s0)
-        r0, r1, s0, s1 = r1, [v // g for v in r0], s1, [v // g for v in s0]
-    return (s1, r1[0]) if r1[0] else None
 
 
 class RealAlgebraicField:
@@ -154,8 +126,8 @@ class RealAlgebraicField:
 
     def is_zero(self, a: Elem) -> bool:
         nums = self._reduced(a)[0]
-        if nums == (0,):
-            return True
+        if len(nums) == 1:  # a non-zero constant shares no factor with the modulus
+            return nums == (0,)
         g = int_poly_gcd(IntPoly(nums), self.modulus)
         return g.degree >= 1 and self._split(g)
 
@@ -190,15 +162,18 @@ class RealAlgebraicField:
                 return s
 
     def inv(self, a: Elem) -> Elem:
+        """1/a, or ZeroDivisionError when a is zero at the root.
+
+        One remainder sequence gives the inverse or the common factor of a
+        and the modulus, which _split either finds zero at the root or divides out.
+        """
         while True:
             nums, den = self._reduced(a)
-            got = _int_inverse(nums, self.modulus.coeffs)
-            if got is not None:
+            got = int_inverse(nums, self.modulus.coeffs)
+            if not isinstance(got, IntPoly):
                 s, c = got
                 return _normal([den * v for v in s], c)
-            # a common factor with the modulus: zero at the root means a is
-            # zero; otherwise it is divided out of the modulus
-            if self._split(int_poly_gcd(IntPoly(nums), self.modulus)):
+            if self._split(got):
                 raise ZeroDivisionError("inverse of zero element")
 
     # -- enclosures ---------------------------------------------------------

@@ -1,11 +1,13 @@
 """Exact integer polynomials, characteristic polynomials and root isolation.
 
 Coefficients are stored in ascending order, and Z[x] has one product
-(int_mul) and one division (int_divmod).  A characteristic polynomial is a
-small determinant over Z[x] taken by fraction-free elimination, so no
-fraction or power series appears.  Root work is done with exact sign
-evaluations at dyadic points, in integers only, plus Sturm-sequence
-counting, so every returned enclosure is certified.
+(int_mul) and one pseudo-division (_pseudo_divmod), under exact division,
+remainder sequences and the inverse modulo a polynomial alike.  A
+characteristic polynomial is a small determinant over Z[x] taken by
+fraction-free elimination, so no fraction or power series appears.  Root
+work is done with exact sign evaluations at dyadic points, in integers
+only, plus Sturm-sequence counting, so every returned enclosure is
+certified.
 """
 
 from __future__ import annotations
@@ -198,37 +200,51 @@ def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def int_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of num by den in Z[x], so num = q*den + r.
 
-    den must end in a non-zero leading coefficient; ArithmeticError when it
-    does not divide a leading coefficient met on the way, which a monic den
-    never does.  The remainder has its trailing zeros stripped, so deg r <
-    deg den and the zero remainder is the empty list.
+    One _pseudo_divmod, divided by its f; ArithmeticError when f does not
+    divide q, that is when the quotient over Q is not integral (never for a
+    monic den).  den must end in a non-zero leading coefficient; r has its
+    trailing zeros stripped, so the zero remainder is the empty list.
     """
-    r = list(_trim(num))
-    d, lead = len(den) - 1, den[-1]
-    q = [0] * max(0, len(r) - d)
-    while len(r) > d:
-        c, rest = divmod(r[-1], lead)
-        if rest:
+    f, q, r = _pseudo_divmod(num, den)
+    if f != 1:
+        if any(v % f for v in q):
             raise ArithmeticError("polynomial quotient is not integral")
-        k = len(r) - 1 - d
+        q, r = [v // f for v in q], [v // f for v in r]
+    return q, r
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """(f, q, r) with f*a = q*b + r, f = |lc(b)|**steps > 0 and deg r < deg b, in integers.
+
+    b ends in a non-zero coefficient, r in none.  Each step scales r and q by
+    |lc(b)| and cancels r's leading term with the sign of lc(b) folded into
+    the multiplier (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).
+    """
+    r = list(_trim(a))
+    d, lead = len(b) - 1, b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    f, q = 1, [0] * max(0, len(r) - d)
+    while len(r) > d:
+        c, k = sign * r[-1], len(r) - 1 - d
+        if scale != 1:
+            f *= scale
+            r = [v * scale for v in r]
+            q = [v * scale for v in q]
         q[k] = c
         # the leading term cancels exactly, so only the lower ones change
         for i in range(d):
-            r[k + i] -= c * den[i]
+            r[k + i] -= c * b[i]
         r.pop()
-        while r and r[-1] == 0:
+        while r and not r[-1]:
             r.pop()
-    return q, r
+    return f, q, r
 
 
 # -- gcd machinery -----------------------------------------------------------
 
 
 def _content(c: Sequence[int]) -> int:
-    g = 0
-    for v in c:
-        g = gcd(g, abs(v))
-    return g
+    return gcd(*c)
 
 
 def _primitive(c: Sequence[int]) -> tuple[int, ...]:
@@ -241,34 +257,16 @@ def _primitive(c: Sequence[int]) -> tuple[int, ...]:
     return tuple(v // g for v in c)
 
 
-def _pseudo_rem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """A positive multiple of the remainder of a by b (both trimmed, b non-zero), in integers.
-
-    Each step scales a by |lc(b)| and cancels its leading term with the sign
-    of lc(b) folded into the multiplier.
-    """
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    scale, sign = abs(lb), (1 if lb > 0 else -1)
-    while len(a) > db:
-        la, shift = sign * a[-1], len(a) - 1 - db
-        a = [v * scale for v in a]
-        for i, bv in enumerate(b):
-            a[shift + i] -= la * bv
-        a = list(_trim(a))
-    return tuple(a)
-
-
 def _remainders(a: IntPoly, b: IntPoly) -> list[IntPoly]:
     """a, b and then -rem(previous two) made primitive until a zero remainder.
 
-    Each new member is minus a positive multiple of the remainder, divided
-    by its (positive) content.  Zero members are left out; the last one is
-    a gcd of a and b.
+    Each new member is minus the pseudo-remainder of _pseudo_divmod, a
+    positive multiple of the remainder, divided by its (positive) content.
+    Zero members are left out; the last one is a gcd of a and b.
     """
     chain = [a, b]
     while chain[-1].degree > 0:
-        rem = _pseudo_rem(chain[-2].coeffs, chain[-1].coeffs)
+        rem = _pseudo_divmod(chain[-2].coeffs, chain[-1].coeffs)[2]
         if not rem:
             break
         g = _content(rem)
@@ -280,6 +278,28 @@ def int_poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     """Primitive gcd of two integer polynomials (positive leading coeff), from their remainders."""
     chain = _remainders(p, q)
     return IntPoly(_primitive(chain[-1].coeffs) if chain else ())
+
+
+def int_inverse(a: Sequence[int], m: Sequence[int]) -> tuple[list[int], int] | IntPoly:
+    """(s, c) with s*a = c modulo m for a non-zero integer c, or else the primitive gcd of a and m.
+
+    The gcd is m for a = 0.  The remainder sequence of (m, a) by
+    _pseudo_divmod carries the cofactor: f*r0 = q*r1 + r gives the member -r
+    with the cofactor q*s1 - f*s0, so r = s*a (mod m) for every member
+    (Collins, JACM 14, 1967), divided with its cofactor by their content.
+    """
+    r0, r1 = m, _trim(a)
+    s0, s1 = [0], [1]
+    while len(r1) > 1:
+        f, q, r = _pseudo_divmod(r0, r1)
+        if not r:
+            break
+        s = int_mul(q, s1)  # never shorter than s0
+        for i, x in enumerate(s0):
+            s[i] -= f * x
+        g = gcd(*r, *s)
+        r0, r1, s0, s1 = r1, [-v // g for v in r], s1, [v // g for v in s]
+    return (s1, r1[0]) if len(r1) == 1 else IntPoly(_primitive(r1 or m))
 
 
 def exact_div(p: IntPoly, d: IntPoly) -> IntPoly:

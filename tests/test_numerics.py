@@ -21,7 +21,7 @@ from altbase.numerics import (
     sturm_chain,
     sturm_count,
 )
-from altbase.numerics import polynomials
+from altbase.numerics import algebraic, polynomials
 from altbase.numerics.polynomials import IsolatedRoot, _nonroot_near, exact_div, int_divmod
 from altbase.perron import _certified_enclosure
 
@@ -486,6 +486,43 @@ def test_field_inverse_of_an_integer_element_is_a_fraction():
     assert all(type(c) is int for c in inv[0]) and type(inv[1]) is int
 
 
+def _count_gcds(monkeypatch, *modules):
+    """The list that each int_poly_gcd call, bound in any of modules, appends its arguments to."""
+    calls = []
+    for mod in modules:
+        real = mod.int_poly_gcd
+        monkeypatch.setattr(mod, "int_poly_gcd", lambda p, q, real=real: calls.append((p, q)) or real(p, q))
+    return calls
+
+
+def test_is_zero_of_a_constant_runs_no_gcd(monkeypatch):
+    calls = _count_gcds(monkeypatch, algebraic)
+    f = golden_field()
+    assert not f.is_zero(f.from_fraction(Fraction(-3, 2)))
+    assert f.is_zero(f.from_fraction(0))
+    assert calls == []
+    # a non-constant element still asks the gcd
+    assert not f.is_zero(f.generator())
+    assert len(calls) == 1
+
+
+def test_a_failed_inverse_runs_one_remainder_sequence(monkeypatch):
+    calls = _count_gcds(monkeypatch, algebraic, polynomials)
+
+    def field():  # (x^2-x-1)(x-3), the bracket [1.5, 1.75] pins the golden ratio
+        return RealAlgebraicField(IsolatedRoot(IntPoly([3, 2, -4, 1]), Dyadic(3, -1), Dyadic(7, -2)))
+
+    f = field()
+    # 1/(phi - 3) = -(phi + 2)/5; the factor x - 3 leaves the modulus
+    assert f.inv(f.reduce([-3, 1])) == ((-2, -1), 5)
+    assert f.modulus.coeffs == (-1, -1, 1)
+    f = field()
+    with pytest.raises(ZeroDivisionError):
+        f.inv(f.reduce([-1, -1, 1]))  # zero at the root, not in Q[x]/(modulus)
+    assert f.modulus.coeffs == (-1, -1, 1)
+    assert calls == []
+
+
 def test_add_sub_scalar_mul_skip_reduce(monkeypatch):
     f = golden_field()
     phi = f.generator()
@@ -786,6 +823,8 @@ def test_int_divmod_identity(num, den_low, quot, den_lead):
 
 @given(st.lists(icoeff, max_size=8), st.lists(icoeff, max_size=3), icoeff.filter(bool))
 @settings(max_examples=150)
+@example([0, 0, 6, 0], [1, 3], -2)  # untrimmed num, a negative lead, an integral quotient
+@example([1, 0, 1], [1], -2)  # x^2 + 1 by 1 - 2x: the quotient -x/2 - 1/4 is not integral
 def test_int_divmod_matches_division_over_q(num, den_low, den_lead):
     den = den_low + [den_lead]
     q, r = qdivmod(num, den)
@@ -795,6 +834,48 @@ def test_int_divmod_matches_division_over_q(num, den_low, den_lead):
         # a leading coefficient of den that does not divide one met on the way
         with pytest.raises(ArithmeticError):
             int_divmod(num, den)
+
+
+@given(st.lists(icoeff, max_size=9), st.lists(icoeff, max_size=3), icoeff.filter(bool))
+@settings(max_examples=150)
+@example([1, 2, 3, 4, 5], [3, 1], -2)
+@example([0, 0, 5, 0, 0], [], -3)  # untrimmed a, a constant divisor
+def test_pseudo_divmod_identity(a, b_low, b_lead):
+    # f*a = q*b + r for any lead of b: the Bareiss pivots of faddeev_leverrier
+    # are neither monic nor positive in general
+    b = b_low + [b_lead]
+    f, q, r = polynomials._pseudo_divmod(a, b)
+    assert len(r) < len(b) and (not r or r[-1] != 0)
+    assert all(type(v) is int for v in q + r)
+    steps = max(0, IntPoly(a).degree - len(b) + 2)
+    assert f > 0 and f in {abs(b_lead) ** j for j in range(steps + 1)}
+    back = _poly_mul(q, b) if q else [0]
+    back += [0] * (len(r) - len(back))
+    for i, rv in enumerate(r):
+        back[i] += rv
+    assert IntPoly(back) == IntPoly(f * v for v in a)
+
+
+@given(st.lists(icoeff, max_size=2), st.lists(icoeff, min_size=1, max_size=3), st.lists(icoeff, max_size=3))
+@settings(max_examples=150)
+@example([], [-1, -1], [])  # a = 0: the gcd is the modulus x^2 - x - 1 itself
+@example([-3], [-1, -1], [2, -5])  # a common factor x - 3 and a negative lead
+def test_int_inverse_is_an_inverse_or_the_gcd(common_low, h_low, k):
+    # m = common*h is monic; a = common*k reduced modulo m keeps the common factor
+    common = common_low + [1]
+    m = _poly_mul(common, h_low + [1])
+    a = int_divmod(_poly_mul(common, k or [0]), m)[1] or [0]
+    got = polynomials.int_inverse(a, m)
+    g = int_poly_gcd(IntPoly(a), IntPoly(m))
+    if g.degree == 0:
+        assert isinstance(got, tuple)
+        s, c = got
+        assert c != 0 and all(type(v) is int for v in s)
+        sa = _poly_mul(s, a)
+        sa[0] -= c
+        assert int_divmod(sa, m)[1] == []  # s*a = c modulo m
+    else:
+        assert got == g
 
 
 def _fraction_sturm_chain(p: IntPoly) -> list[IntPoly]:

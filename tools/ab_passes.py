@@ -11,8 +11,10 @@ passes per side, to 10); pair i runs A first when i is even.  Every job
 runs in-process through `main` with stdout and stderr captured, after one
 untimed warm-up job per side.
 
-Prints each side's median pass time, the median of the B/A pair ratios and
-the number of pairs in which B was faster.  Exits 1 when the two sides
+Prints each side's median pass time with the interquartile range of its
+pass times (the spread against which a level or a gain is judged), the
+median of the B/A pair ratios and the number of pairs in which B was
+faster.  Exits 1 when the two sides
 differ in exit code, stdout or stderr on any job of the first pair.
 """
 
@@ -41,6 +43,14 @@ def load_main(src: str):
     if not os.path.realpath(altbase.cli.__file__).startswith(src + os.sep):
         raise SystemExit(f"altbase was imported from {altbase.cli.__file__}, not from {src}")
     return altbase.cli.main
+
+
+def iqr(xs: list[float]) -> float:
+    """Distance between the first and third quartiles of xs; 0 for a single value."""
+    if len(xs) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return q3 - q1
 
 
 def run_pass(main, job_list) -> tuple[float, list]:
@@ -80,7 +90,8 @@ def main(argv: list[str]) -> int:
         if i == 0:
             differ = [j["id"] for j, a, b in zip(job_list, got["A"], got["B"]) if a != b]
     for side, src in (("A", src_a), ("B", src_b)):
-        print(f"{side}  median pass {statistics.median(times[side]):.4f} s  ({src})")
+        print(f"{side}  median pass {statistics.median(times[side]):.4f} s  "
+              f"IQR {iqr(times[side]):.4f} s  ({src})")
     ratios = [b / a for a, b in zip(times["A"], times["B"])]
     won = sum(b < a for a, b in zip(times["A"], times["B"]))
     print(f"B/A median pair ratio {statistics.median(ratios):.3f}; "
