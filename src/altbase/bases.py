@@ -10,7 +10,8 @@ a_1 a_2 ... read at shift i is
     sum_{n >= 1} a_n / (beta_{i-1} beta_{i-2} ... beta_{i-n}),
 
 with the base indices descending.  Integer digits a_{N-1} ... a_0 carry the
-weights 1, beta_0, beta_1 beta_0, and so on.
+weights 1, beta_0, beta_1 beta_0, and so on.  Every such sum in the library
+is one Horner fold, _fold, from the innermost digit, on either backend.
 
 Digit extraction needs floors, ceilings, and comparisons against 1 that are
 actually correct, so a base can carry an exact backend: arithmetic in a real
@@ -192,6 +193,34 @@ class IntervalOps:
         return IntervalOps(tuple(self.betas[(j + i) % p] for j in range(p)), self.prec)
 
 
+def _fold(ops, shift: int, digits: Sequence[int], tail):
+    """Value of 0 . digits followed by tail, read at the given shift.
+
+    Horner from the innermost digit: tail <- (tail + d_n) / beta_{shift-n}
+    for n = len(digits), ..., 1, which gives sum_n d_n / (beta_{shift-1} ...
+    beta_{shift-n}) plus tail over the whole product.
+    """
+    for n in range(len(digits), 0, -1):
+        tail = ops.div(ops.add(tail, ops.lift(digits[n - 1])), ops.beta(shift - n))
+    return tail
+
+
+def _val_word(ops, shift: int, w: UPWord):
+    """Backend value of the fractional word w read at the given shift.
+
+    The period, repeated to mm = lcm(|period|, p) digits, is folded and
+    scaled by d / (d - 1), d = delta^(mm / p); the preperiod folds around it.
+    """
+    m = len(w.period)
+    mm = math.lcm(m, ops.p)
+    acc = _fold(ops, shift - len(w.preperiod), w.period * (mm // m), ops.lift(0))
+    d = ops.lift(1)
+    for _ in range(mm // ops.p):
+        d = ops.mul(d, ops.delta())
+    tail = ops.div(ops.mul(acc, d), ops.sub(d, ops.lift(1)))
+    return _fold(ops, shift, w.preperiod, tail)
+
+
 def _as_interval(b, prec: int) -> IntervalReal:
     if isinstance(b, IntervalReal):
         return b
@@ -232,7 +261,6 @@ class AlternateBase:
             qg_words = tuple(qg_words)
             if len(qg_words) != len(betas):
                 raise ValueError("need one quasi-greedy word per shift")
-            from .expansion import _val_word  # expansion imports this module
             for i, w in enumerate(qg_words):
                 gap = ops.sub(_val_word(ops, i, w), ops.lift(1))
                 # an exact backend decides the value; an enclosure can only refute it

@@ -26,7 +26,7 @@ from math import lcm
 from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .bases import AlternateBase
+from .bases import AlternateBase, _val_word
 from .errors import (
     CodingMismatch,
     DepthExhausted,
@@ -35,7 +35,7 @@ from .errors import (
     NoLimit,
     Undecidable,
 )
-from .expansion import _qg_steps, _val_word
+from .expansion import _qg_steps
 from .numerics import DEFAULT_PREC, Dyadic, IntervalReal
 from .numerics.algebraic import _normal
 from .perron import (

@@ -3,6 +3,7 @@
 Value convention: a fractional word a_1 a_2 ... read at shift i of the base
 is worth sum_{n>=1} a_n / (beta_{i-1} beta_{i-2} ... beta_{i-n}); integer
 digits a_{N-1} ... a_0 are worth a_0 + a_1 beta_0 + a_2 beta_1 beta_0 + ...
+Word values come from bases._val_word, which val_up encloses.
 
 The greedy digits of x >= 1 start from the least N with
 x < beta_{N-1} ... beta_0; then r_{N-1} = x / (beta_{N-1} ... beta_0) and
@@ -19,31 +20,10 @@ from itertools import islice
 from math import lcm
 from typing import Iterator, Optional, Union
 
-from .bases import AlternateBase
+from .bases import AlternateBase, _val_word
 from .errors import Undecidable
 from .numerics import IntervalReal
 from .words import UPWord, shift_suffix
-
-
-def _val_word(ops, shift: int, w: UPWord):
-    """Backend value of the fractional word w read at the given shift."""
-    ell = len(w.preperiod)
-    m = len(w.period)
-    mm = lcm(m, ops.p)
-    # value of the periodic tail, seen at shift s = shift - ell
-    s = shift - ell
-    acc = ops.lift(0)
-    for j in range(mm, 0, -1):
-        acc = ops.div(ops.add(acc, ops.lift(w.digit(ell + j))), ops.beta(s - j))
-    d = ops.lift(1)
-    for _ in range(mm // ops.p):
-        d = ops.mul(d, ops.delta())
-    tail = ops.div(ops.mul(acc, d), ops.sub(d, ops.lift(1)))
-    # fold the preperiod around it, innermost digit first
-    val = tail
-    for n in range(ell, 0, -1):
-        val = ops.div(ops.add(val, ops.lift(w.digit(n))), ops.beta(shift - n))
-    return val
 
 
 def val_up(base: AlternateBase, shift: int, w: UPWord) -> IntervalReal:

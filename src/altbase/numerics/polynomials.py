@@ -395,28 +395,6 @@ def isolate_largest_root(p: IntPoly, chain: Sequence[IntPoly], upper: int) -> tu
     return a, b
 
 
-def integer_root_in(p: IntPoly, a: Dyadic, b: Dyadic) -> int | None:
-    """The root of p in (a, b] if it is an integer, else None.
-
-    (a, b] must hold exactly one root of p, a simple one, and a, b must be
-    non-roots, so p changes sign across it.  Halves the interval by exact
-    signs until it is narrower than 1, about log2(b - a) steps, then tests
-    the one integer it can still hold.
-    """
-    sa = _sign_at(p.coeffs, a)
-    while b - a >= ONE:
-        mid = (a + b) * _HALF
-        s = _sign_at(p.coeffs, mid)
-        if s == 0:
-            return mid.m << mid.e if mid.e >= 0 else None
-        if s == sa:
-            a = mid
-        else:
-            b = mid
-    n = b.round_down(0)
-    return n.m << n.e if n > a and _sign_at(p.coeffs, n) == 0 else None
-
-
 def _newton_guess(p: IntPoly, lo: Dyadic, hi: Dyadic, prec: int) -> Dyadic | None:
     """A point near the root in [lo, hi], about 2**-prec off, or None.
 
@@ -562,7 +540,10 @@ def isolate_dominant(p: IntPoly, upper: int, prec: int = DEFAULT_PREC) -> Isolat
     """Isolate the largest real root of p in (0, upper] and refine it.
 
     The dominant root must be simple.  Integer roots are detected exactly
-    (charpolys are monic, so every rational root is an integer).  The
+    (charpolys are monic, so every rational root is an integer) and come
+    back as a point bracket: refine_root_bisect narrows the isolating
+    bracket to its cell of width <= 1, whose ends are non-roots, so the
+    largest integer in the cell is the one integer the root can be.  The
     returned root sits on the squarefree part of p without its zero roots.
     """
     p = p.shift_out_zero_roots()[0]
@@ -571,10 +552,10 @@ def isolate_dominant(p: IntPoly, upper: int, prec: int = DEFAULT_PREC) -> Isolat
     chain = sturm_chain(p)
     sf = exact_div(IntPoly(_primitive(p.coeffs)), IntPoly(_primitive(chain[-1].coeffs)))
     a, b = isolate_largest_root(sf, chain, upper)
-    n = integer_root_in(sf, a, b)
-    if n is not None:
-        d = Dyadic(n)
-        return IsolatedRoot(sf, d, d)
+    cell = refine_root_bisect(sf, a, b, 0)  # the root itself when a grid point is it
+    n = cell.hi.round_down(0)
+    if cell.lo <= n and sf.eval_dyadic_sign(n) == 0:
+        return IsolatedRoot(sf, n, n)
     prec0 = 16
     while True:
         dlo, dhi = a.round_down(prec0), b.round_up(prec0)

@@ -38,6 +38,7 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence, Union
 
+from .bases import FieldOps, _fold
 from .errors import InvariantViolation, NotPrimitive, Undecidable, ZeroLeadDigit
 from .numerics import (
     DEFAULT_PREC,
@@ -428,25 +429,23 @@ def check_identities(ms: MatrixSeq, fp: FixedPoint) -> IdentityReport:
 
     For the Parry shape, item 2 expresses 1 by the first h digits plus an
     f-correction and item 3 closes the tail; for the finite shape a single
-    sum over all k columns equals 1.  Each side is a finite sum over
-    gamma_elems, f_elems and the integer digits, so one exact zero test of
-    their difference decides it.
+    sum over all k columns equals 1.  Each sum is the value of a finite
+    digit word with an f-entry (or 0) as its tail, read in the base
+    beta_i = gamma_{-i} of the fixed point, so one exact zero test of its
+    difference from the target decides it.
     """
     field, q, k = fp.field, ms.q, ms.k
     zero, one = field.from_fraction(0), field.from_fraction(1)
-    gamma_invs = [field.inv(g) for g in fp.gamma_elems]
+    ops = FieldOps(field, [fp.gamma_elems[(-i) % q] for i in range(q)])
 
     def f(n: int, j: int) -> Elem:
         return fp.f_elems[n % q][j - 1]
 
     def check(n: int, item: str, first: int, last: int, tail: Elem, target: Elem) -> IdentityCheck:
-        """Whether the sum of a_{n+j,j} / (gamma_{n+first} ... gamma_{n+j}) over
-        j = first..last, plus tail over the last of those denominators, is target."""
-        acc, denom_inv = zero, one
-        for j in range(first, last + 1):
-            denom_inv = field.mul(denom_inv, gamma_invs[(n + j) % q])
-            acc = field.add(acc, field.scalar_mul(ms.digit(n + j, j), denom_inv))
-        acc = field.add(acc, field.mul(tail, denom_inv))
+        """Whether the word of digits a_{n+j,j}, j = first..last, followed by
+        tail, is worth target over the denominators gamma_{n+first} ... gamma_{n+j}."""
+        digits = [ms.digit(n + j, j) for j in range(first, last + 1)]
+        acc = _fold(ops, -(n + first - 1), digits, tail)
         return IdentityCheck(n, item, field.is_zero(field.sub(acc, target)))
 
     checks: list[IdentityCheck] = []

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bases import AlternateBase
+from .bases import AlternateBase, _fold, _val_word
 from .errors import DepthExhausted, InvariantViolation, NoSecondNonzero
-from .expansion import _val_word, val_up
+from .expansion import val_up
 from .numerics import DEFAULT_PREC, Dyadic, IntervalReal
 from .numerics.intervals import ONE
 from .numerics.polynomials import alpha_root
@@ -156,10 +156,8 @@ def verify_value_one(
         else:
             prec = max(base.prec, DEFAULT_PREC)
             ops = base.ops.interval_ops(prec)
-            acc = ops.lift(0)
+            acc = _fold(ops, i, a.digits(depth), ops.lift(0))
             prod_lo = Fraction(1)
-            for n in range(depth, 0, -1):
-                acc = ops.div(ops.add(acc, ops.lift(a.digit(n))), ops.beta(i - n))
             for n in range(1, depth + 1):
                 prod_lo *= ops.beta(i - n).lo.as_fraction()
             m = min(b.lo.as_fraction() for b in base.betas)

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from altbase.bases import AlternateBase, FieldOps, IntervalOps
+from altbase.bases import AlternateBase, FieldOps, IntervalOps, _fold, _val_word
 from altbase.errors import (
     CeilUndecidable,
     FloorUndecidable,
@@ -211,6 +212,39 @@ def reconstruct(base: AlternateBase, e: GreedyExpansion) -> tuple[Fraction, Frac
         prod *= asc[(-n) % p]
         val += Fraction(a, 1) / prod
     return val, prod
+
+
+def _series(asc, shift: int, digits, tail=Fraction(0)) -> Fraction:
+    """sum_n d_n / (beta_{shift-1} ... beta_{shift-n}) plus tail over the last product."""
+    total, prod = Fraction(0), Fraction(1)
+    for n, d in enumerate(digits, start=1):
+        prod *= asc[(shift - n) % len(asc)]
+        total += d / prod
+    return total + tail / prod
+
+
+_digit_lists = st.lists(st.integers(0, 4), max_size=4)
+
+
+@seed(27)
+@settings(max_examples=80, deadline=None)
+@given(rational_bases(), st.integers(-5, 5), _digit_lists, _digit_lists.filter(bool),
+       st.fractions(0, 3, max_denominator=7))
+def test_fold_and_val_word_match_the_fraction_closed_form(base, shift, pre, per, tail):
+    ops = base.ops
+    asc = [Fraction(e[0][0], e[1]) for e in ops.beta_elems]
+    got = _fold(ops, shift, pre, ops.lift(tail))
+    assert ops.is_zero(ops.sub(got, ops.lift(_series(asc, shift, pre, tail))))
+    # the word pre (per)^w: digits and base indices repeat after pre and
+    # lcm(|per|, p) more digits, scaled by one over that many betas
+    w = words(pre, per)
+    ell, mm = len(w.preperiod), lcm(len(w.period), len(asc))
+    cycle = w.period * (mm // len(w.period))
+    ratio = _series(asc, shift - ell, [0] * mm, Fraction(1))
+    want = _series(asc, shift, w.preperiod, _series(asc, shift - ell, cycle) / (1 - ratio))
+    assert ops.is_zero(ops.sub(_val_word(ops, shift, w), ops.lift(want)))
+    assert val_up(base, shift, w).contains(want)
+    assert _val_word(ops.interval_ops(64), shift, w).contains(want)
 
 
 @settings(max_examples=60, deadline=None)

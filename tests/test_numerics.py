@@ -770,30 +770,31 @@ def test_drop_trivial_factors_builds_each_cyclotomic_once():
     assert second.misses == first.misses and second.hits > first.hits
 
 
-def test_integer_root_in():
-    # x^2 - 7x + 10 = (x - 2)(x - 5); (x - 5)(x^2 - 2) has no integer root in (2, 9]
-    assert polynomials.integer_root_in(IntPoly([10, -7, 1]), Dyadic(3), Dyadic(100)) == 5
-    assert polynomials.integer_root_in(IntPoly([10, -7, 1]), Dyadic(1), Dyadic(3)) == 2
-    p = _product([-5, 1], [-2, 0, 1])
-    assert polynomials.integer_root_in(p, Dyadic(1), Dyadic(2)) is None
-    assert polynomials.integer_root_in(p, Dyadic(2), Dyadic(9)) == 5
-    # a midpoint that is the root, and a root at the floor of a non-integer end
-    assert polynomials.integer_root_in(IntPoly([-3, 1]), Dyadic(1), Dyadic(5)) == 3
-    assert polynomials.integer_root_in(IntPoly([-3, 1]), Dyadic(9, -2), Dyadic(13, -2)) == 3
-    assert polynomials.integer_root_in(IntPoly([-5, 2]), Dyadic(1), Dyadic(3)) is None
+def test_isolate_dominant_decides_integer_roots_from_the_bisection_cell():
+    def point(p, upper):
+        root = isolate_dominant(p, upper)
+        assert root.is_exact()
+        return root.lo
+
+    # x^2 - 7x + 10 = (x - 2)(x - 5); (x - 5)(x^2 - 2) also has the root sqrt 2
+    assert point(IntPoly([10, -7, 1]), 9) == Dyadic(5)
+    assert point(_product([-5, 1], [-2, 0, 1]), 9) == Dyadic(5)
+    # the first bisection midpoint of (0, 6] is the root
+    assert point(IntPoly([-3, 1]), 6) == Dyadic(3)
+    # the rational root 5/2 keeps a bracket, and so does sqrt 5, whose unit
+    # cell (135/64, 9/4] has the root 2 = floor(9/4) just below it
+    got = isolate_dominant(IntPoly([-5, 2]), 3)
+    assert got.lo.as_fraction() < Fraction(5, 2) < got.hi.as_fraction()
+    got = isolate_dominant(_product([-2, 1], [-5, 0, 1]), 4)
+    assert got.lo.as_fraction() ** 2 < 5 < got.hi.as_fraction() ** 2
     # a wide bracket costs about log2 of its width in sign evaluations
     calls = []
-    real = polynomials._sign_at
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
+    real = IntPoly.eval_dyadic_sign
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polynomials, "_sign_at", counting)
+        mp.setattr(IntPoly, "eval_dyadic_sign", lambda self, x: calls.append(x) or real(self, x))
         n = 10**12 + 39
-        assert polynomials.integer_root_in(IntPoly([-n, 1]), Dyadic(0), Dyadic(2**60)) == n
-    assert len(calls) <= 64
+        assert point(IntPoly([-n, 1]), 2**60) == Dyadic(n)
+    assert len(calls) <= 64 + 4
 
 
 # -- the Z[x] kernel -------------------------------------------------------------

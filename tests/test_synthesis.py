@@ -222,6 +222,17 @@ def test_residual_stream_partial_check():
     assert r.width() <= Dyadic(1, -32)
 
 
+def test_residual_stream_endpoints_are_pinned():
+    # the stream lane folds depth digits in interval arithmetic and adds the
+    # tail bound; these endpoints are the ones of a term-by-term Horner loop
+    base = AlternateBase.from_rationals([Fraction(5, 2), 3])
+    s0 = DigitStream(lambda n: 2 if n % 3 == 1 else 1, digit_max=2, description="s0")
+    s1 = DigitStream(lambda n: n % 2, digit_max=1, description="s1")
+    r0, r1 = verify_value_one(base, ExpansionList((s0, s1)), depth=40)
+    assert (r0.lo, r0.hi) == (Dyadic(252704505613261969, -61), Dyadic(2021636044906095831, -64))
+    assert (r1.lo, r1.hi) == (Dyadic(2483215548383978099, -62), Dyadic(2483215548383978109, -62))
+
+
 # -- synthesize_general -------------------------------------------------------
 
 
