@@ -115,7 +115,7 @@ def _parse_directive(text: str) -> Directive:
 
 
 def _word_str(word: tuple[int, ...]) -> str:
-    if any(a > 9 for a in word):
+    if max(word, default=0) > 9:
         return ",".join(map(str, word))
     return "".join(map(str, word))
 

@@ -9,22 +9,27 @@ an S-adic limit of substitutions phi_m read off the gap tables, which is
 how Fibonacci, Tribonacci, Arnoux-Rauzy and N-continued-fraction words
 arise from alternate bases.
 
-B-integers are enumerated by prepending digits to admissible words.  On a
-base that carries its quasi-greedy words, which must pass the Parry check,
-admissibility is one table lookup on the word's rank among their sorted
-tails; other bases scan the digits.  Gap tables hold exact values only, and
-a base's first gap table derives its words (base.qg_words) if it has none.
+B-integers are enumerated by prepending digits to admissible words, a
+block per lead digit: each block translates the first B-integers, so only
+its first gap is new.  On a base that carries its quasi-greedy words, which
+must pass the Parry check, a block's length is one bisection on the words'
+ranks among their sorted tails; other bases scan the digits.  Gap tables
+hold exact values only, and a base's first gap table derives its words
+(base.qg_words) if it has none.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, starmap, zip_longest
 from math import lcm
-from operator import add, sub
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from operator import add, itemgetter
+from typing import Iterable, Mapping, Optional, Union
 
 from .bases import AlternateBase, _val_word
 from .errors import (
@@ -374,18 +379,107 @@ class _RankTable:
         return row
 
 
-def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...]:
+class BIntegers(Sequence):
+    """The first B-integers in value order, each built when it is read.
+
+    The words of length n + 1 that start with a nonzero digit come in
+    blocks, one per lead a = 1, 2, ...: a W_n + x_0, ..., a W_n + x_{c-1},
+    where W_n = beta_{n-1} ... beta_0 and x_0 = 0 < x_1 < ... are the
+    B-integers of the shorter words.  Each lead below the first digit d of
+    the quasi-greedy word at shift n + 1 takes the whole list, and lead d,
+    the last, a prefix of it.  The sequence keeps only the blocks and the
+    weights W_n: item i of the block from `start` is a W_n + item i - start,
+    and its digits and exact value are rebuilt from that chain of leads when
+    it is read.  Inside a block, (a W_n + x_{j+1}) - (a W_n + x_j) = x_{j+1} - x_j
+    exactly, so a block's gaps are those of the B-integers it translates,
+    but for its first.
+    """
+
+    def __init__(self, base: AlternateBase, count: int):
+        self.base = base
+        self.blocks: list[tuple[int, int, int, int]] = []  # (start, stop, n, lead)
+        self.weights: list = [base.ops.lift(1)]  # weights[n] = W_n
+        self._count = count
+
+    @cached_property
+    def _dens(self) -> list[int]:
+        """_dens[n]: the lcm of the denominators of W_0, ..., W_n (exact backend)."""
+        return list(accumulate((w[1] for w in self.weights), lcm))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(self._count))))
+        i = operator.index(i)
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError("B-integer index out of range")
+        leads = self._leads(i)
+        return BInteger(self._word(leads, leads[0][0] + 1 if leads else 0),
+                        self._exact(leads), self.base)
+
+    def _leads(self, i: int) -> list[tuple[int, int]]:
+        """(n, a) of each nonzero digit a of item i, worth a W_n, from the top."""
+        out = []
+        while i:
+            start, _, n, a = self.blocks[bisect_right(self.blocks, i, key=itemgetter(0)) - 1]
+            out.append((n, a))
+            i -= start
+        return out
+
+    @staticmethod
+    def _word(leads, length: int) -> tuple[int, ...]:
+        digits = [0] * length
+        for n, a in leads:
+            digits[-1 - n] = a
+        return tuple(digits)
+
+    def _nums(self, leads, den: int) -> list[int]:
+        """Numerators over den of the sum of a W_n, den a multiple of each W_n's denominator."""
+        out: list[int] = []
+        for n, a in leads:
+            nums, wden = self.weights[n]
+            f = a * (den // wden)
+            out = list(starmap(add, zip_longest(out, [f * x for x in nums], fillvalue=0)))
+        return out
+
+    def _exact(self, leads):
+        ops = self.base.ops
+        if not leads:
+            return ops.lift(0)
+        if ops.exact:
+            den = self._dens[leads[0][0]]
+            return _normal(self._nums(leads, den), den)
+        v = ops.lift(0)  # the interval order of the lead-by-lead walk
+        for n, a in reversed(leads):
+            v = ops.add(v, ops.mul(ops.lift(a), self.weights[n]))
+        return v
+
+    def gap(self, i: int):
+        """Item i minus item i - 1, exact and canonical, for 0 < i < len on an exact backend."""
+        top = self._leads(i)
+        den = self._dens[top[0][0]]
+        return _normal(self._nums(top + [(n, -a) for n, a in self._leads(i - 1)], den), den)
+
+
+def enumerate_b_integers(base: AlternateBase, count: int) -> BIntegers:
     """The `count` smallest B-integers with their digit words and exact values.
 
     Words come in radix order (length, then lexicographic), which for
     admissible words is value order; a length-N word a_{N-1}..a_0 is
     admissible when every suffix a_{n-1}..a_0 0^omega is lexicographically
     below the quasi-greedy expansion of 1 at shift n.  With leading zeros,
-    the words of length n - 1 are the B-integers found so far, in order, and
-    each nonzero lead digit extends a prefix of them.  On a base that carries
-    its quasi-greedy words, which must pass the Parry check (or ValueError),
-    a lead costs one _RankTable lookup on the word's rank; a base without
-    words scans the quasi-greedy digits.  Enumeration stops at `count`.
+    the words of length n are the B-integers found so far, in order, and
+    each nonzero lead digit a extends a prefix of them: the block a W_n + x_j
+    of BIntegers.  On a base that carries its quasi-greedy words, which must
+    pass the Parry check (or ValueError), the words' ranks among the sorted
+    tails are non-decreasing, and so is _RankTable.row(a), so a block's
+    length is one bisection; a base without words bisects with the
+    quasi-greedy digit scan.  Enumeration stops at `count`, and each
+    BInteger is built when it is read.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -401,46 +495,32 @@ def enumerate_b_integers(base: AlternateBase, count: int) -> tuple[BInteger, ...
             raise ValueError(
                 f"word {format_word(words[v.entry])} at shift {v.entry} fails Parry at j={v.shift}"
             )
-    out = [BInteger((), ops.lift(0), base)]
-    # rank[i] and val[i] belong to out[i] as a word of the current length; an
-    # exact val is integer numerators over den, the lcm of the weights'
-    # denominators, and is made canonical only in the BInteger
-    exact, rank, den = ops.exact, [0], 1
-    val = [[0] * ops.field.degree] if exact else [out[0].exact]
-    grow = (lambda v, s: list(map(add, v, s))) if exact else ops.add
-    n, weight = 0, ops.lift(1)  # weight = beta_{n-1} ... beta_0
-    while len(out) < count:
-        n += 1
-        size = len(out)
-        if exact:
-            nums, wden = weight
-            if den % wden:
-                scale = lcm(den, wden) // den
-                den, val = den * scale, [[scale * x for x in v] for v in val]
-            unit = [den // wden * x for x in nums] + [0] * (len(val[0]) - len(nums))
-        for lead in range(1, qg_digit(n, 1) + 1):
-            step = [lead * x for x in unit] if exact else ops.mul(ops.lift(lead), weight)
+    ints = BIntegers(base, count)
+    # rank[j]: the rank of item j as a word of the current length
+    rank, size, n = [0], 1, 0
+    while size < count:
+        if n:
+            ints.weights.append(ops.mul(ints.weights[-1], ops.beta(n - 1)))
+        level = size  # the B-integers of words of length <= n
+        for lead in range(1, qg_digit(n + 1, 1) + 1):
             if table is not None:
-                row, limit = table.row(lead), table.qg[n % base.p]
-            for i in range(size):
-                d = out[i].digits
-                word = (lead,) + (0,) * (n - 1 - len(d)) + d
-                # the level is lexicographic: its first inadmissible word ends the lead
-                if table is not None:
-                    r = row[rank[i]]
-                    if r > limit:
-                        break
-                    rank.append(r)
-                elif not _word_below_qg(word, qg_digit, n):
-                    break
-                val.append(v := grow(val[i], step))
-                out.append(BInteger(word, _normal(list(v), den) if exact else v, base))
-                if len(out) == count:
-                    return tuple(out)
+                row = table.row(lead)
+                c = bisect_left(rank, bisect_right(row, table.qg[(n + 1) % base.p]), 0, level)
+                rank.extend(map(row.__getitem__, rank[:c]))
+            else:
+                def above(j: int) -> bool:
+                    word = (lead,) + ints._word(ints._leads(j), n)
+                    return not _word_below_qg(word, qg_digit, n + 1)
+                c = bisect_left(range(level), True, key=above)
+            c = min(c, count - size)
+            ints.blocks.append((size, size + c, n, lead))
+            size += c
+            if size == count:
+                break
         if table is not None:  # only now may the level's words take a leading 0
-            rank[:size] = map(table.row(0).__getitem__, rank[:size])
-        weight = ops.mul(weight, ops.beta(n - 1))
-    return tuple(out)
+            rank[:level] = map(table.row(0).__getitem__, rank[:level])
+        n += 1
+    return ints
 
 
 # -- gap tables and the faithful coding -----------------------------------------
@@ -541,20 +621,19 @@ def gap_substitution(
 def _class_gaps(base: AlternateBase, table: GapTable, length: int) -> tuple[int, ...]:
     """Direct coding: class the consecutive gaps of the first B-integers.
 
-    Every gap equals some Delta_{0,n}, so a gap that matches no table row
-    means the table depth ran out.
+    A block of B-integers translates the first ones, so its gaps repeat the
+    word's first letters and only its first gap is classed.  Every gap
+    equals some Delta_{0,n}, so a gap that matches no table row means the
+    table depth ran out.
     """
     ops = base.ops
     ints = enumerate_b_integers(base, length + 1)
-    # a gap of two values over one denominator is keyed on the raw difference
-    # of their numerators, any other on ops.sub; equal keys are equal values,
-    # so a gap seen before keeps its letter, and a miss is decided exactly
+    # canonical gaps are keyed as they are: equal keys are equal values, so a
+    # gap seen before keeps its letter, and a miss is decided exactly
     seen: dict = {}
     word: list[int] = []
-    for a, b in zip(ints, ints[1:]):
-        (an, ad), (bn, bd) = a.exact, b.exact
-        gap = ((tuple(starmap(sub, zip_longest(bn, an, fillvalue=0))), ad) if ad == bd
-               else ops.sub(b.exact, a.exact))
+    for start, stop, _, _ in ints.blocks:
+        gap = ints.gap(start)
         letter = seen.get(gap)
         if letter is None:
             letter = seen[gap] = _row_with_value(ops, gap, table.alphabet, table.values)
@@ -565,6 +644,7 @@ def _class_gaps(base: AlternateBase, table: GapTable, length: int) -> tuple[int,
                 depth=len(table.pi),
             )
         word.append(letter)
+        word.extend(word[: stop - start - 1])
     return tuple(word)
 
 

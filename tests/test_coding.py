@@ -26,7 +26,8 @@ from altbase.coding import (
     ncf_to_eta,
     sadic_limit,
 )
-from altbase.errors import DepthExhausted, DLessThanN, NoLimit
+from altbase.cli import main
+from altbase.errors import CodingMismatch, DepthExhausted, DLessThanN, NoLimit
 from altbase.expansion import greedy_expand, is_greedy, val_up
 from altbase.numerics import Dyadic, IntPoly, IsolatedRoot, alpha_root
 from altbase.numerics.algebraic import RealAlgebraicField, _normal
@@ -424,6 +425,96 @@ def test_coding_makes_no_field_call_per_b_integer(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def _eager_b_integers(words, count):
+    """Digits of the first B-integers, level by level: each lead digit extends
+    the earlier words, in order, while the whole word stays below the
+    quasi-greedy word of its length."""
+    out = [()]
+    n = 0
+    while len(out) < count:
+        n += 1
+        qg = words[n % len(words)]
+        level = list(out)
+        for lead in range(1, qg.digit(1) + 1):
+            for d in level:
+                word = (lead,) + (0,) * (n - 1 - len(d)) + d
+                if lex_compare_up(UPWord(word, (0,)), qg) >= 0:
+                    break
+                out.append(word)
+    return out[:count]
+
+
+@pytest.mark.parametrize(
+    "make, words",
+    [
+        (ORACLE_BASES["golden"], None),
+        (ORACLE_BASES["21-2(12)"], None),
+        (lambda: synthesize_periodic(ExpansionList((parse_word("2(1)"),)))[0], None),
+        # the digit scan, on an exact and on an interval-only backend
+        (lambda: AlternateBase.from_rationals([2, 3]), (UPWord((), (2, 1)), UPWord((), (1, 2)))),
+        (lambda: AlternateBase([Fraction(2), Fraction(3)]), (UPWord((), (2, 1)), UPWord((), (1, 2)))),
+    ],
+    ids=["golden", "21-2(12)", "2(1)", "rational-2-3", "interval-2-3"],
+)
+def test_b_integers_are_a_sequence_built_on_read(make, words):
+    base = make()
+    ops = base.ops
+    count = 150
+    ints = enumerate_b_integers(base, count)
+    expected = _eager_b_integers(words or base.qg_words, count)
+    assert len(ints) == count
+    assert [b.digits for b in ints] == expected
+    for b in ints:
+        ref = _digit_value(ops, b.digits)
+        if ops.exact:
+            assert b.exact == _normal(list(ref[0]), ref[1])
+        else:  # the same interval operations in the same order
+            assert (b.exact.lo, b.exact.hi) == (ref.lo, ref.hi)
+    assert list(ints) == [ints[i] for i in range(count)]
+    assert ints[-1] == ints[count - 1] and ints[-count] == ints[0]
+    assert ints[3:9] == tuple(ints[i] for i in range(3, 9))
+    assert ints[::-40] == (ints[149], ints[109], ints[69], ints[29])
+    assert ints[count:] == ()
+    for i in (count, -count - 1):
+        with pytest.raises(IndexError):
+            ints[i]
+
+
+def test_coding_builds_no_b_integer(monkeypatch):
+    built = []
+    real = coding.BInteger
+    monkeypatch.setattr(coding, "BInteger", lambda *a: built.append(1) or real(*a))
+    assert len(faithful_coding(ORACLE_BASES["golden"](), 2000)) == 2000
+    assert built == []
+
+
+def _one_letter_off(word):
+    k = len(word) // 2
+    return word[:k] + (1 - word[k],) + word[k + 1:]
+
+
+def _first_image_off(sub):
+    """The substitution with the last letter of the image of 0 flipped: 0 -> 00 on golden."""
+    rules = dict(sub.rules)
+    rules[0] = rules[0][:-1] + (1 - rules[0][-1],)
+    return Substitution.from_map(rules)
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [("sadic_limit", _one_letter_off), ("gap_substitution", _first_image_off)],
+)
+def test_a_one_letter_disagreement_is_a_coding_mismatch(name, corrupt, monkeypatch, capsys):
+    real = getattr(coding, name)
+    monkeypatch.setattr(coding, name, lambda *a, **k: corrupt(real(*a, **k)))
+    with pytest.raises(CodingMismatch):
+        faithful_coding(ORACLE_BASES["golden"](), 300)
+    assert main(["code", "--directive", "1,1", "--len", "40", "--check"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: direct ")
+    assert "Traceback" not in out.err
+
+
 # -- quasi-greedy word derivation -------------------------------------------------
 
 
@@ -676,6 +767,35 @@ def test_coding_fibonacci():
 def test_coding_tribonacci():
     base = base_from_directive(Directive(((1, 1, 1),)))
     assert word_str(faithful_coding(base, 7)) == "0102010"
+
+
+DENSE_LISTS = (("(21)", "(12)"), ("(2)", "3(1)"), ("(22)", "(31)"), ("(211)",))
+
+
+def _dense_coding(base, length):
+    """Every consecutive gap of the materialised B-integers, classed exactly."""
+    ops, table = base.ops, gap_table(base, 0)
+    ints = [b.exact for b in enumerate_b_integers(base, length + 1)]
+    gaps = [ops.sub(b, a) for a, b in zip(ints, ints[1:])]
+    letters = {g: coding._row_with_value(ops, g, table.alphabet, table.values) for g in set(gaps)}
+    return tuple(map(letters.__getitem__, gaps))
+
+
+@given(
+    st.one_of(
+        periodic_directives().map(base_from_directive),
+        st.sampled_from(DENSE_LISTS).map(
+            lambda texts: synthesize_periodic(ExpansionList(tuple(map(parse_word, texts))))[0]
+        ),
+    ),
+    st.integers(1, 600),
+)
+@settings(max_examples=30, deadline=None)
+def test_block_coding_matches_the_dense_gaps(base, length):
+    # lengths that end inside a block, on its edge or next to it
+    dense = _dense_coding(base, length)
+    assert None not in dense
+    assert coding._class_gaps(base, gap_table(base, 0), length) == dense
 
 
 def test_coding_base_two_constant():

@@ -9,9 +9,11 @@ seeds 1-3, plus the text form of each JSON job (`--format text` in place of
 `--format json`), then the argv of tests/cli_pins.json, then a fixed-seed
 sample of `near_miss_argv`: command lines one or two edits away from
 well-formed ones, which probe where the CLI's own reader hands a line to
-argparse.  Each one runs in-process through `altbase.cli.main`
-with COLUMNS=80 and an empty stdin, and OUT gets one line per argv: the
-sha256 of (exit code, stdout, stderr), then the argv as JSON.  Two runs
+argparse, then `sweep_argv`: `code --check` at every length 1-40, so that
+some coding ends on or next to each edge of a block of B-integers.  Each
+one runs in-process through `altbase.cli.main` with COLUMNS=80 and an
+empty stdin, and OUT gets one line per argv: the sha256 of (exit code,
+stdout, stderr), then the argv as JSON.  Two runs
 over the same perfbench/jobs.py list the same argv in the same order, so
 `cmp` on their outputs is the byte check of a change.
 """
@@ -109,6 +111,23 @@ def near_miss_argv(seed: int, count: int) -> list[list[str]]:
     return out
 
 
+# the sources of sweep_argv: three directive arities, two periods, two lists
+SWEEP_SOURCES = (
+    ["--directive", "1,1"], ["--directive", "2,1"], ["--directive", "1,1,1"],
+    ["--directive", "2,2;1,1"], ["--directive", "3,2,1"],
+    ["--base", "(21)", "(12)"], ["--base", "2(1)"],
+)
+
+
+def sweep_argv() -> list[list[str]]:
+    """code --check on each source at lengths 1-40, then at 40 with --depth 1 and 2."""
+    out = [["code", *source, "--len", str(n), "--check"]
+           for source in SWEEP_SOURCES for n in range(1, 41)]
+    out += [["code", *source, "--len", "40", "--check", "--depth", depth]
+            for source in SWEEP_SOURCES for depth in ("1", "2")]
+    return out
+
+
 def pin_argv() -> list[list[str]]:
     with open(os.path.join(HERE, os.pardir, "tests", "cli_pins.json"), encoding="utf-8") as fh:
         return [pin["argv"] for pin in json.load(fh)]
@@ -152,7 +171,7 @@ def main(args: list[str]) -> int:
     src, path = args
     os.environ["COLUMNS"] = "80"
     all_argv = (benchmark_argv() + pin_argv()
-                + near_miss_argv(NEAR_MISS_SEED, NEAR_MISS_SAMPLE))
+                + near_miss_argv(NEAR_MISS_SEED, NEAR_MISS_SAMPLE) + sweep_argv())
     sys.path.insert(0, os.path.abspath(src))
     from altbase.cli import main as cli_main
 
