@@ -10,8 +10,8 @@ a_1 a_2 ... read at shift i is
     sum_{n >= 1} a_n / (beta_{i-1} beta_{i-2} ... beta_{i-n}),
 
 with the base indices descending.  Integer digits a_{N-1} ... a_0 carry the
-weights 1, beta_0, beta_1 beta_0, and so on.  Every such sum in the library
-is one Horner fold, _fold, from the innermost digit, on either backend.
+weights 1, beta_0, beta_1 beta_0, and so on.  Such sums are Horner folds
+from the innermost digit (_fold), bar a word's period, summed by blocks.
 
 Digit extraction needs floors, ceilings, and comparisons against 1 that are
 actually correct, so a base can carry an exact backend: arithmetic in a real
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from .errors import CeilUndecidable, FloorUndecidable, Undecidable
@@ -208,17 +209,26 @@ def _fold(ops, shift: int, digits: Sequence[int], tail):
 def _val_word(ops, shift: int, w: UPWord):
     """Backend value of the fractional word w read at the given shift.
 
-    The period, repeated to mm = lcm(|period|, p) digits, is folded and
-    scaled by d / (d - 1), d = delta^(mm / p); the preperiod folds around it.
+    The period, repeated to mm = lcm(|period|, p) digits, is R = mm / p
+    blocks, each starting at the residue s = shift - |preperiod|.  With
+    W_(p-1) = 1 and W_r = W_(r+1) beta_(s-r-2), digit r + 1 of a block
+    weighs W_r / delta, so the periodic part is N / (delta^R - 1), N the
+    Horner sum in delta of the block sums sum_r a_(b,r) W_r.  The preperiod
+    folds around it.
     """
-    m = len(w.period)
-    mm = math.lcm(m, ops.p)
-    acc = _fold(ops, shift - len(w.preperiod), w.period * (mm // m), ops.lift(0))
-    d = ops.lift(1)
-    for _ in range(mm // ops.p):
-        d = ops.mul(d, ops.delta())
-    tail = ops.div(ops.mul(acc, d), ops.sub(d, ops.lift(1)))
-    return _fold(ops, shift, w.preperiod, tail)
+    p, per, s = ops.p, w.period, shift - len(w.preperiod)
+    betas = (ops.beta(s - r - 2) for r in range(p - 2, -1, -1))
+    weights = list(accumulate(betas, ops.mul, initial=ops.lift(1)))  # W_(p-1), ..., W_0
+    digits = per * (math.lcm(len(per), p) // len(per))
+    delta, num, power = ops.delta(), None, None
+    for b in range(0, len(digits), p):
+        block = ops.lift(0)
+        for d, weight in zip(digits[b:b + p], reversed(weights)):
+            if d:
+                block = ops.add(block, ops.mul(ops.lift(d), weight))
+        num = block if num is None else ops.add(ops.mul(num, delta), block)
+        power = delta if power is None else ops.mul(power, delta)
+    return _fold(ops, shift, w.preperiod, ops.div(num, ops.sub(power, ops.lift(1))))
 
 
 def _as_interval(b, prec: int) -> IntervalReal:

@@ -16,7 +16,7 @@ from .coding import Directive, base_from_directive, faithful_coding, sadic_limit
 from .errors import AltBaseError, ParseError
 from .numerics import DEFAULT_PREC
 from .synthesis import certificate_json, certify, synthesize_periodic
-from .words import ExpansionList, check_parry, parse_word
+from .words import ExpansionList, ParryReport, check_parry, parse_word
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -77,20 +77,22 @@ def cmd_validate(ns) -> int:
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _reject_inadmissible(ns, lst: ExpansionList, depth: Optional[int]) -> bool:
-    """Print the violation report and return True when lst fails Parry."""
+def _parry_report(ns, lst: ExpansionList, depth: Optional[int]) -> ParryReport:
+    """check_parry's report on lst, printed when lst fails Parry."""
     report = check_parry(lst, depth=depth)
     if not report.ok:
         _emit(ns, _report_payload(report), _report_lines(report))
-    return not report.ok
+    return report
 
 
 def cmd_synthesize(ns) -> int:
     lst = _parse_list(ns.words, ns.p)
-    if not ns.skip_parry and _reject_inadmissible(ns, lst, ns.depth):
+    # every CLI list is ultimately periodic, so --depth leaves the report as certify's
+    report = None if ns.skip_parry else _parry_report(ns, lst, ns.depth)
+    if report is not None and not report.ok:
         return EXIT_INVALID
     base, _ = synthesize_periodic(lst, tol_bits=ns.tol)
-    cert = certify(lst, base)
+    cert = certify(lst, base, report)
     payload = certificate_json(base, cert)
     p = base.p
     lines = [f"p = {p}"]
@@ -134,7 +136,7 @@ def cmd_code(ns) -> int:
         texts = _gather_words(ns.base)
         lst = ExpansionList(tuple(parse_word(t) for t in texts))
         # --depth is the gap-table depth here, so Parry runs at its own default
-        if _reject_inadmissible(ns, lst, None):
+        if not _parry_report(ns, lst, None).ok:
             return EXIT_INVALID
         base, _ = synthesize_periodic(lst, tol_bits=ns.tol)
         word = faithful_coding(base, ns.len, depth=ns.depth)

@@ -100,6 +100,13 @@ class IntPoly:
 SparseRows = Sequence[Sequence[tuple[int, int]]]
 
 
+def _shift_depth(sparse: SparseRows) -> int:
+    """Least t >= 1 with every row i >= t the unit e_(i-t) on the columns below n - t, else n."""
+    n = len(sparse)
+    return next((t for t in range(1, n) if all(
+        [(c, v) for c, v in sparse[i] if c < n - t] == [(i - t, 1)] for i in range(t, n))), n)
+
+
 def faddeev_leverrier(sparse: SparseRows) -> tuple[IntPoly, list[list[int]]]:
     """Characteristic polynomial plus the first row of adj(xI - m), both exact.
 
@@ -114,24 +121,21 @@ def faddeev_leverrier(sparse: SparseRows) -> tuple[IntPoly, list[list[int]]]:
     degree of chi from its result, and the CLI corruption tests replace it
     with a function of the same (chi, row) shape.
 
-    chi is a t x t determinant, t the least t >= 1 such that every row
-    i >= t of m is the unit e_(i-t) on the columns below n - t (t = n
-    always qualifies; a product of q companion factors has t <= q).  Column
-    j < n - t of u(xI - m) = 0 then gives u_(j+t) = x u_j - sum_(d<t)
-    m[d][j] u_d, so u = U(x) c with c = (u_0, ..., u_(t-1)), and the last t
-    columns give E(x) c = 0.  Eliminating the n - t unit pivots is
-    unimodular over Z[x], so det E = +-chi; it is taken by Bareiss's
-    fraction-free elimination (Math. Comp. 22, 1968), whose divisions are
-    exact in Z[x], and the sign is read from chi being monic.
+    chi is a t x t determinant, t = _shift_depth(m) the least t >= 1 such
+    that every row i >= t of m is the unit e_(i-t) on the columns below
+    n - t (a product of q companion factors has t <= q).  Column j < n - t
+    of u(xI - m) = 0 gives u_(j+t) = x u_j - sum_(d<t) m[d][j] u_d (so the
+    Perron fixed point reads only the row's entries below t), u = U(x) c
+    with c = (u_0, ..., u_(t-1)), and the last t columns give E(x) c = 0.
+    Eliminating the n - t unit pivots is unimodular over Z[x], so det E =
+    +-chi; it is taken by Bareiss's fraction-free elimination (Math. Comp.
+    22, 1968), whose divisions are exact in Z[x], and the sign is read from
+    chi being monic.
     """
     n = len(sparse)
     if any(not 0 <= c < n for row in sparse for c, _ in row):
         raise ValueError(f"a column index lies outside [0, {n}): the matrix must be square")
-    t = next(
-        (t for t in range(1, n)
-         if all([(c, v) for c, v in sparse[i] if c < n - t] == [(i - t, 1)] for i in range(t, n))),
-        n,
-    )
+    t = _shift_depth(sparse)
     top = [dict(row) for row in sparse[:t]]
 
     def u_row(i: int) -> list[list[int]]:

@@ -20,15 +20,17 @@ zero roots and cyclotomic factors (artefacts of padding the periods to a
 common length) are divided out first; the Perron root lambda of Q is
 isolated on what is left, and the field Q(lambda) is built on that same
 polynomial, dividing out any other factor that an inverse runs into.  The
-first adjugate row at lambda is a left eigenvector u of Q.  It is carried
-around the cycle unnormalised, u_{n-1} = u_n A_n, by additions and small
-integer scalings over the sparse rows (left_mul); gamma_n = u_{n-1}[0] /
-u_n[0] costs one inverse per step, and the cycle closes exactly when u
-comes back as lambda times itself; by Perron-Frobenius, u is then positive
-once its first entry is, the one entry signed.  The normalised f_n = u_n /
-u_n[0] and every enclosure are built on first read.  Checks, the summation
-identities included, are exact and raise InvariantViolation, not assert,
-so gamma = 1 is decided, not approximated, also under python -O.
+first adjugate row at lambda is a left eigenvector u of Q; only its first
+t <= p entries are reduced in the field, and the shift gives the others,
+one multiply by x each.  u is carried around the cycle unnormalised,
+u_{n-1} = u_n A_n, by additions and small integer scalings over the
+sparse rows (left_mul); gamma_n = u_{n-1}[0] / u_n[0] costs one inverse
+per step, and the cycle closes exactly when u comes back as lambda times
+itself; by Perron-Frobenius, u is then positive once its first entry is,
+the one entry signed.  The normalised f_n = u_n / u_n[0] and every
+enclosure are built on first read.  Checks, the summation identities
+included, are exact and raise InvariantViolation, not assert, so gamma =
+1 is decided, not approximated, also under python -O.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .numerics import (
     faddeev_leverrier,
     isolate_dominant,
 )
-from .numerics.algebraic import Elem
-from .numerics.polynomials import SparseRows
+from .numerics.algebraic import Elem, _normal
+from .numerics.polynomials import SparseRows, _shift_depth
 from .words import ExpansionList, UPWord
 
 
@@ -329,18 +331,34 @@ def _certified_enclosure(
             raise Undecidable(f"sign certification stalled at {bits // 2} bits")
 
 
-def _perron_field(product: SparseRows) -> tuple[RealAlgebraicField, list[list[int]]]:
-    """Q(lambda) for the Perron root lambda of a primitive product, and adj(xI - Q)[0].
+def _perron_field(product: SparseRows) -> tuple[RealAlgebraicField, tuple[Elem, ...]]:
+    """Q(lambda) for the Perron root lambda of a primitive product, and adj(xI - Q)[0] at lambda.
 
     The root is isolated on the charpoly without its zero roots and
     cyclotomic factors, and the field is built on that polynomial.  lambda
     stays: no row of Q is zero and row 0 sums to >= 2, so lambda > 1.  Any
     other factor is divided out later by the field (RealAlgebraicField.inv).
+    Only the first t adjugate entries are reduced: row i >= t of Q is the
+    unit e_(i-t) below column n - t (_shift_depth), so column j < n - t of
+    adj(xI - Q)[0] (xI - Q) = chi e_0 gives u_(j+t) = x u_j - sum_(d<t)
+    Q[d][j] u_d - chi [j = 0], and the modulus divides chi.  The entries are
+    integral and the modulus monic: a step is one multiply by x, one cancel
+    against it and at most t integer scalings.
     """
     chi, adj_row = faddeev_leverrier(product)
     upper = max(sum(v for _, v in row) for row in product)
-    root = isolate_dominant(drop_trivial_factors(chi), upper)
-    return RealAlgebraicField(root), adj_row
+    field = RealAlgebraicField(isolate_dominant(drop_trivial_factors(chi), upper))
+    mod, t = field.modulus.coeffs, _shift_depth(product)
+    top = [dict(row) for row in product[:t]]
+    u = [list(field.reduce(c)[0]) for c in adj_row[:t]]
+    u = [c + [0] * (len(mod) - 1 - len(c)) for c in u]  # every u_j as deg coefficients
+    for j in range(len(product) - t):
+        c = [a - u[j][-1] * m for a, m in zip([0] + u[j][:-1], mod)]
+        for d, row in enumerate(top):
+            if v := row.get(j):
+                c = [a - v * y for a, y in zip(c, u[d])]
+        u.append(c)
+    return field, tuple(_normal(c, 1) for c in u)
 
 
 def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPoint:
@@ -354,10 +372,9 @@ def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPo
     """
     q = ms.q
     n_star, product = ms.primitive_rotation()
-    field, adj_row = _perron_field(product)
+    field, start = _perron_field(product)
     lam = field.generator()
 
-    start = tuple(field.reduce(c) for c in adj_row)
     # One sign proves start > 0: the closure check below proves start Q =
     # lambda start, lambda (the largest root of chi in (0, max row sum]) is
     # the Perron root of the primitive Q, whose left eigenspace is spanned by
@@ -371,7 +388,10 @@ def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPo
     u = start
     for step in range(q):
         n = n_star - step
-        inv = field.inv(u[0])
+        try:
+            inv = field.inv(u[0])
+        except ZeroDivisionError:  # u_n > 0 when the start is the Perron eigenvector
+            raise InvariantViolation("a propagated first entry is zero") from None
         u_elems[n % q], invs[n % q] = u, inv
         u = left_mul(field, u, ms.sparse(n))
         # gamma_n f_{n-1} = f_n A_n with f_n = u_n / u_n[0] and u_{n-1} = u_n A_n

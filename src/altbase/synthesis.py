@@ -28,6 +28,7 @@ from .numerics.polynomials import alpha_root
 from .perron import FixedPoint, _certified_enclosure, build_parry_matrices, periodic_fixed_point
 from .words import (
     ExpansionList,
+    ParryReport,
     UPWord,
     canonicalize,
     check_parry,
@@ -254,14 +255,17 @@ class Certificate:
         return all(self.parry_ok) and all(r.contains_zero() for r in self.residuals)
 
 
-def certify(lst: ExpansionList, base: AlternateBase) -> Certificate:
+def certify(
+    lst: ExpansionList, base: AlternateBase, report: Optional[ParryReport] = None
+) -> Certificate:
     """Certificate for a base produced by a synthesize operation on lst.
 
-    Uniqueness tries the sufficient conditions in order, strongest
-    first: all entries ultimately periodic; all first digits at least 2;
-    every beta strictly above the root of X^p = X^{p-1} + ... + 1.
+    `report` is check_parry(lst) when the caller already has it, else it is
+    computed.  Uniqueness tries the sufficient conditions in order,
+    strongest first: all entries ultimately periodic; all first digits at
+    least 2; every beta strictly above the root of X^p = X^{p-1} + ... + 1.
     """
-    report = check_parry(lst)
+    report = check_parry(lst) if report is None else report
     bad = {v.entry for v in report.violations}
     parry_ok = tuple(i not in bad for i in range(lst.p))
     residuals = verify_value_one(base, lst)

@@ -639,7 +639,8 @@ def test_invariant_violation_exits_five(capsys, monkeypatch):
         row[1][0] += 1  # the first adjugate row is no longer an eigenvector
 
     _corrupt_adjugate_row(monkeypatch, off_by_one)
-    code, out, err = run(capsys, "synthesize", "-p", "1", "(21)")
+    # the product of (21) (12) has t = 2, so the fixed point reads entry 1
+    code, out, err = run(capsys, "synthesize", "-p", "2", "(21)", "(12)")
     assert code == 5
     assert out == ""
     assert err.startswith("error: invariant violated: fixed point failed to close")
@@ -662,10 +663,30 @@ def test_one_negated_adjugate_entry_exits_five(capsys, monkeypatch):
         row[1] = [-c for c in row[1]]
 
     _corrupt_adjugate_row(monkeypatch, negate_one)
-    code, out, err = run(capsys, "synthesize", "-p", "1", "(21)")
+    # t = 2 here too; a propagated first entry comes out zero, not a traceback
+    code, out, err = run(capsys, "synthesize", "-p", "2", "(21)", "(12)")
     assert code == 5
     assert out == ""
     assert err.startswith("error: invariant violated: ")
+
+
+@pytest.mark.parametrize("extra", [(), ("--skip-parry",), ("--depth", "3")])
+def test_synthesize_checks_parry_once(capsys, monkeypatch, extra):
+    # the CLI's report goes to certify; --skip-parry leaves the check to certify
+    import altbase.synthesis as synthesis
+    from altbase import words
+
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return words.check_parry(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_parry", counting)
+    monkeypatch.setattr(synthesis, "check_parry", counting)
+    code, out, _ = run(capsys, "synthesize", "-p", "2", "(21)", "(12)", "--format", "json", *extra)
+    assert code == 0 and json.loads(out)["parry"] == [True, True]
+    assert len(seen) == 1
 
 
 def test_fixed_point_signs_one_entry(monkeypatch):

@@ -1,4 +1,7 @@
+import math
+import random
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 import pytest
@@ -20,7 +23,8 @@ from altbase.expansion import (
 )
 from altbase.numerics import Dyadic, IntervalReal, IntPoly, IsolatedRoot
 from altbase.numerics.algebraic import RealAlgebraicField
-from altbase.words import canonicalize
+from altbase.synthesis import synthesize_periodic
+from altbase.words import ExpansionList, UPWord, canonicalize, parse_word
 
 GOLDEN = IntPoly([-1, -1, 1])
 
@@ -245,6 +249,69 @@ def test_fold_and_val_word_match_the_fraction_closed_form(base, shift, pre, per,
     assert ops.is_zero(ops.sub(_val_word(ops, shift, w), ops.lift(want)))
     assert val_up(base, shift, w).contains(want)
     assert _val_word(ops.interval_ops(64), shift, w).contains(want)
+
+
+def _reference_val_word(ops, shift, w):
+    """The word's value digit by digit: the period repeated to mm = lcm(|period|, p)
+    digits, folded one beta at a time and scaled by d / (d - 1), d = delta^(mm / p)."""
+    m = len(w.period)
+    mm = lcm(m, ops.p)
+    acc = _fold(ops, shift - len(w.preperiod), w.period * (mm // m), ops.lift(0))
+    d = ops.lift(1)
+    for _ in range(mm // ops.p):
+        d = ops.mul(d, ops.delta())
+    return _fold(ops, shift, w.preperiod, ops.div(ops.mul(acc, d), ops.sub(d, ops.lift(1))))
+
+
+# admissible lists for p = 1..5 whose Perron fields have degree 3 or 4
+FIXED_POINT_ROWS = (
+    ("(302)",),
+    ("3(2)", "32(1200)"),
+    ("31(2)", "3(1)", "30(02)"),
+    ("(2)", "3(01)", "3022(21)", "3(0110)"),
+    ("30(21221)", "(2)", "3(20210)", "3(1)", "311(2)"),
+)
+
+
+@cache
+def _fixed_point_base(texts):
+    return synthesize_periodic(ExpansionList(tuple(parse_word(t) for t in texts)))[0]
+
+
+def _block_words(p, rng):
+    """Words with every preperiod length 0..p and every period length 1..p + 2."""
+    out = []
+    for pre_len in range(p + 1):
+        for per_len in range(1, p + 3):
+            pre = [rng.randint(0, 3) for _ in range(pre_len)]
+            per = [rng.randint(0, 3) for _ in range(per_len - 1)] + [4]
+            if pre:
+                pre[-1] = 0  # never the period's last digit, so the preperiod stays
+            out.append(UPWord(pre, per))
+    return out
+
+
+@pytest.mark.parametrize("base", [
+    *(pytest.param(texts, id=f"p{len(texts)}") for texts in FIXED_POINT_ROWS),
+    pytest.param((Fraction(3, 2),), id="rational-p1"),
+    pytest.param((Fraction(5, 2), 3, Fraction(7, 5)), id="rational-p3"),
+    pytest.param((2, Fraction(9, 4), Fraction(4, 3), 3), id="rational-p4"),
+])
+def test_val_word_by_period_blocks_equals_the_digit_fold(base):
+    base = (_fixed_point_base(base) if isinstance(base[0], str)
+            else AlternateBase.from_rationals(base))
+    ops, p = base.ops, base.p
+    field = ops.field
+    ws = _block_words(p, random.Random(p))
+    assert {len(w.preperiod) % p for w in ws} == set(range(p))
+    assert any(len(w.period) > 1 and math.gcd(len(w.period), p) == 1 for w in ws)
+    intervals = ops.interval_ops(64)
+    for shift in range(-1, p + 1):
+        for w in ws:
+            got = _val_word(ops, shift, w)
+            assert got == _reference_val_word(ops, shift, w)
+            enc, exact = _val_word(intervals, shift, w), field.enclosure(got, 200)
+            assert enc.lo <= exact.lo and exact.hi <= enc.hi
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,10 @@
 import dataclasses
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from altbase.errors import InvariantViolation, NotPrimitive, ZeroLeadDigit
@@ -13,12 +15,13 @@ from altbase.perron import (
     ParryShape,
     _certified_enclosure,
     _is_primitive,
+    _perron_field,
     build_finite_matrices,
     build_parry_matrices,
     check_identities,
     periodic_fixed_point,
 )
-from altbase.words import ExpansionList, canonicalize
+from altbase.words import ExpansionList, canonicalize, check_parry, parse_word, quasi_greedy_transform
 from test_numerics import eval_fraction
 
 
@@ -638,3 +641,83 @@ def test_large_perron_root_costs_few_sign_evaluations(monkeypatch):
     assert fp.lam.lo.as_fraction() > 4 * 10**9
     assert fp.field.degree == 2
     assert len(calls) < 2000
+
+
+# -- the start vector from its first t adjugate entries ------------------------
+
+
+def _assert_start_is_the_reduced_adjugate_row(ms):
+    _, product = ms.primitive_rotation()
+    field, start = _perron_field(product)
+    assert start == tuple(field.reduce(c) for c in faddeev_leverrier(product)[1])
+
+
+def _parry_seq(texts):
+    entries = quasi_greedy_transform(tuple(parse_word(t) for t in texts))
+    return build_parry_matrices(ExpansionList(entries))[0]
+
+
+def _period_workload_rows():
+    """The word lists of the period workload's synthesize jobs at seeds 1 and 2."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    rows = []
+    for seed in (1, 2):
+        for job in jobs.build("period", seed):
+            argv = job["argv"]
+            if argv[0] == "synthesize":
+                p = int(argv[argv.index("-p") + 1])
+                rows.append(argv[3:3 + p])
+    return rows
+
+
+def test_start_vector_on_the_period_workload_and_the_anchors():
+    rows = _period_workload_rows()
+    assert len(rows) >= 10
+    ks = []
+    for texts in rows + [["3(1)", "2(21)", "(211)"], ["3(12)", "2(211)", "(2111)", "31(1)", "(22)"]]:
+        ms = _parry_seq(texts)
+        ks.append(ms.k)
+        _assert_start_is_the_reduced_adjugate_row(ms)
+    assert max(ks) >= 40 and 65 in ks
+
+
+@pytest.mark.parametrize("texts", [["(21)"], ["(2)"], ["2(1)"], ["(1)"], ["31(2)"], ["(201)"], ["(9)"]])
+def test_start_vector_for_one_word(texts):
+    _assert_start_is_the_reduced_adjugate_row(_parry_seq(texts))
+
+
+@pytest.mark.parametrize("directive", [
+    [(1, 1)], [(2, 1)], [(1, 1, 1)], [(2, 2), (1, 1)], [(3, 2, 1)], [(1, 1, 1), (1, 1, 0), (1, 0, 1)],
+])
+def test_start_vector_on_finite_products(directive):
+    _assert_start_is_the_reduced_adjugate_row(build_finite_matrices(directive))
+
+
+@st.composite
+def admissible_lists(draw):
+    p = draw(st.integers(1, 4))
+    entries = []
+    for _ in range(p):
+        pre = draw(st.lists(st.integers(0, 2), max_size=p))
+        per = draw(st.lists(st.integers(0, 2), min_size=1, max_size=6))
+        first = draw(st.integers(1, 3))
+        if pre:
+            pre[0] = first
+        else:
+            per[0] = first
+        w = canonicalize(tuple(pre), tuple(per))
+        assume(w.digit(1) >= 2 or any(w.digits(len(w.preperiod) + len(w.period) + 1)[1:]))
+        entries.append(w)
+    lst = ExpansionList(tuple(entries))
+    assume(check_parry(lst).ok)
+    return lst
+
+
+@given(admissible_lists())
+@settings(max_examples=60, deadline=None)
+def test_start_vector_on_admissible_lists(lst):
+    entries = quasi_greedy_transform(lst.entries)
+    _assert_start_is_the_reduced_adjugate_row(build_parry_matrices(ExpansionList(entries))[0])

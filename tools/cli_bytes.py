@@ -10,7 +10,11 @@ seeds 1-3, plus the text form of each JSON job (`--format text` in place of
 sample of `near_miss_argv`: command lines one or two edits away from
 well-formed ones, which probe where the CLI's own reader hands a line to
 argparse, then `sweep_argv`: `code --check` at every length 1-40, so that
-some coding ends on or next to each edge of a block of B-integers.  Each
+some coding ends on or next to each edge of a block of B-integers, then
+`synthesize_argv`: `synthesize` on a fixed-seed sample of admissible lists
+for p = 1-5 whose first entry takes every period length 1-6 and every
+preperiod length 0-p, in text and JSON, so that the fixed point and the
+word values meet every period block and preperiod residue.  Each
 one runs in-process through `altbase.cli.main` with COLUMNS=80 and an
 empty stdin, and OUT gets one line per argv: the sha256 of (exit code,
 stdout, stderr), then the argv as JSON.  Two runs
@@ -31,6 +35,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (1, 2, 3)
 NEAR_MISS_SEED, NEAR_MISS_SAMPLE = 0, 400
+SYNTHESIZE_SEED = 0
 
 # quick well-formed command lines that near_miss_argv edits
 WELL_FORMED = (
@@ -128,16 +133,45 @@ def sweep_argv() -> list[list[str]]:
     return out
 
 
+def synthesize_argv() -> list[list[str]]:
+    """synthesize on one admissible list per (p, period length, preperiod length) of entry 0.
+
+    The other entries draw a preperiod length 0-p and a period length 1-6;
+    perfbench/jobs.py draws the digits (lead 1-3) and decides admissibility.
+    """
+    jobs = _jobs()
+    rng = random.Random(SYNTHESIZE_SEED)
+    out = []
+    for p in range(1, 6):
+        for per_len in range(1, 7):
+            for pre_len in range(p + 1):
+                while True:
+                    words = [jobs._random_qg_word(rng, pre_len, per_len, 3)]
+                    words += [jobs._random_qg_word(rng, rng.randint(0, p), rng.randint(1, 6), 3)
+                              for _ in range(p - 1)]
+                    if jobs.admissible(words):
+                        break
+                argv = ["synthesize", "-p", str(p), *map(jobs.fmt, words)]
+                out += [argv, argv + ["--format", "json"]]
+    return out
+
+
 def pin_argv() -> list[list[str]]:
     with open(os.path.join(HERE, os.pardir, "tests", "cli_pins.json"), encoding="utf-8") as fh:
         return [pin["argv"] for pin in json.load(fh)]
 
 
-def benchmark_argv() -> list[list[str]]:
-    """Distinct argv of every workload at SEEDS, each JSON job also as text."""
+def _jobs():
+    """The perfbench/jobs.py module."""
     sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
     import jobs
 
+    return jobs
+
+
+def benchmark_argv() -> list[list[str]]:
+    """Distinct argv of every workload at SEEDS, each JSON job also as text."""
+    jobs = _jobs()
     out, seen = [], set()
     for workload in jobs.WORKLOADS:
         for seed in SEEDS:
@@ -171,7 +205,8 @@ def main(args: list[str]) -> int:
     src, path = args
     os.environ["COLUMNS"] = "80"
     all_argv = (benchmark_argv() + pin_argv()
-                + near_miss_argv(NEAR_MISS_SEED, NEAR_MISS_SAMPLE) + sweep_argv())
+                + near_miss_argv(NEAR_MISS_SEED, NEAR_MISS_SAMPLE) + sweep_argv()
+                + synthesize_argv())
     sys.path.insert(0, os.path.abspath(src))
     from altbase.cli import main as cli_main
 
