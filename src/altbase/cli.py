@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from functools import cache
+from typing import Callable, Optional, Sequence
 
 from .coding import Directive, base_from_directive, faithful_coding, sadic_limit
 from .errors import AltBaseError, ParseError
@@ -23,13 +24,16 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 
 
-def _emit(ns, payload: dict, text_lines: Sequence[str]) -> None:
+#: the encoder json.dumps(payload, sort_keys=True, separators=(",", ":")) builds per call
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _emit(ns, payload: Callable[[], dict], text_lines: Callable[[], Sequence[str]]) -> None:
+    """Print the JSON payload or the text lines; only the one printed is built."""
     if ns.format == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        sys.stdout.write("\n")
+        sys.stdout.write(_JSON.encode(payload()) + "\n")
     else:
-        for line in text_lines:
-            sys.stdout.write(line + "\n")
+        sys.stdout.write("".join(line + "\n" for line in text_lines()))
 
 
 def _gather_words(raw: Sequence[str]) -> list[str]:
@@ -73,7 +77,7 @@ def _report_lines(report) -> list[str]:
 def cmd_validate(ns) -> int:
     lst = _parse_list(ns.words, ns.p)
     report = check_parry(lst, depth=ns.depth)
-    _emit(ns, _report_payload(report), _report_lines(report))
+    _emit(ns, lambda: _report_payload(report), lambda: _report_lines(report))
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
@@ -81,7 +85,7 @@ def _parry_report(ns, lst: ExpansionList, depth: Optional[int]) -> ParryReport:
     """check_parry's report on lst, printed when lst fails Parry."""
     report = check_parry(lst, depth=depth)
     if not report.ok:
-        _emit(ns, _report_payload(report), _report_lines(report))
+        _emit(ns, lambda: _report_payload(report), lambda: _report_lines(report))
     return report
 
 
@@ -93,17 +97,19 @@ def cmd_synthesize(ns) -> int:
         return EXIT_INVALID
     base, _ = synthesize_periodic(lst, tol_bits=ns.tol)
     cert = certify(lst, base, report)
-    payload = certificate_json(base, cert)
-    p = base.p
-    lines = [f"p = {p}"]
-    for i in reversed(range(p)):
-        lines.append(f"beta_{i} = {_interval_str(base.betas[i])}")
-    lines.append("parry: " + ("ok" if all(cert.parry_ok) else "FAIL"))
-    lines.append(f"uniqueness: {cert.uniqueness}")
-    lines.append("classification: " + ",".join(cert.classification))
-    for i, r in enumerate(cert.residuals):
-        lines.append(f"residual_{i} = {_interval_str(r)}")
-    _emit(ns, payload, lines)
+
+    def lines() -> list[str]:
+        out = [f"p = {base.p}"]
+        for i in reversed(range(base.p)):
+            out.append(f"beta_{i} = {_interval_str(base.betas[i])}")
+        out.append("parry: " + ("ok" if all(cert.parry_ok) else "FAIL"))
+        out.append(f"uniqueness: {cert.uniqueness}")
+        out.append("classification: " + ",".join(cert.classification))
+        for i, r in enumerate(cert.residuals):
+            out.append(f"residual_{i} = {_interval_str(r)}")
+        return out
+
+    _emit(ns, lambda: certificate_json(base, cert), lines)
     return EXIT_OK
 
 
@@ -136,17 +142,20 @@ def cmd_code(ns) -> int:
         texts = _gather_words(ns.base)
         lst = ExpansionList(tuple(parse_word(t) for t in texts))
         # --depth is the gap-table depth here, so Parry runs at its own default
-        if not _parry_report(ns, lst, None).ok:
+        report = _parry_report(ns, lst, None)
+        if not report.ok:
             return EXIT_INVALID
         base, _ = synthesize_periodic(lst, tol_bits=ns.tol)
-        word = faithful_coding(base, ns.len, depth=ns.depth)
-    payload = {"length": len(word), "word": list(word)}
-    lines = [_word_str(word)]
+        # the B-integers check the base's quasi-greedy words; when those are
+        # the list's own words, this report is theirs
+        same = base.qg_words == lst.entries
+        word = faithful_coding(base, ns.len, depth=ns.depth, report=report if same else None)
+    payload, footer = {"length": len(word), "word": word}, []
     if ns.check:
         # faithful_coding raises unless its two codings agree
         payload["check"] = "ok"
-        lines.append("check: ok")
-    _emit(ns, payload, lines)
+        footer.append("check: ok")
+    _emit(ns, lambda: payload, lambda: [_word_str(word), *footer])
     return EXIT_OK
 
 
@@ -158,10 +167,24 @@ COMMANDS = {
 }
 
 
-def _declarations(command: str) -> tuple:
-    """The function of one command, and its (name, add_argument keywords) in help order."""
+def _command_func(command: str) -> Callable:
+    """The function of one command, looked up when called."""
     if command == "code":
-        func, table = cmd_code, [
+        return cmd_code
+    return cmd_validate if command == "validate" else cmd_synthesize
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+@cache
+def _declarations(command: str) -> tuple[dict, dict, frozenset]:
+    """One command's arguments, built once per process: (dest, add_argument
+    keywords) by name in help order, the default of each dest, and the names
+    that must be given."""
+    if command == "code":
+        table = [
             ("--directive", {"help": "eta blocks, e.g. '1,1' or '2,2;1,1'"}),
             ("--base", {"nargs": "*", "default": (),
                         "help": "expansion words to synthesize the base from"}),
@@ -170,56 +193,52 @@ def _declarations(command: str) -> tuple:
                          "help": "cross-check the direct and S-adic codings"}),
         ]
     else:
-        func = cmd_validate if command == "validate" else cmd_synthesize
         table = [
             ("-p", {"type": int, "required": True, "help": "period"}),
             ("words", {"nargs": "+", "help": "words a_0 a_1 ... as pre(period); '-' reads stdin"}),
         ]
         if command == "synthesize":
             table.append(("--skip-parry", {"action": "store_true"}))
-    return func, table + [
+    table += [
         ("--format", {"choices": ("json", "text"), "default": "text"}),
         ("--tol", {"type": int, "default": DEFAULT_PREC, "metavar": "Q",
                    "help": "target enclosure width 2^-Q, Q >= 8"}),
         ("--depth", {"type": int, "default": 16 if command == "code" else None,
                      "help": "suffix depth for validation, table depth for coding"}),
     ]
+    defaults = {_dest(name): kw.get("default", False if "action" in kw else None)
+                for name, kw in table}
+    required = frozenset(name for name, kw in table
+                         if kw.get("required") or kw.get("nargs") == "+")
+    return {name: (_dest(name), kw) for name, kw in table}, defaults, required
 
 
 def _add_arguments(sp: argparse.ArgumentParser, command: str) -> None:
     """Declare the arguments of one command on its subparser."""
-    func, table = _declarations(command)
-    for name, kwargs in table:
+    for name, (_, kwargs) in _declarations(command)[0].items():
         sp.add_argument(name, **kwargs)
-    sp.set_defaults(command=command, func=func)
-
-
-def _dest(name: str) -> str:
-    return name.lstrip("-").replace("-", "_")
-
-
-def _is_option(token: str) -> bool:
-    return token[:1] == "-" and token != "-"
+    sp.set_defaults(command=command)
 
 
 def _read(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     """argparse's Namespace for a well-formed command line, else None: exact
     spellings as `--opt value`, each at most once, one run of words, values
     that int() and the choices take, and no other token that starts with '-'
-    than '-' itself.  Help, errors and all other spellings go to argparse."""
-    func, table = _declarations(argv[0])
-    declared = dict(table)
-    ns = argparse.Namespace(command=argv[0], func=func, **{
-        _dest(name): kw.get("default", False if "action" in kw else None) for name, kw in table})
-    seen, i = set(), 1
-    while i < len(argv):
-        name = argv[i] if _is_option(argv[i]) else "words"
-        kw = declared.get(name)
-        if kw is None or name in seen:
+    than '-' itself.  Help, errors and all other spellings go to argparse.
+    The command's table comes from _declarations, built once per process."""
+    declared, defaults, required = _declarations(argv[0])
+    values = dict(defaults, command=argv[0])
+    # which tokens are options, and one past the end that stops every run
+    option = [token[:1] == "-" and token != "-" for token in argv] + [True]
+    seen, i, end = set(), 1, len(argv)
+    while i < end:
+        name = argv[i] if option[i] else "words"
+        if name not in declared or name in seen:
             return None
+        dest, kw = declared[name]
         seen.add(name)
-        start = i = i + (name != "words")
-        while i < len(argv) and not _is_option(argv[i]):
+        start = i = i + option[i]
+        while not option[i]:
             i += 1
         if "action" in kw:  # a flag: any word after it starts the run of words
             i, value = start, True
@@ -235,9 +254,17 @@ def _read(argv: Sequence[str]) -> Optional[argparse.Namespace]:
                 return None
             if "choices" in kw and value not in kw["choices"]:
                 return None
-        setattr(ns, _dest(name), value)
-    required = {name for name, kw in table if kw.get("required") or kw.get("nargs") == "+"}
-    return ns if required <= seen else None
+        values[dest] = value
+    if not required <= seen:
+        return None
+    ns = argparse.Namespace()
+    vars(ns).update(values)
+    return ns
+
+
+#: main's bounds: (option, its dest, least value)
+_BOUNDS = tuple((option, _dest(option), least)
+                for option, least in (("--tol", 8), ("-p", 1), ("--len", 0), ("--depth", 1)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,24 +280,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line: a well-formed one is read from the command's
+    declaration table, built once per process, with the command's function
+    looked up at call time; any other goes to the full parser, built fresh on
+    every call, so every help and error text is argparse's."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # a well-formed command line is read from the declaration table; any
-        # other goes to the full parser, built fresh on every call, so every
-        # help and error text is argparse's
         ns = _read(argv) if argv and argv[0] in COMMANDS else None
         if ns is None:
             ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    for option, least in (("--tol", 8), ("-p", 1), ("--len", 0), ("--depth", 1)):
-        value = getattr(ns, _dest(option), None)  # None: not an option of ns.command
+    for option, dest, least in _BOUNDS:
+        value = getattr(ns, dest, None)  # None: not an option of ns.command
         if value is not None and value < least:
             bound = "non-negative" if least == 0 else f"at least {least}"
             sys.stderr.write(f"error: {option} must be {bound}\n")
             return EXIT_PARSE
     try:
-        return ns.func(ns)
+        return _command_func(ns.command)(ns)
     except AltBaseError as exc:
         sys.stderr.write(f"error: {exc.prefix}{exc}\n")
         return exc.exit_code

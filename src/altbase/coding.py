@@ -50,7 +50,8 @@ from .perron import (
     left_mul,
     periodic_fixed_point,
 )
-from .words import ExpansionList, UPWord, canonicalize, check_parry, format_word, shift_suffix
+from .words import (ExpansionList, ParryReport, UPWord, canonicalize, check_parry,
+                    format_word, shift_suffix)
 
 # -- substitutions ------------------------------------------------------------
 
@@ -465,7 +466,9 @@ class BIntegers(Sequence):
         return _normal(self._nums(top + [(n, -a) for n, a in self._leads(i - 1)], den), den)
 
 
-def enumerate_b_integers(base: AlternateBase, count: int) -> BIntegers:
+def enumerate_b_integers(
+    base: AlternateBase, count: int, report: Optional[ParryReport] = None
+) -> BIntegers:
     """The `count` smallest B-integers with their digit words and exact values.
 
     Words come in radix order (length, then lexicographic), which for
@@ -478,8 +481,9 @@ def enumerate_b_integers(base: AlternateBase, count: int) -> BIntegers:
     pass the Parry check (or ValueError), the words' ranks among the sorted
     tails are non-decreasing, and so is _RankTable.row(a), so a block's
     length is one bisection; a base without words bisects with the
-    quasi-greedy digit scan.  Enumeration stops at `count`, and each
-    BInteger is built when it is read.
+    quasi-greedy digit scan.  `report` is check_parry on the base's words
+    when the caller already has it, else it is computed.  Enumeration stops
+    at `count`, and each BInteger is built when it is read.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -489,7 +493,8 @@ def enumerate_b_integers(base: AlternateBase, count: int) -> BIntegers:
     table = _RankTable(words) if words is not None else None
     if table is not None:
         # after the table, so that a zero-tail word gets the table's error
-        report = check_parry(ExpansionList(words))
+        if report is None:
+            report = check_parry(ExpansionList(words))
         if not report.ok:
             v = report.violations[0]
             raise ValueError(
@@ -618,7 +623,9 @@ def gap_substitution(
     return Substitution.from_map(images)
 
 
-def _class_gaps(base: AlternateBase, table: GapTable, length: int) -> tuple[int, ...]:
+def _class_gaps(
+    base: AlternateBase, table: GapTable, length: int, report: Optional[ParryReport] = None
+) -> tuple[int, ...]:
     """Direct coding: class the consecutive gaps of the first B-integers.
 
     A block of B-integers translates the first ones, so its gaps repeat the
@@ -627,7 +634,7 @@ def _class_gaps(base: AlternateBase, table: GapTable, length: int) -> tuple[int,
     table depth ran out.
     """
     ops = base.ops
-    ints = enumerate_b_integers(base, length + 1)
+    ints = enumerate_b_integers(base, length + 1, report)
     # canonical gaps are keyed as they are: equal keys are equal values, so a
     # gap seen before keeps its letter, and a miss is decided exactly
     seen: dict = {}
@@ -648,14 +655,17 @@ def _class_gaps(base: AlternateBase, table: GapTable, length: int) -> tuple[int,
     return tuple(word)
 
 
-def faithful_coding(base: AlternateBase, length: int, depth: int = 16) -> tuple[int, ...]:
+def faithful_coding(
+    base: AlternateBase, length: int, depth: int = 16, report: Optional[ParryReport] = None
+) -> tuple[int, ...]:
     """The coding of the B-integer gaps, cross-checked two ways.
 
     Computes the direct gap classification and the S-adic limit of the
     phi_m substitutions and raises CodingMismatch unless they agree.
+    `report` goes to enumerate_b_integers.
     """
     table0 = gap_table(base, 0, depth)
-    direct = _class_gaps(base, table0, length)
+    direct = _class_gaps(base, table0, length, report)
     phis = tuple(gap_substitution(base, m, depth) for m in range(base.p))
     sadic = sadic_limit(phis, length)
     if direct != sadic:

@@ -8,8 +8,10 @@ preperiod, so equality of streams is equality of representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from math import lcm
-from typing import Callable, Iterable, Sequence, Union
+from operator import ge, gt, ne
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import DigitRangeError, FailsIfAllZeroTail, ParseError
 
@@ -20,10 +22,10 @@ Word = tuple[int, ...]
 
 
 def _check_digits(digits: Iterable[int], digit_max: int) -> tuple[int, ...]:
-    out = tuple(int(d) for d in digits)
-    for d in out:
-        if d < 0 or d > digit_max:
-            raise DigitRangeError(f"digit {d} outside [0, {digit_max}]")
+    out = tuple(map(int, digits))
+    if out and (min(out) < 0 or max(out) > digit_max):
+        d = next(d for d in out if d < 0 or d > digit_max)
+        raise DigitRangeError(f"digit {d} outside [0, {digit_max}]")
     return out
 
 
@@ -82,13 +84,10 @@ class UPWord:
         return max(self.preperiod + self.period)
 
     def gt_ten_zero(self) -> bool:
-        """Strictly above 1 0^w in lexicographic order."""
-        d1 = self.digit(1)
-        if d1 >= 2:
-            return True
-        if d1 == 0:
-            return False
-        return not shift_suffix(self, 1).is_zero_word()
+        """Strictly above 1 0^w in lexicographic order, read off the digits."""
+        pre = self.preperiod
+        d1 = pre[0] if pre else self.period[0]
+        return d1 >= 2 or (d1 == 1 and (any(pre[1:]) or self.period != (0,)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UPWord):
@@ -268,8 +267,7 @@ def quasi_greedy_transform(entries: Sequence[Entry]) -> tuple[Entry, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ParryViolation:
+class ParryViolation(NamedTuple):
     entry: int
     shift: int
     position: int | None  # digit position that decided, None for an equality hit
@@ -279,8 +277,7 @@ class ParryViolation:
         return f"entry {self.entry}, suffix shift {self.shift}: {where}"
 
 
-@dataclass(frozen=True)
-class ParryReport:
+class ParryReport(NamedTuple):
     p: int
     violations: tuple[ParryViolation, ...]
     checked_up_to: int
@@ -298,37 +295,58 @@ def check_parry(lst: ExpansionList, depth: int | None = None) -> ParryReport:
     strictly when entry i is a greedy candidate.  For ultimately periodic
     entries the pairs (suffix word, target entry) recur with period
     lcm(period lengths, p) once j clears every preperiod, so checking up to
-    max preperiod + that lcm is complete.  A list with a stream entry is
-    checked for j up to `depth` (default 64) over windows of `depth` digits,
-    so every entry is read to 2 * depth digits, and the report is partial.
+    max preperiod + that lcm is complete.  Words are compared over one
+    window, max preperiod + the sum of the two longest periods (at most that
+    bound), because by Fine and Wilf two words with periods m and n that
+    agree on m + n - gcd(m, n) digits past their preperiods are equal.  A
+    list with a stream entry is checked for j up to `depth` (default 64)
+    over windows of `depth` digits, so every entry is read to 2 * depth
+    digits, and the report is partial.
     """
     p, entries = lst.p, lst.entries
     exact = lst.all_up()
     if exact:
-        bound = max(len(a.preperiod) for a in entries) + lcm(p, *(len(a.period) for a in entries))
+        pre = max(len(a.preperiod) for a in entries)
+        periods = sorted(len(a.period) for a in entries)
+        bound = pre + lcm(p, *periods)
+        window = min(bound, pre + sum(periods[-2:]))
     else:
-        bound = 64 if depth is None else depth
-    # no window below reaches past digit 2*bound: a word's window, max
-    # preperiod + the lcm of two periods, is at most bound
+        bound = window = 64 if depth is None else depth
+    # no slice below reaches past digit 2*bound
     unrolled = [a.digits(2 * bound) for a in entries]
+    heads = [row[:window] for row in unrolled]
     violations: list[ParryViolation] = []
-    for i, a in enumerate(entries):
-        mode_strict = lst.mode(i) == GREEDY
+    for i, row in enumerate(unrolled):
+        fails = ge if lst.mode(i) == GREEDY else gt
         for j in range(1, bound + 1):
-            t = (i - j) % p
-            n = bound
-            if exact:  # two words that agree this far are equal (see lex_compare_up)
-                b = entries[t]
-                n = max(len(a.preperiod) - j, len(b.preperiod)) + lcm(len(a.period), len(b.period))
-            suffix, head = unrolled[i][j:j + n], unrolled[t][:n]
-            if suffix > head or (suffix == head and mode_strict):
+            suffix, head = row[j:j + window], heads[(i - j) % p]
+            if fails(suffix, head):
                 # None for an equality over the window
-                pos = next((d for d, (x, y) in enumerate(zip(suffix, head), 1) if x != y), None)
+                pos = next(compress(count(1), map(ne, suffix, head)), None)
                 violations.append(ParryViolation(i, j, pos))
     return ParryReport(p, tuple(violations), bound, partial=not exact)
 
 
 # -- textual form -------------------------------------------------------------
+
+
+def _parse_digits(chunk: str, bracketed_ok: bool, text: str) -> tuple[int, ...]:
+    """The digits of one side of parse_word's text."""
+    chunk = chunk.strip()
+    if not chunk:
+        return ()
+    if bracketed_ok and chunk.startswith("["):
+        if not chunk.endswith("]"):
+            raise ParseError(f"unclosed bracket in {text!r}")
+        chunk = chunk[1:-1]
+    if "," in chunk:
+        chunk = [c.strip() for c in chunk.split(",")]
+        if not chunk[-1]:
+            chunk.pop()  # one trailing comma, as in (10,)
+    try:
+        return tuple(map(int, chunk))
+    except ValueError as exc:
+        raise ParseError(f"bad digit in {text!r}") from exc
 
 
 def parse_word(text: str, digit_max: int = DEFAULT_DIGIT_MAX) -> UPWord:
@@ -340,28 +358,8 @@ def parse_word(text: str, digit_max: int = DEFAULT_DIGIT_MAX) -> UPWord:
     pre_str, per_str = s[:idx], s[idx + 1 : -1]
     if ")" in pre_str or "(" in per_str:
         raise ParseError(f"unbalanced parentheses in {text!r}")
-
-    def parse_digits(chunk: str, bracketed_ok: bool) -> tuple[int, ...]:
-        chunk = chunk.strip()
-        if not chunk:
-            return ()
-        if bracketed_ok and chunk.startswith("["):
-            if not chunk.endswith("]"):
-                raise ParseError(f"unclosed bracket in {text!r}")
-            chunk = chunk[1:-1]
-        if "," in chunk:
-            parts = [c.strip() for c in chunk.split(",")]
-            if not parts[-1]:
-                parts.pop()  # one trailing comma, as in (10,)
-        else:
-            parts = list(chunk)
-        try:
-            return tuple(int(c) for c in parts)
-        except ValueError as exc:
-            raise ParseError(f"bad digit in {text!r}") from exc
-
-    pre = parse_digits(pre_str, bracketed_ok=True)
-    per = parse_digits(per_str, bracketed_ok=False)
+    pre = _parse_digits(pre_str, True, text)
+    per = _parse_digits(per_str, False, text)
     if not per:
         raise ParseError(f"empty period in {text!r}")
     try:

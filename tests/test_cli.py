@@ -689,6 +689,47 @@ def test_synthesize_checks_parry_once(capsys, monkeypatch, extra):
     assert len(seen) == 1
 
 
+@pytest.mark.parametrize("texts, calls", [(("(21)", "(12)"), 1), (("2(0)", "3(1)"), 2)])
+def test_code_base_checks_parry_once_on_its_own_words(capsys, monkeypatch, texts, calls):
+    # the CLI's report goes down to the B-integers when the base's quasi-greedy
+    # words are the list's own; the transformed words of a zero-tail list are
+    # checked again
+    import altbase.coding as coding
+    from altbase import words
+
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return words.check_parry(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_parry", counting)
+    monkeypatch.setattr(coding, "check_parry", counting)
+    code, out, _ = run(capsys, "code", "--base", *texts, "--len", "40", "--check")
+    assert code == 0 and out.endswith("check: ok\n")
+    assert len(seen) == calls
+
+
+def test_json_validate_builds_no_throwaway_words_or_lines(capsys, monkeypatch):
+    # the first-digit test reads the digits, and the text report is built only
+    # when it is printed
+    from altbase import words
+
+    built, reported = [], []
+    real_init, real_lines = words.UPWord.__init__, cli._report_lines
+    monkeypatch.setattr(words.UPWord, "__init__",
+                        lambda self, *a, **kw: built.append(a) or real_init(self, *a, **kw))
+    monkeypatch.setattr(cli, "_report_lines",
+                        lambda report: reported.append(report) or real_lines(report))
+    argv = ("validate", "-p", "2", "1(2)", "12(0)")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1 and json.loads(out)["ok"] is False
+    assert (len(built), reported) == (2, [])
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 1 and out.startswith("p = 2\n") and out.endswith("parry: FAIL\n")
+    assert len(reported) == 1
+
+
 def test_fixed_point_signs_one_entry(monkeypatch):
     # one sign for the starting vector, plus one per gamma against 1
     from altbase.numerics import RealAlgebraicField

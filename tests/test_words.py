@@ -275,13 +275,54 @@ def expansion_candidates(draw):
     return word
 
 
-@given(st.lists(expansion_candidates(), min_size=1, max_size=3))
+@st.composite
+def shared_period_lists(draw):
+    """1-5 candidates whose periods are prefixes of one period up to rotation,
+    each with a fresh preperiod or a digit put in front of the entry before
+    it, so that suffixes meet equal targets (equality hits, and strict ones on
+    zero tails) or agree beyond the longest period."""
+    per = draw(st.just([0]) | st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    entries = []
+    for _ in range(draw(st.integers(1, 5))):
+        first = draw(st.integers(1, 3))
+        if entries and draw(st.booleans()):
+            pre, tail = entries[-1].preperiod, entries[-1].period
+        else:
+            tail = per[:draw(st.integers(1, len(per)))]
+            r = draw(st.integers(0, len(tail) - 1))
+            pre, tail = draw(st.lists(st.integers(0, 3), max_size=2)), tail[r:] + tail[:r]
+        word = W((first, *pre), tail)
+        entries.append(word if word.gt_ten_zero() else W((first + 1, *pre), tail))
+    return entries
+
+
+@given(st.lists(expansion_candidates(), min_size=1, max_size=5) | shared_period_lists())
 @settings(max_examples=300)
 def test_parry_report_matches_per_pair_reference(entries):
+    # one comparison window for the whole list gives each pair's verdict and
+    # first-difference position
     lst = ExpansionList(tuple(entries))
     report = check_parry(lst)
     assert (report.violations, report.checked_up_to) == parry_reference(lst)
     assert not report.partial
+
+
+def test_parry_window_reaches_the_fine_wilf_length():
+    # the suffix (112) of 2(112) and (1121) agree on 3 + 4 - 1 - 1 = 5 digits,
+    # the most that periods 3 and 4 allow, and first differ at digit 6: past
+    # max preperiod + longest period, inside the one window
+    lst = ExpansionList((W((2,), (1, 1, 2)), W((), (1, 1, 2, 1))))
+    report = check_parry(lst)
+    assert report.violations[0] == ParryViolation(0, 1, 6)
+    assert (report.violations, report.checked_up_to) == parry_reference(lst)
+
+
+@given(st.lists(st.integers(0, 2), max_size=4),
+       st.just([0]) | st.lists(st.integers(0, 2), min_size=1, max_size=4))
+def test_gt_ten_zero_reads_the_digits(pre, per):
+    u = W(pre, per)
+    d1 = u.digit(1)
+    assert u.gt_ten_zero() == (d1 >= 2 or (d1 == 1 and not shift_suffix(u, 1).is_zero_word()))
 
 
 @st.composite

@@ -14,7 +14,11 @@ some coding ends on or next to each edge of a block of B-integers, then
 `synthesize_argv`: `synthesize` on a fixed-seed sample of admissible lists
 for p = 1-5 whose first entry takes every period length 1-6 and every
 preperiod length 0-p, in text and JSON, so that the fixed point and the
-word values meet every period block and preperiod residue.  Each
+word values meet every period block and preperiod residue, then
+`validate_argv`: `validate` and `synthesize`, in text and JSON, on
+fixed-seed lists for p = 1-5 (preperiod up to 3, period up to 4, digits up
+to 3, zero tails and entries equal up to rotation), half of them failing
+Parry, and on two lists with long pairwise-coprime periods.  Each
 one runs in-process through `altbase.cli.main` with COLUMNS=80 and an
 empty stdin, and OUT gets one line per argv: the sha256 of (exit code,
 stdout, stderr), then the argv as JSON.  Two runs
@@ -36,6 +40,11 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (1, 2, 3)
 NEAR_MISS_SEED, NEAR_MISS_SAMPLE = 0, 400
 SYNTHESIZE_SEED = 0
+VALIDATE_SEED, VALIDATE_PER_P = 0, 12
+# three coprime period lengths: the Parry bound is 505, and the second list
+# has 955 violations
+LONG_PERIOD_LISTS = (["3(1000001)", "3(10000001)", "3(100000001)"],
+                     ["3(1234567)", "3(12345670)", "3(123456701)"])
 
 # quick well-formed command lines that near_miss_argv edits
 WELL_FORMED = (
@@ -156,6 +165,48 @@ def synthesize_argv() -> list[list[str]]:
     return out
 
 
+def _validate_word(rng: random.Random, jobs, words: list) -> tuple:
+    """A word above 1 0^w, sometimes with a zero tail, sometimes a suffix of an
+    earlier word of the list (a rotation, for a purely periodic one) or that
+    word behind one more digit, so that suffixes meet equal targets."""
+    while True:
+        kind = rng.randrange(5)
+        if kind == 0 and words:
+            w = rng.choice(words)
+            w = jobs.canon(*jobs.shift(w, rng.randint(1, len(w[0]) + len(w[1]))))
+        elif kind == 1 and words:
+            pre, per = rng.choice(words)
+            w = jobs.canon((rng.randint(1, 3), *pre[:2]), per)
+        else:
+            pre = [rng.randint(1, 3)] + [rng.randint(0, 3) for _ in range(rng.randint(0, 2))]
+            per = [0] if kind == 2 else [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+            w = jobs.canon(pre, per)
+        if jobs.above_ten(w):
+            return w
+
+
+def validate_argv() -> list[list[str]]:
+    """validate and synthesize, text and JSON, on VALIDATE_PER_P lists per p = 1-5,
+    half of them admissible, then on LONG_PERIOD_LISTS."""
+    jobs = _jobs()
+    rng = random.Random(VALIDATE_SEED)
+    lists = []
+    for p in range(1, 6):
+        wanted = {True: VALIDATE_PER_P // 2, False: VALIDATE_PER_P // 2}
+        while any(wanted.values()):
+            words: list = []
+            for _ in range(p):
+                words.append(_validate_word(rng, jobs, words))
+            ok = jobs.admissible(words)
+            if wanted[ok]:
+                wanted[ok] -= 1
+                lists.append(list(map(jobs.fmt, words)))
+    return [[command, "-p", str(len(words)), *words, *form]
+            for words in lists + list(LONG_PERIOD_LISTS)
+            for command in ("validate", "synthesize")
+            for form in ((), ("--format", "json"))]
+
+
 def pin_argv() -> list[list[str]]:
     with open(os.path.join(HERE, os.pardir, "tests", "cli_pins.json"), encoding="utf-8") as fh:
         return [pin["argv"] for pin in json.load(fh)]
@@ -206,7 +257,7 @@ def main(args: list[str]) -> int:
     os.environ["COLUMNS"] = "80"
     all_argv = (benchmark_argv() + pin_argv()
                 + near_miss_argv(NEAR_MISS_SEED, NEAR_MISS_SAMPLE) + sweep_argv()
-                + synthesize_argv())
+                + synthesize_argv() + validate_argv())
     sys.path.insert(0, os.path.abspath(src))
     from altbase.cli import main as cli_main
 
