@@ -566,28 +566,42 @@ def gap_table(base: AlternateBase, m: int = 0, depth: int = 16) -> GapTable:
     return table if table.m == m else dataclasses.replace(table, m=m)
 
 
-def _row_with_value(ops, v, rows: Iterable[int], values: Sequence) -> Optional[int]:
-    """The first of the rows whose value equals v exactly, or None."""
+def _row_with_value(ops, v, rows: Sequence[int], values: Sequence) -> Optional[int]:
+    """The first of the rows whose value equals v exactly, or None.
+
+    rows is an alphabet, of pairwise distinct values, so a row keyed as v is the
+    one: equal keys are equal polynomials.  Only a miss runs zero tests, for equal
+    values under other keys (a reducible modulus, or a key from a larger one).
+    """
     for r in rows:
-        if ops.is_zero(ops.sub(v, values[r])):
+        if values[r] == v:
             return r
-    return None
+    return next((r for r in rows if ops.is_zero(ops.sub(v, values[r]))), None)
 
 
 def _build_gap_table(base: AlternateBase, m: int, depth: int) -> GapTable:
+    """Row n is the value at shift m of word (m + n) mod p after n digits.
+
+    Past its preperiod a word's tails repeat with its period, so each word builds
+    at most |pre| + |period| of them, and each distinct tail is valued once.
+    """
     ops = base.ops
     words = base.qg_words
     if words is None:
         words = base.qg_words = derive_qg_words(base)
-    # rows share tails (the shift-0 table of (2,2);(1,1) has 2 in 16 rows),
-    # and each distinct tail is evaluated once
+    by_pos: dict[tuple[int, int], object] = {}  # (entry, position) -> value
     by_tail: dict[UPWord, object] = {}
     vals = []
     for n in range(depth):
-        tail = shift_suffix(words[(m + n) % base.p], n)
-        if tail not in by_tail:
-            by_tail[tail] = _val_word(ops, m, tail)
-        vals.append(by_tail[tail])
+        i = (m + n) % base.p
+        pre = len(words[i].preperiod)
+        pos = (i, n if n <= pre else pre + (n - pre) % len(words[i].period))
+        if pos not in by_pos:
+            tail = shift_suffix(words[i], pos[1])
+            if tail not in by_tail:
+                by_tail[tail] = _val_word(ops, m, tail)
+            by_pos[pos] = by_tail[tail]
+        vals.append(by_pos[pos])
     if ops.sign(ops.sub(vals[0], ops.lift(1))) != 0:
         raise ValueError("quasi-greedy data does not give value 1; bad base")
     pi: list[int] = []
@@ -635,15 +649,9 @@ def _class_gaps(
     """
     ops = base.ops
     ints = enumerate_b_integers(base, length + 1, report)
-    # canonical gaps are keyed as they are: equal keys are equal values, so a
-    # gap seen before keeps its letter, and a miss is decided exactly
-    seen: dict = {}
     word: list[int] = []
     for start, stop, _, _ in ints.blocks:
-        gap = ints.gap(start)
-        letter = seen.get(gap)
-        if letter is None:
-            letter = seen[gap] = _row_with_value(ops, gap, table.alphabet, table.values)
+        letter = _row_with_value(ops, ints.gap(start), table.alphabet, table.values)
         if letter is None:
             raise DepthExhausted(
                 f"a gap value is missing from the gap table of depth "

@@ -352,12 +352,10 @@ def sturm_count(chain: Sequence[IntPoly], a: Dyadic, b: Dyadic) -> int:
 
 # -- dominant-root isolation and refinement -----------------------------------
 
-#: refine_root_bisect bisects to a bracket this many bits wide before its
-#: Newton guess; the guess's fixed-point steps carry _GUARD_BITS extra bits.
-_NEWTON_BITS = 40
+#: refine_root_bisect guesses on the first bracket 2**-bits wide, the second only when
+#: the first guess does not snap; its fixed-point steps carry _GUARD_BITS extra bits.
+_NEWTON_BITS = (8, 40)
 _GUARD_BITS = 32
-#: isolate_dominant gives up on a dyadic bracket finer than this.
-_BRACKET_BITS_MAX = 4096
 
 
 def _nonroot_near(p: IntPoly, x: Dyadic, lo: Dyadic, hi: Dyadic) -> Dyadic:
@@ -411,7 +409,7 @@ def _newton_guess(p: IntPoly, lo: Dyadic, hi: Dyadic, prec: int) -> Dyadic | Non
     have = -(w.e + w.m.bit_length())  # the bracket pins about this many bits
     bits_list = []
     b = prec
-    while b > have // 2:
+    while b > max(have // 2, 1):  # a bracket 2**-2 wide or wider pins no bit
         bits_list.append(b)
         b = (b + 1) // 2
     top = max(abs(v.m) >> -v.e if v.e < 0 else abs(v.m) << v.e for v in (lo, hi)) + 1
@@ -468,9 +466,9 @@ def refine_root_bisect(p: IntPoly, lo: Dyadic, hi: Dyadic, prec: int) -> Interva
     width to <= 2**-prec, the cell lo + [j, j+1] * (hi - lo) / 2**n that
     holds the root, or the point interval when a grid point lo + j * (hi -
     lo) / 2**n is the root.  It gets there by guess, snap and verify: bisect
-    to a 2**-40 bracket, take a fixed-point Newton guess, snap it to the
+    to a 2**-8 bracket, take a fixed-point Newton guess, snap it to the
     grid and check the signs at the grid points around it exactly.  When
-    no cell verifies, bisection goes on from the 2**-40 bracket.
+    no cell verifies, it guesses once more at 2**-40, and then only bisects.
 
     Requires [lo, hi] to hold exactly one root of p, and a simple one: an
     IsolatedRoot bracket (Sturm count 1) or alpha_root's (one positive
@@ -488,13 +486,12 @@ def refine_root_bisect(p: IntPoly, lo: Dyadic, hi: Dyadic, prec: int) -> Interva
     w = hi - lo
     n = max(0, w.e + prec + (w.m - 1).bit_length())
     cell = Dyadic(w.m, w.e - n)
-    # the bracket is [L, L + W] * 2**e, in integers; it is 2**-40 wide or
-    # less from the halving `guess` on
+    # the bracket is [L, L + W] * 2**e in integers; guess where it first is 2**-bits wide or less
     e = min(lo.e, hi.e)
     L, W = lo.m << (lo.e - e), w.m << (w.e - e)
-    guess = max(0, w.e + _NEWTON_BITS + (w.m - 1).bit_length())
+    guesses = {max(0, w.e + bits + (w.m - 1).bit_length()) for bits in _NEWTON_BITS}
     for k in range(n):
-        if k == guess:
+        if k in guesses:
             x = _newton_guess(p, Dyadic(L, e), Dyadic(L + W, e), prec)
             got = _snap(p, Dyadic(L, e), slo, cell, x) if x is not None else None
             if got is not None:
@@ -543,12 +540,12 @@ class IsolatedRoot:
 def isolate_dominant(p: IntPoly, upper: int, prec: int = DEFAULT_PREC) -> IsolatedRoot:
     """Isolate the largest real root of p in (0, upper] and refine it.
 
-    The dominant root must be simple.  Integer roots are detected exactly
-    (charpolys are monic, so every rational root is an integer) and come
-    back as a point bracket: refine_root_bisect narrows the isolating
-    bracket to its cell of width <= 1, whose ends are non-roots, so the
-    largest integer in the cell is the one integer the root can be.  The
-    returned root sits on the squarefree part of p without its zero roots.
+    The dominant root must be simple.  refine_root_bisect narrows the isolating
+    bracket (a, b] to its cell of width <= 1, with non-root ends, so the largest integer
+    in it is the one integer the root can be (a monic charpoly's rational roots are
+    integers).  Otherwise the bracket is (a, b] rounded out at the first of 16, 32, ...
+    bits that keeps one root between non-roots, or the cell, on (a, b]'s grid, where
+    the rounding keeps a and b.  The root is on p's squarefree part, zero roots out.
     """
     p = p.shift_out_zero_roots()[0]
     # one remainder sequence: p's Sturm chain counts, and its last member
@@ -561,18 +558,13 @@ def isolate_dominant(p: IntPoly, upper: int, prec: int = DEFAULT_PREC) -> Isolat
     if cell.lo <= n and sf.eval_dyadic_sign(n) == 0:
         return IsolatedRoot(sf, n, n)
     prec0 = 16
-    while True:
-        dlo, dhi = a.round_down(prec0), b.round_up(prec0)
-        if (
-            sf.eval_dyadic_sign(dlo) != 0
-            and sf.eval_dyadic_sign(dhi) != 0
-            and sturm_count(chain, dlo, dhi) == 1
-        ):
+    while (lo := a.round_down(prec0), hi := b.round_up(prec0)) != (a, b):
+        if sf.eval_dyadic_sign(lo) and sf.eval_dyadic_sign(hi) and sturm_count(chain, lo, hi) == 1:
             break
         prec0 *= 2
-        if prec0 > _BRACKET_BITS_MAX:
-            raise Undecidable(f"failed to form a dyadic isolation bracket at {prec0 // 2} bits")
-    root = IsolatedRoot(sf, dlo, dhi)
+    else:
+        lo, hi = cell.lo, cell.hi
+    root = IsolatedRoot(sf, lo, hi)
     root.refine(prec)
     return root
 

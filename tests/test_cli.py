@@ -531,6 +531,33 @@ def test_traced_run_binds_every_required_site():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_traced_coding_run_covers_every_required_metric(tmp_path):
+    # the benchmark's traced run reports a problem for each PER_LAYER metric
+    # of its workload that recorded no call, so a change that makes a layer
+    # idle on the coding jobs (int_poly_gcd, say) must fail here too.  It
+    # runs perfbench/run.py's own traced check on the seed-1 job list, with
+    # the spans written under tmp_path; the workers are fresh interpreters
+    root = Path(__file__).resolve().parent.parent
+    script = "\n".join((
+        "import json, sys",
+        f"sys.path.insert(0, {str(root / 'perfbench')!r})",
+        "import run",
+        f"run.OUT = {str(tmp_path)!r}",
+        "job_list = run.jobs.build('coding', 1)",
+        "refs = run.load_refs('coding', 1)",
+        "_, detail, _, _, _ = run.run_traced(run.Runner('coding', 1), job_list, refs)",
+        "print(json.dumps(detail['problems']))",
+        "print(json.dumps([m for m, _, needed in run.PER_LAYER if 'coding' in needed]))",
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, cwd=root
+    )
+    assert proc.returncode == 0, proc.stderr
+    problems, required = map(json.loads, proc.stdout.splitlines()[-2:])
+    assert "polynomials.int_poly_gcd.calls" in required
+    assert "coverage" not in problems, problems["coverage"]
+
+
 def test_src_has_no_assert_statement():
     # python -O strips assert statements, so no check in the package may be one
     src = Path(__file__).resolve().parent.parent / "src"
@@ -804,10 +831,14 @@ def test_refinement_sign_evaluation_count(capsys, monkeypatch):
     # a Newton guess snapped to the bisection grid: a few dozen exact signs, not
     # one per bit; the exact count pins the halving at which the guess starts.
     # Six of them are isolate_dominant's integer test, which bisects lambda's
-    # bracket to its unit cell with refine_root_bisect
+    # bracket to its unit cell with refine_root_bisect; that cell is lambda's
+    # bracket, so no second rounding and Sturm count follow.  Each of the two
+    # refinements then costs its two ends, the halvings down to a 2**-8
+    # bracket (none for the second, already narrower) and a snap of at most
+    # three signs: 22 in all, 59 when the first guess came at 2**-40
     calls = []
     real = IntPoly.eval_dyadic_sign
     monkeypatch.setattr(IntPoly, "eval_dyadic_sign", lambda self, x: calls.append(x) or real(self, x))
     code, _, _ = run(capsys, "synthesize", "-p", "1", "(21)", "--format", "json", "--tol", "4096")
     assert code == 0
-    assert len(calls) == 59
+    assert len(calls) == 22

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from altbase import coding
@@ -796,6 +796,54 @@ def test_block_coding_matches_the_dense_gaps(base, length):
     dense = _dense_coding(base, length)
     assert None not in dense
     assert coding._class_gaps(base, gap_table(base, 0), length) == dense
+
+
+def _golden_x3_field() -> RealAlgebraicField:
+    """Q[x]/((x^2 - x - 1)(x - 3)) at the golden ratio: a reducible modulus."""
+    return RealAlgebraicField(IsolatedRoot(IntPoly([3, 2, -4, 1]), Dyadic(3, -1), Dyadic(7, -2)))
+
+
+@st.composite
+def _golden_x3_elems(draw):
+    """(a0 + a1 x + t (x^2 - x - 1)) / d: its value at the golden ratio does not depend on t."""
+    a0, a1, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), draw(st.integers(-2, 2))
+    return _normal([a0 - t, a1 - t, t], draw(st.integers(1, 3)))
+
+
+def _exact_scan(ops, v, rows, values):
+    return next((r for r in rows if ops.is_zero(ops.sub(v, values[r]))), None)
+
+
+@given(st.lists(_golden_x3_elems(), min_size=1, max_size=10))
+@settings(max_examples=100, deadline=None)
+# 1 and 1 + (x^2 - x - 1) are equal at the root under different keys
+@example([((1,), 1), ((0, -1, 1), 1)])
+@example([((0, -1, 1), 1), ((1,), 1), ((0, -1, 1), 1)])
+def test_key_first_classing_matches_the_exact_scan(values):
+    # first-occurrence classing, as the gap tables do it: the key-first field
+    # and the scanning field each shrink their modulus when a zero test splits it
+    keyed, scanned = _golden_x3_field(), _golden_x3_field()
+    rows: list[int] = []
+    for n, v in enumerate(values):
+        hit = coding._row_with_value(keyed, v, rows, values)
+        assert hit == _exact_scan(scanned, v, rows, values)
+        if hit is None:
+            rows.append(n)
+
+
+def test_gap_table_builds_each_tail_once_per_position(monkeypatch):
+    # an entry's tails repeat with its period past its preperiod, so a table
+    # of any depth builds at most |pre| + |period| of them per entry
+    built = []
+    real = coding.shift_suffix
+    monkeypatch.setattr(coding, "shift_suffix", lambda u, j: built.append(u) or real(u, j))
+    base = base_from_directive(Directive(((2, 2), (1, 1))))
+    for m in range(base.p):
+        built.clear()
+        table = coding._build_gap_table(base, m, 16)
+        assert len(table.pi) == 16
+        for w in base.qg_words:
+            assert built.count(w) <= len(w.preperiod) + len(w.period)
 
 
 def test_coding_base_two_constant():

@@ -22,7 +22,13 @@ from altbase.numerics import (
     sturm_count,
 )
 from altbase.numerics import algebraic, polynomials
-from altbase.numerics.polynomials import IsolatedRoot, _nonroot_near, exact_div, int_divmod
+from altbase.numerics.polynomials import (
+    IsolatedRoot,
+    _nonroot_near,
+    exact_div,
+    int_divmod,
+    isolate_largest_root,
+)
 from altbase.perron import _certified_enclosure
 
 
@@ -295,13 +301,55 @@ def test_nonroot_near_gives_up_with_undecidable():
         _nonroot_near(IntPoly([]), Dyadic(1), Dyadic(0), Dyadic(2))
 
 
-def test_isolate_dominant_bracket_cap_raises_undecidable(monkeypatch):
+def _isolation(p: IntPoly, upper: int) -> tuple[IntPoly, Dyadic, Dyadic]:
+    """The squarefree part isolate_dominant works on and its isolating bracket (a, b]."""
+    q = p.shift_out_zero_roots()[0]
+    sf = squarefree_part(q)
+    return (sf, *isolate_largest_root(sf, sturm_chain(q), upper))
+
+
+def _assert_bracket_is_the_unit_cell_refined(p: IntPoly, upper: int) -> None:
+    """isolate_dominant's bracket sits in the unit cell and refines as bisection does."""
+    sf, a, b = _isolation(p, upper)
+    assert (a.round_down(16), b.round_up(16)) == (a, b)  # so no rounding moves (a, b]
+    cell = refine_root_bisect(sf, a, b, 0)
+    for prec in (0, 16, 300):
+        root = isolate_dominant(p, upper, prec)
+        assert cell.lo <= root.lo and root.hi <= cell.hi
+        if root.is_exact():  # an integer root, decided in the cell
+            assert sf.eval_dyadic_sign(root.lo) == 0 and root.lo.e >= 0
+            continue
+        for lo, hi in ((cell.lo, cell.hi), (a, b)):
+            want = _bisect_reference(sf, lo, hi, prec)
+            assert (root.lo, root.hi) == (want.lo, want.hi)
+
+
+def test_isolate_dominant_separates_close_roots_with_no_bracket_cap():
     # roots 5/3 and 5/3 + 2^-20: no 16-bit dyadic bracket separates them
     p = IntPoly([5 * (5 * 2**20 + 3), -(30 * 2**20 + 9), 9 * 2**20])
     assert isolate_dominant(p, 2).enclosure().lo.as_fraction() > Fraction(5, 3)
-    monkeypatch.setattr(polynomials, "_BRACKET_BITS_MAX", 16)
-    with pytest.raises(Undecidable, match="16 bits"):
-        isolate_dominant(p, 2)
+    # (a, b] off the 16-bit grid is rounded out at 16, 32, ... bits, and the
+    # search ends by the bits a and b take, with no cap; the second has a
+    # 17-bit a whose 16-bit rounding still holds one root
+    close = (p, 2)
+    off_grid = (IntPoly(reduce(_poly_mul, [[-6, 3, 1], [1, -6, 1, 2]] + [[1, -4, 0, 3]] * 2)), 4702)
+    for p, upper in (close, off_grid):
+        _, a, b = _isolation(p, upper)
+        assert (a.round_down(16), b.round_up(16)) != (a, b)
+        for prec in (0, 32, 300):
+            root = isolate_dominant(p, upper, prec)
+            assert (root.poly, root.lo, root.hi) == _fraction_isolate_dominant(p, upper, prec)
+
+
+@pytest.mark.parametrize("p, upper", [
+    (GOLDEN, 2),
+    (IntPoly([-1, -1, -1, 1]), 2),  # tribonacci
+    (IntPoly([3, 2, -4, 1]), 5),  # (x^2 - x - 1)(x - 3): the root 3 is an integer
+    (IntPoly([0, 0, -2, 0, 1]), 7),  # x^2 (x^2 - 2): zero roots go first
+    (IntPoly([-5, 2]), 3),  # 5/2 is on no grid of (0, 3]
+])
+def test_isolate_dominant_bracket_is_the_refined_unit_cell(p, upper):
+    _assert_bracket_is_the_unit_cell_refined(p, upper)
 
 
 # -- refinement against plain bisection -------------------------------------------
@@ -394,23 +442,60 @@ def test_refine_matches_bisection(root, prec):
     assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
-@pytest.mark.parametrize("lo, hi, width", [
-    (Dyadic(_S - 1, -42), Dyadic(_S + 3, -42), Dyadic(1, -40)),
-    (Dyadic(_S - 1, -42), Dyadic(_S + 2, -42), Dyadic(3, -42)),
-    (Dyadic(_S - 2, -42), Dyadic(_S + 3, -42), Dyadic(5, -43)),
-    (Dyadic(1), Dyadic(2), Dyadic(1, -40)),
-])
-def test_newton_guess_starts_on_the_first_bracket_at_most_2_40_wide(monkeypatch, lo, hi, width):
+_GUESS_BRACKETS = (
+    (Dyadic(_S - 1, -42), Dyadic(_S + 3, -42)),  # 2**-40 wide
+    (Dyadic(_S - 1, -42), Dyadic(_S + 2, -42)),  # 3 * 2**-42
+    (Dyadic(_S - 2, -42), Dyadic(_S + 3, -42)),  # 5 * 2**-42
+    (Dyadic(1), Dyadic(2)),
+)
+
+
+def _recorded_guesses(monkeypatch, fail_first: bool) -> list:
+    """The bracket widths _newton_guess is called on; with fail_first its first guess is lo."""
     seen = []
     real = polynomials._newton_guess
 
     def recording(p, lo, hi, prec):
         seen.append(hi - lo)
-        return real(p, lo, hi, prec)
+        return lo if fail_first and len(seen) == 1 else real(p, lo, hi, prec)
 
     monkeypatch.setattr(polynomials, "_newton_guess", recording)
-    refine_root_bisect(SQRT2, lo, hi, 200)
+    return seen
+
+
+@pytest.mark.parametrize("bracket, width", zip(_GUESS_BRACKETS, [
+    Dyadic(1, -40), Dyadic(3, -42), Dyadic(5, -42), Dyadic(1, -8),
+]))
+def test_newton_guess_starts_on_the_first_bracket_at_most_2_8_wide(monkeypatch, bracket, width):
+    seen = _recorded_guesses(monkeypatch, fail_first=False)
+    refine_root_bisect(SQRT2, *bracket, 200)
     assert seen == [width]
+
+
+@pytest.mark.parametrize("lo, hi, width", [
+    # a bracket already 2**-40 wide or less gets its one guess at once
+    (*_GUESS_BRACKETS[0], [Dyadic(1, -40)]),
+    (*_GUESS_BRACKETS[1], [Dyadic(3, -42)]),
+    (*_GUESS_BRACKETS[2], [Dyadic(5, -42), Dyadic(5, -43)]),
+    (*_GUESS_BRACKETS[3], [Dyadic(1, -8), Dyadic(1, -40)]),
+])
+def test_newton_guess_starts_on_the_first_bracket_at_most_2_40_wide(monkeypatch, lo, hi, width):
+    # the first guess is forced off the root, so its snap fails: the second
+    # comes on the first bracket 2**-40 wide or less, and bisection decides
+    # what no guess verifies
+    seen = _recorded_guesses(monkeypatch, fail_first=True)
+    got = refine_root_bisect(SQRT2, lo, hi, 200)
+    assert seen == width
+    want = _bisect_reference(SQRT2, lo, hi, 200)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+def test_newton_guess_ends_on_a_wide_bracket():
+    # a bracket 2**-2 wide or wider pins no bit, so the working bits still halve to an end
+    for lo, hi in ((Dyadic(1), Dyadic(2)), (Dyadic(0), Dyadic(4)), (Dyadic(5, -2), Dyadic(6, -2))):
+        for prec in (0, 1, 2, 64):
+            x = polynomials._newton_guess(SQRT2, lo, hi, prec)
+            assert x is None or lo <= x <= hi
 
 
 def test_refine_root_on_a_deep_grid_point():
