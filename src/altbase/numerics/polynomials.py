@@ -1,10 +1,11 @@
 """Exact integer polynomials, characteristic polynomials and root isolation.
 
 Coefficients are stored in ascending order, and Z[x] has one product
-(int_mul) and one pseudo-division (_pseudo_divmod), under exact division,
-remainder sequences and the inverse modulo a polynomial alike.  A
-characteristic polynomial is a small determinant over Z[x] taken by
-fraction-free elimination, so no fraction or power series appears.  Root
+(int_mul), one division in integers (int_divmod), under exact division and
+reduction, and one pseudo-division (_pseudo_divmod), under remainder
+sequences and the inverse modulo a polynomial.  A characteristic
+polynomial is a small determinant over Z[x] taken by fraction-free
+elimination, so no fraction or power series appears.  Root
 work is done with exact sign evaluations at dyadic points, in integers
 only, plus Sturm-sequence counting, so every returned enclosure is
 certified.
@@ -94,7 +95,7 @@ class IntPoly:
         return IntPoly(c), v
 
 
-# -- matrix characteristic polynomial and adjugate --------------------------
+# -- matrix characteristic polynomial ------------------------------------------
 
 #: a matrix as its rows, each the (column, value) pairs of its non-zero entries
 SparseRows = Sequence[Sequence[tuple[int, int]]]
@@ -107,30 +108,25 @@ def _shift_depth(sparse: SparseRows) -> int:
         [(c, v) for c, v in sparse[i] if c < n - t] == [(i - t, 1)] for i in range(t, n))), n)
 
 
-def faddeev_leverrier(sparse: SparseRows) -> tuple[IntPoly, list[list[int]]]:
-    """Characteristic polynomial plus the first row of adj(xI - m), both exact.
+def faddeev_leverrier(sparse: SparseRows) -> tuple[IntPoly, list[list[tuple[int, ...]]]]:
+    """chi = det(xI - m), exactly, and the t x t matrix E(x) over Z[x] with det E = +-chi.
 
     m is any square integer matrix, given as its n sparse rows: row i lists
     the (column, value) pairs of its non-zero entries, each column in [0, n).
-    Returns (chi, row) where chi = det(xI - m) and row[j] is the ascending
-    coefficient list of adjugate(xI - m)[0][j].
-    Only the row still runs the Faddeev-LeVerrier recursion, on row 0:
-    r_(i+1) = r_i m + c_(n-i) e_0, since every M_i of the recursion commutes
-    with m.  The name stays because the benchmark's tracing binds
+    E[r][e] is the ascending integer coefficient list of E(x)[r][e].  The
+    name stays because the benchmark's tracing binds
     altbase.perron.faddeev_leverrier, requires its span and reads the
-    degree of chi from its result, and the CLI corruption tests replace it
-    with a function of the same (chi, row) shape.
+    degree of chi from its result.
 
-    chi is a t x t determinant, t = _shift_depth(m) the least t >= 1 such
-    that every row i >= t of m is the unit e_(i-t) on the columns below
-    n - t (a product of q companion factors has t <= q).  Column j < n - t
-    of u(xI - m) = 0 gives u_(j+t) = x u_j - sum_(d<t) m[d][j] u_d (so the
-    Perron fixed point reads only the row's entries below t), u = U(x) c
-    with c = (u_0, ..., u_(t-1)), and the last t columns give E(x) c = 0.
-    Eliminating the n - t unit pivots is unimodular over Z[x], so det E =
-    +-chi; it is taken by Bareiss's fraction-free elimination (Math. Comp.
-    22, 1968), whose divisions are exact in Z[x], and the sign is read from
-    chi being monic.
+    t = _shift_depth(m) is the least t >= 1 such that every row i >= t of m
+    is the unit e_(i-t) on the columns below n - t (t <= q for a product of
+    q companion factors).  Column j < n - t of u(xI - m) = 0 gives u_(j+t) =
+    x u_j - sum_(d<t) m[d][j] u_d, so u = U(x) c with c = (u_0, ..., u_(t-1)),
+    and E(x) is the last t columns of U(x)(xI - m) acting on c (row r is
+    column n - t + r): u(xI - m) = 0 exactly when E(x) c = 0.  Eliminating
+    the n - t unit pivots is unimodular over Z[x], so det E = +-chi, the
+    last pivot of _echelon on a copy of E; the sign is read from chi being
+    monic.
     """
     n = len(sparse)
     if any(not 0 <= c < n for row in sparse for c, _ in row):
@@ -151,41 +147,63 @@ def faddeev_leverrier(sparse: SparseRows) -> tuple[IntPoly, list[list[int]]]:
                     for l, y in enumerate(f):
                         g[l] -= v * y
     E = [[_trim(g) for g in row] for row in E]
-    prev: Sequence[int] = (1,)
-    for k in range(t - 1):
-        if not E[k][k]:  # a zero pivot: swap in a row below; the sign comes from chi below
-            r = next(r for r in range(k + 1, t) if E[r][k])
-            E[k], E[r] = E[r], E[k]
-        piv = E[k][k]
-        for row in E[k + 1 :]:
-            for j in range(k + 1, t):
-                a, b = int_mul(piv, row[j]), int_mul(row[k], E[k][j])
-                row[j] = int_divmod([x - y for x, y in zip_longest(a, b, fillvalue=0)], prev)[0]
+    B = [list(row) for row in E]
+    _echelon(B)
+    chi = B[-1][-1] if t else (1,)
+    return IntPoly([c * chi[-1] for c in chi]), E  # det E = +-chi, and chi is monic
+
+
+def _echelon(B: list[list[Sequence[int]]]) -> tuple[list[int], int]:
+    """Bareiss's fraction-free elimination of B over Z[x] to echelon form, in place.
+
+    Returns the pivot columns and the sign of the row swaps; a column with
+    no pivot left is skipped.  The step on pivot (k, j) sets each entry
+    (i, l) below and right of it to (piv a_il - a_ij a_kl) / prev, prev the
+    pivot before; every result is a minor of the row-swapped input (Math.
+    Comp. 22, 1968), so each division is exact, and the last pivot is the
+    minor on the pivot columns.  O(m^2 n) products for m rows of n entries.
+    """
+    pivots: list[int] = []
+    s, prev = 1, (1,)
+    for j in range(len(B[0]) if B else 0):
+        k = len(pivots)
+        r = next((r for r in range(k, len(B)) if B[r][j]), None)
+        if r is None:
+            continue
+        if r != k:
+            B[k], B[r], s = B[r], B[k], -s
+        piv = B[k][j]
+        for row in B[k + 1 :]:
+            for l in range(j + 1, len(row)):
+                a, b = int_mul(piv, row[l]), int_mul(row[j], B[k][l])
+                row[l] = int_divmod([x - y for x, y in zip_longest(a, b, fillvalue=0)], prev)[0]
+        pivots.append(j)
         prev = piv
-    chi = E[-1][-1] if t else (1,)
-    chi = [c * chi[-1] for c in chi]  # det E = +-chi, and chi is monic
-    # r m: one gather for a unit per column, then the remaining rows
-    unit = [n] * n
-    rest = []
-    for j, row in enumerate(sparse):
-        if len(row) == 1 and row[0][1] == 1 and unit[row[0][0]] == n:
-            unit[row[0][0]] = j
-        else:
-            rest.append((j, row))
-    r = [1] + [0] * n  # r[n] = 0 serves the columns with no gathered unit
-    first_rows = [r]
-    for i in range(1, n):
-        out = [r[u] for u in unit]
-        for j, row in rest:
-            x = r[j]
-            if x:
-                for l, v in row:
-                    out[l] += x * v
-        out[0] += chi[n - i]
-        out.append(0)
-        r = out
-        first_rows.append(r)
-    return IntPoly(chi), [list(col) for col in zip(*reversed(first_rows))][:n]
+    return pivots, s
+
+
+def int_cofactors(rows: Sequence[Sequence[Sequence[int]]]) -> list[Sequence[int]]:
+    """c_e = (-1)^e det(rows without column e), for m rows of m + 1 entries over Z[x].
+
+    c spans the kernel of the rows if their rank is m, else c = 0.  After
+    _echelon, O(m^3) products, the column f left without a pivot gets c_f =
+    (-1)^f s d, d the last pivot (1 for m = 0) and s the sign of the swaps,
+    and back substitution gives the rest, its divisions exact since c is
+    integral.
+    """
+    B = [list(row) for row in rows]
+    pivots, s = _echelon(B)
+    if len(pivots) < len(B):
+        return [()] * (len(B) + 1)
+    free = min(set(range(len(B) + 1)).difference(pivots))
+    c: list[Sequence[int]] = [()] * (len(B) + 1)
+    c[free] = [(-s if free % 2 else s) * v for v in (B[-1][pivots[-1]] if B else (1,))]
+    for row, j in zip(reversed(B), reversed(pivots)):
+        acc: list[int] = []
+        for l in range(j + 1, len(row)):
+            acc = [x - y for x, y in zip_longest(acc, int_mul(row[l], c[l]), fillvalue=0)]
+        c[j] = int_divmod(acc, row[j])[0]
+    return c
 
 
 # -- Z[x] product and division: ascending integer coefficient lists -------------
@@ -204,16 +222,27 @@ def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def int_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of num by den in Z[x], so num = q*den + r.
 
-    One _pseudo_divmod, divided by its f; ArithmeticError when f does not
-    divide q, that is when the quotient over Q is not integral (never for a
-    monic den).  den must end in a non-zero leading coefficient; r has its
-    trailing zeros stripped, so the zero remainder is the empty list.
+    Long division in integers; ArithmeticError at the first quotient
+    coefficient that is not an integer, that is when the quotient over Q is
+    not integral (never for a monic den).  den ends in a non-zero
+    coefficient, r in none, so the zero remainder is the empty list.
     """
-    f, q, r = _pseudo_divmod(num, den)
-    if f != 1:
-        if any(v % f for v in q):
-            raise ArithmeticError("polynomial quotient is not integral")
-        q, r = [v // f for v in q], [v // f for v in r]
+    r = list(_trim(num))
+    d, lead = len(den) - 1, den[-1]
+    q = [0] * max(0, len(r) - d)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + d]
+        if lead != 1:
+            c, rem = divmod(c, lead)
+            if rem:
+                raise ArithmeticError("polynomial quotient is not integral")
+        if c:
+            q[k] = c
+            for i in range(d):
+                r[k + i] -= c * den[i]
+    del r[d:]
+    while r and not r[-1]:
+        r.pop()
     return q, r
 
 

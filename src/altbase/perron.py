@@ -12,25 +12,26 @@ subdiagonal (and the Parry corner unit) below it.  Every matrix here, each
 A_n and every product Q of them, is held as its sparse rows, the (column,
 value) pairs of its non-zero entries, and no k x k matrix is built: Q has
 about (p+1)k non-zero entries, so the rotation product, the primitivity
-test, the charpoly and the first row of adj(xI - Q) go through those
+test, the charpoly and the start of the fixed point go through those
 entries only.  The fixed point is computed exactly.  Below its p digit
-rows Q is a shift by p plus at most p corner units, so its charpoly is a
-p x p determinant over Z[x] (faddeev_leverrier eliminates the shift).  Its
-zero roots and cyclotomic factors (artefacts of padding the periods to a
-common length) are divided out first; the Perron root lambda of Q is
-isolated on what is left, and the field Q(lambda) is built on that same
-polynomial, dividing out any other factor that an inverse runs into.  The
-first adjugate row at lambda is a left eigenvector u of Q; only its first
-t <= p entries are reduced in the field, and the shift gives the others,
-one multiply by x each.  u is carried around the cycle unnormalised,
-u_{n-1} = u_n A_n, by additions and small integer scalings over the
-sparse rows (left_mul); gamma_n = u_{n-1}[0] / u_n[0] costs one inverse
-per step, and the cycle closes exactly when u comes back as lambda times
-itself; by Perron-Frobenius, u is then positive once its first entry is,
-the one entry signed.  The normalised f_n = u_n / u_n[0] and every
-enclosure are built on first read.  Checks, the summation identities
-included, are exact and raise InvariantViolation, not assert, so gamma =
-1 is decided, not approximated, also under python -O.
+rows Q is a shift by p plus at most p corner units, so its charpoly is
+det E(x) for a t x t matrix E over Z[x], t <= p (faddeev_leverrier
+eliminates the shift).  Its zero roots and cyclotomic factors (artefacts
+of padding the periods to a common length) are divided out first; the
+Perron root lambda of Q is isolated on what is left, and the field
+Q(lambda) is built on that same polynomial, dividing out any other
+factor that an inverse runs into.  A left eigenvector u of Q starts from
+the cofactors along row 0 of E(lambda), its first t entries, and the
+shift gives the others, one multiply by x each.  u is carried around the
+cycle unnormalised, u_{n-1} = u_n A_n, by additions and small integer
+scalings over the sparse rows (left_mul); gamma_n = u_{n-1}[0] / u_n[0]
+costs one inverse per step, and the cycle closes exactly when u comes
+back as lambda times itself; by Perron-Frobenius, u is then a multiple
+of a positive vector, and neither gamma nor f_n = u_n / u_n[0], built on
+first read like every enclosure, depends on that multiple.  Checks, the
+summation identities included, are exact and raise InvariantViolation,
+not assert, so gamma = 1 is decided, not approximated, also under python
+-O.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .numerics import (
     isolate_dominant,
 )
 from .numerics.algebraic import Elem, _normal
-from .numerics.polynomials import SparseRows, _shift_depth
+from .numerics.polynomials import SparseRows, int_cofactors
 from .words import ExpansionList, UPWord
 
 
@@ -303,7 +304,7 @@ class FixedPoint:
 
     @cached_property
     def fs(self) -> tuple[tuple[IntervalReal, ...], ...]:
-        # every f_n >= 0 (a positive start, every A_n >= 0), so the sign is 0 or 1
+        # f_n >= 0 (a Perron vector times A_n's, all >= 0, over its first entry): sign 0 or 1
         field = self.field
         return tuple(
             tuple(
@@ -331,27 +332,40 @@ def _certified_enclosure(
             raise Undecidable(f"sign certification stalled at {bits // 2} bits")
 
 
+def _kernel(field: RealAlgebraicField, E: Sequence[Sequence[Sequence[int]]]) -> list[Elem]:
+    """c != 0 with E(lambda) c = 0: c_e = (-1)^e det(E(lambda) without row 0 and column e).
+
+    Row 0 of E(lambda) c is det E(lambda) = +-chi(lambda) = 0, any other a
+    determinant with a repeated row.  c != 0: every u = U(lambda) c meets
+    the first n - t columns of u(lambda I - Q) = 0, so the right Perron
+    vector w > 0 of the primitive Q gives (w_(n-t), ..., w_(n-1)) E(lambda)
+    = 0, and E(lambda) has rank t - 1 (lambda is simple); the rows of the
+    rank-one adj E(lambda) are multiples of that positive vector, so its
+    column 0, c, is not 0.  c stays integral: E is, the modulus is monic.
+    """
+    return [field.reduce(g) for g in int_cofactors(E[1:])]
+
+
 def _perron_field(product: SparseRows) -> tuple[RealAlgebraicField, tuple[Elem, ...]]:
-    """Q(lambda) for the Perron root lambda of a primitive product, and adj(xI - Q)[0] at lambda.
+    """Q(lambda) for the Perron root lambda of a primitive product, and a left eigenvector at lambda.
 
     The root is isolated on the charpoly without its zero roots and
     cyclotomic factors, and the field is built on that polynomial.  lambda
     stays: no row of Q is zero and row 0 sums to >= 2, so lambda > 1.  Any
     other factor is divided out later by the field (RealAlgebraicField.inv).
-    Only the first t adjugate entries are reduced: row i >= t of Q is the
-    unit e_(i-t) below column n - t (_shift_depth), so column j < n - t of
-    adj(xI - Q)[0] (xI - Q) = chi e_0 gives u_(j+t) = x u_j - sum_(d<t)
-    Q[d][j] u_d - chi [j = 0], and the modulus divides chi.  The entries are
-    integral and the modulus monic: a step is one multiply by x, one cancel
-    against it and at most t integer scalings.
+    The first t = len(E) entries are the kernel vector of E(lambda)
+    (_kernel); row i >= t of Q is the unit e_(i-t) below column n - t, so
+    column j < n - t of u(lambda I - Q) = 0 gives u_(j+t) = x u_j -
+    sum_(d<t) Q[d][j] u_d at x = lambda.  The entries are integral and the
+    modulus monic: a step is one multiply by x, one cancel against it and
+    at most t integer scalings.
     """
-    chi, adj_row = faddeev_leverrier(product)
+    chi, E = faddeev_leverrier(product)
     upper = max(sum(v for _, v in row) for row in product)
     field = RealAlgebraicField(isolate_dominant(drop_trivial_factors(chi), upper))
-    mod, t = field.modulus.coeffs, _shift_depth(product)
+    mod, t = field.modulus.coeffs, len(E)
     top = [dict(row) for row in product[:t]]
-    u = [list(field.reduce(c)[0]) for c in adj_row[:t]]
-    u = [c + [0] * (len(mod) - 1 - len(c)) for c in u]  # every u_j as deg coefficients
+    u = [list(c[0]) + [0] * (len(mod) - 1 - len(c[0])) for c in _kernel(field, E)]
     for j in range(len(product) - t):
         c = [a - u[j][-1] * m for a, m in zip([0] + u[j][:-1], mod)]
         for d, row in enumerate(top):
@@ -365,22 +379,15 @@ def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPo
     """Solve gamma_n f_{n-1} = f_n A_n for a periodic companion sequence.
 
     Finds a primitive rotation, builds Q(lambda) on the Perron factor of its
-    product, takes the first adjugate row at lambda as the left eigenvector
-    u, and propagates it unnormalised around the cycle.  Every enclosure the
-    result gives is at most 2^-tol_bits wide; gamma_vs_one records the exact
-    comparisons.  InvariantViolation if a certificate check fails.
+    product, starts a left eigenvector u from the cofactors of E(lambda)
+    (_perron_field), and propagates it unnormalised around the cycle.  Every
+    enclosure the result gives is at most 2^-tol_bits wide; gamma_vs_one
+    records the exact comparisons.  InvariantViolation if a check fails.
     """
     q = ms.q
     n_star, product = ms.primitive_rotation()
     field, start = _perron_field(product)
     lam = field.generator()
-
-    # One sign proves start > 0: the closure check below proves start Q =
-    # lambda start, lambda (the largest root of chi in (0, max row sum]) is
-    # the Perron root of the primitive Q, whose left eigenspace is spanned by
-    # one v > 0 (Perron-Frobenius); so start = c v, and start[0] > 0 gives c > 0.
-    if field.sign(start[0]) <= 0:
-        raise InvariantViolation("adjugate corner must be positive at the Perron root")
 
     u_elems: list = [None] * q
     invs: list = [None] * q
@@ -390,7 +397,7 @@ def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPo
         n = n_star - step
         try:
             inv = field.inv(u[0])
-        except ZeroDivisionError:  # u_n > 0 when the start is the Perron eigenvector
+        except ZeroDivisionError:  # u_n[0] != 0 when the start is a Perron eigenvector
             raise InvariantViolation("a propagated first entry is zero") from None
         u_elems[n % q], invs[n % q] = u, inv
         u = left_mul(field, u, ms.sparse(n))

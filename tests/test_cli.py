@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -648,53 +649,104 @@ def test_src_has_no_unread_private_definition():
     assert not unread, f"private definitions that nothing in src reads: {unread}"
 
 
-def _corrupt_adjugate_row(monkeypatch, corrupt):
+def _corrupt_e(monkeypatch, corrupt):
+    """Make the fixed point read a corrupted E, the t x t matrix its start solves."""
     import altbase.perron as perron
 
     real = perron.faddeev_leverrier
 
     def corrupted(m):
-        chi, row = real(m)
-        corrupt(row)
-        return chi, row
+        chi, E = real(m)
+        corrupt(E)
+        return chi, E
 
     monkeypatch.setattr(perron, "faddeev_leverrier", corrupted)
 
 
 def test_invariant_violation_exits_five(capsys, monkeypatch):
-    def off_by_one(row):
-        row[1][0] += 1  # the first adjugate row is no longer an eigenvector
+    def off_by_one(E):
+        E[1][0] = (E[1][0][0] + 1, *E[1][0][1:])  # the start no longer solves E(lambda) c = 0
 
-    _corrupt_adjugate_row(monkeypatch, off_by_one)
-    # the product of (21) (12) has t = 2, so the fixed point reads entry 1
+    _corrupt_e(monkeypatch, off_by_one)
+    # the product of (21) (12) has t = 2, so the start is (E[1][1], -E[1][0]) at lambda
     code, out, err = run(capsys, "synthesize", "-p", "2", "(21)", "(12)")
     assert code == 5
     assert out == ""
     assert err.startswith("error: invariant violated: fixed point failed to close")
 
 
-def test_negated_adjugate_row_exits_five(capsys, monkeypatch):
-    # -u is an eigenvector too: only the sign of its first entry rejects it
-    def negate_all(row):
-        row[:] = [[-c for c in entry] for entry in row]
+def test_negated_e_gives_the_clean_bytes(capsys, monkeypatch):
+    # -E has the kernel of E, so the start only changes scale, and gamma,
+    # lambda and f = u / u[0] do not depend on it, sign included
+    clean = run(capsys, "synthesize", "-p", "2", "(21)", "(12)")
 
-    _corrupt_adjugate_row(monkeypatch, negate_all)
-    code, out, err = run(capsys, "synthesize", "-p", "1", "(21)")
-    assert code == 5
-    assert out == ""
-    assert err.startswith("error: invariant violated: adjugate corner must be positive")
+    def negate_all(E):
+        E[:] = [[tuple(-c for c in g) for g in row] for row in E]
+
+    _corrupt_e(monkeypatch, negate_all)
+    assert run(capsys, "synthesize", "-p", "2", "(21)", "(12)") == clean
+    assert clean[0] == 0
 
 
-def test_one_negated_adjugate_entry_exits_five(capsys, monkeypatch):
-    def negate_one(row):
-        row[1] = [-c for c in row[1]]
+def test_one_negated_entry_of_e_exits_five(capsys, monkeypatch):
+    def negate_one(E):
+        E[1][0] = tuple(-c for c in E[1][0])
 
-    _corrupt_adjugate_row(monkeypatch, negate_one)
-    # t = 2 here too; a propagated first entry comes out zero, not a traceback
+    _corrupt_e(monkeypatch, negate_one)
     code, out, err = run(capsys, "synthesize", "-p", "2", "(21)", "(12)")
     assert code == 5
     assert out == ""
     assert err.startswith("error: invariant violated: ")
+
+
+def test_synthesize_twenty_entry_list_in_polynomial_time(capsys):
+    # t = p = 20: the start's cofactors are an O(t^3) elimination in Z[x],
+    # where an expansion over column subsets would take 2^t minors
+    lst = ("3(2) 3(22) 321(2) 3(21) 322(1) 31(1) 312(2) 311(21) 31(2) 31(11) "
+           "321(21) 32(21) 31(21) 32(2) 311(22) 312(2) 321(1) 3(1) 32(22) 312(1)").split()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "synthesize", "-p", "20", *lst)
+    assert time.perf_counter() - start < 5.0
+    assert (code, err) == (0, "")
+    assert out.startswith("p = 20\n")
+
+
+def test_zero_row_of_e_exits_five(capsys, monkeypatch):
+    def zero_row(E):
+        E[1] = [() for _ in E[1]]  # every cofactor along row 0 is then zero
+
+    _corrupt_e(monkeypatch, zero_row)
+    # a zero start is refused by the first inverse, not by a traceback
+    code, out, err = run(capsys, "synthesize", "-p", "2", "(21)", "(12)")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: invariant violated: a propagated first entry is zero")
+
+
+def test_wrong_inverse_trips_the_gamma_product_check(capsys, monkeypatch):
+    # the closure check uses no inverse, so a wrong first inverse passes it
+    from altbase.numerics.algebraic import RealAlgebraicField
+
+    real, calls = RealAlgebraicField.inv, []
+
+    def twice_once(self, a):
+        calls.append(a)
+        inv = real(self, a)
+        return self.scalar_mul(2, inv) if len(calls) == 1 else inv
+
+    monkeypatch.setattr(RealAlgebraicField, "inv", twice_once)
+    code, out, err = run(capsys, "synthesize", "-p", "2", "(21)", "(12)")
+    assert code == 5 and out == ""
+    assert err.startswith("error: invariant violated: gamma product must equal lambda")
+
+
+def test_gamma_not_above_one_trips_the_parry_shape_check(capsys, monkeypatch):
+    from altbase.numerics.algebraic import RealAlgebraicField
+
+    monkeypatch.setattr(RealAlgebraicField, "compare_int", lambda self, a, n: 0)
+    code, out, err = run(capsys, "synthesize", "-p", "2", "(21)", "(12)")
+    assert code == 5 and out == ""
+    assert err.startswith("error: invariant violated: parry shapes force every gamma > 1")
 
 
 @pytest.mark.parametrize("extra", [(), ("--skip-parry",), ("--depth", "3")])

@@ -463,3 +463,37 @@ def test_field_ops_delta_is_computed_once(monkeypatch):
     assert ops.shifted(1).delta() is delta
     assert len(calls) == 2
     assert field.is_zero(field.sub(delta, field.mul(phi, field.mul(phi, phi))))
+
+
+# -- the interval backend's edges ------------------------------------------------
+
+
+def test_interval_ops_lift_keeps_an_interval_and_signs_only_what_excludes_zero():
+    ops = IntervalOps([IntervalReal.exact(2)])
+    x = IntervalReal(Dyadic(1), Dyadic(3))
+    assert ops.lift(x) is x
+    assert ops.sign(IntervalReal.exact(0)) == 0
+    with pytest.raises(Undecidable, match="straddles zero"):
+        ops.sign(IntervalReal(Dyadic(-1), Dyadic(1)))
+
+
+def test_interval_only_base_shifts_its_backend_and_refines_to_itself():
+    b = AlternateBase([IntervalReal(Dyadic(5, -1), Dyadic(11, -2)), 3], prec=80)
+    s = b.shifted(1)
+    assert not s.ops.exact
+    assert s.betas == s.ops.betas == (b.betas[1], b.betas[0])
+    assert s.ops.prec == 80
+    assert b.refine(256) is b
+
+
+def test_greedy_of_an_interval_on_an_exact_base_runs_on_intervals():
+    base = AlternateBase.from_rationals([2])
+    exact = greedy_expand(base, Fraction(5, 8), 3)
+    wide = greedy_expand(base, IntervalReal(Dyadic(5, -3), Dyadic(5 * 2**17 + 1, -20)), 3)
+    assert exact == GreedyExpansion((), (1, 0, 1), True)
+    assert wide == GreedyExpansion((), (1, 0, 1), False)  # the remainder is no point
+
+
+def test_is_greedy_finds_a_violation_on_an_interval_base():
+    v = is_greedy(AlternateBase([2]), UPWord((), (1,)))  # (1)^omega is worth exactly 1 in base 2
+    assert not v.ok and v.violation_k == 1

@@ -26,6 +26,7 @@ from altbase.numerics.polynomials import (
     IsolatedRoot,
     _nonroot_near,
     exact_div,
+    int_cofactors,
     int_divmod,
     isolate_largest_root,
 )
@@ -180,14 +181,44 @@ def test_charpoly_block_triangular(a, c):
        st.integers(-4, 4))
 @settings(max_examples=40)
 def test_adjugate_identity(m, x0):
-    # the first row of adj(xI - m) times (xI - m) is chi(x) e_1
-    chi, row = _charpoly(m)
-    assert len(row) == 3 and all(len(c) == 3 for c in row)
-    row_at = [eval_fraction(IntPoly(c), x0) for c in row]
-    xi_minus_m = [[(x0 if i == j else 0) - m[i][j] for j in range(3)] for i in range(3)]
-    prod = [sum(row_at[l] * xi_minus_m[l][j] for l in range(3)) for j in range(3)]
+    # E(x0) times column 0 of adj E(x0), the cofactors along row 0 that the
+    # Perron start takes, is det E(x0) e_0 = +-chi(x0) e_0
+    chi, E = _charpoly(m)
+    t = len(E)
+    assert 1 <= t <= 3 and all(len(row) == t for row in E)
+    at = [[eval_fraction(IntPoly(g), x0) for g in row] for row in E]
+    col = [(-1) ** e * _det([r[:e] + r[e + 1 :] for r in at[1:]]) for e in range(t)]
+    prod = [sum(a * c for a, c in zip(row, col)) for row in at]
     want = eval_fraction(chi, x0)
-    assert prod == [want, 0, 0]
+    assert prod in ([want] + [0] * (t - 1), [-want] + [0] * (t - 1))
+
+
+small_poly = st.lists(st.integers(-3, 3), max_size=3).map(lambda c: tuple(IntPoly(c).coeffs))
+
+
+@given(st.integers(0, 4).flatmap(lambda m: st.lists(
+    st.lists(small_poly, min_size=m + 1, max_size=m + 1), min_size=m, max_size=m)),
+       st.data())
+@settings(max_examples=150)
+def test_int_cofactors_match_laplace(rows, data):
+    # c_e = (-1)^e det(rows without column e) as polynomials of degree <= 2m,
+    # so agreement at 2m + 1 points is equality; repeated rows reach rank < m
+    m = len(rows)
+    if m >= 2 and data.draw(st.booleans()):
+        rows[1] = list(rows[0])
+    c = int_cofactors(rows)
+    assert len(c) == m + 1
+    for x0 in range(-m, m + 1):
+        at = [[eval_fraction(IntPoly(g), x0) for g in row] for row in rows]
+        want = [(-1) ** e * _det([r[:e] + r[e + 1 :] for r in at]) for e in range(m + 1)]
+        assert [eval_fraction(IntPoly(g), x0) for g in c] == want
+
+
+def _det(rows):
+    """Determinant by expansion along the first row: the reference for small matrices."""
+    if not rows:
+        return 1
+    return sum((-1) ** e * v * _det([r[:e] + r[e + 1 :] for r in rows[1:]]) for e, v in enumerate(rows[0]))
 
 
 # -- gcd, squarefree, Sturm ------------------------------------------------------
@@ -927,8 +958,8 @@ def test_int_divmod_matches_division_over_q(num, den_low, den_lead):
 @example([1, 2, 3, 4, 5], [3, 1], -2)
 @example([0, 0, 5, 0, 0], [], -3)  # untrimmed a, a constant divisor
 def test_pseudo_divmod_identity(a, b_low, b_lead):
-    # f*a = q*b + r for any lead of b: the Bareiss pivots of faddeev_leverrier
-    # are neither monic nor positive in general
+    # f*a = q*b + r for any lead of b: the remainder sequences of the gcd,
+    # Sturm and inverse code divide by members neither monic nor positive
     b = b_low + [b_lead]
     f, q, r = polynomials._pseudo_divmod(a, b)
     assert len(r) < len(b) and (not r or r[-1] != 0)

@@ -1,6 +1,7 @@
-"""Optional oracle lane: sympy checks the charpolys and the first adjugate
-row, factors the charpolys, and checks Sturm counts, squarefree parts and
-field arithmetic; mpmath solves the value-1 equations of the anchor rows.
+"""Optional oracle lane: sympy checks the charpolys, the Perron start
+against the first row of the adjugate of xI - Q (up to its scale), factors
+the charpolys, and checks Sturm counts, squarefree parts and field
+arithmetic; mpmath solves the value-1 equations of the anchor rows.
 
 Skipped when sympy (which brings mpmath) is not installed; the declared
 test dependencies do not include it.
@@ -33,7 +34,7 @@ from altbase.numerics import (  # noqa: E402
 )
 from altbase.words import ExpansionList, parse_word, quasi_greedy_transform  # noqa: E402
 from test_numerics import _poly_mul, eval_fraction  # noqa: E402
-from test_perron import dense  # noqa: E402
+from test_perron import assert_start_is_a_multiple_of, dense  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -94,23 +95,47 @@ def test_whole_charpoly_matches_sympy():
         assert chi.coeffs == tuple(int(c) for c in reversed(want)), row
 
 
+def _adjugate_row(q):
+    """adj(xI - q)[0] as ascending coefficient lists, from sympy's charpoly chi of q.
+
+    adj(xI - q) = (chi(x) - chi(q)) / (x - q) = sum_m c_m sum_(i<m) x^(m-1-i)
+    q^i, as chi(q) = 0; row 0 needs only the rows e_0 q^i, taken in
+    sympy's ZZ.
+    """
+    k = len(q)
+    c = [int(v) for v in reversed(sympy.Matrix(q).charpoly(X).all_coeffs())]
+    mat = DomainMatrix([[sympy.ZZ(v) for v in row] for row in q], (k, k), sympy.ZZ)
+    rows = [DomainMatrix([[sympy.ZZ(int(j == 0)) for j in range(k)]], (1, k), sympy.ZZ)]
+    for _ in range(k - 1):
+        rows.append(rows[-1] * mat)
+    powers = [[int(v) for v in r.to_list()[0]] for r in rows]  # e_0 q^i
+    return [[sum(c[i + d + 1] * powers[i][j] for i in range(k - d)) for d in range(k)]
+            for j in range(k)]
+
+
 def test_adjugate_row_matches_sympy():
-    # the first row of adj(xI - Q) on the p=3 anchor product (k = 9), in ZZ[x]
-    product = _product(ROADMAP_ROWS[0])
-    k = len(product)
-    assert k == 9
-    q = dense(product, k)
-    ring = sympy.ZZ[X]
-    xi_minus_q = DomainMatrix(
-        [[ring.from_sympy((X if i == j else 0) - q[i][j]) for j in range(k)]
-         for i in range(k)],
-        (k, k),
-        ring,
-    )
-    adj = xi_minus_q.adjugate()
-    _, row = faddeev_leverrier(product)
-    for j, col in enumerate(row):
-        assert adj[0, j].element == ring.from_sympy(sum(c * X**d for d, c in enumerate(col))), j
+    # the start is a non-zero multiple of adj(lambda I - Q)[0], reduced mod
+    # the field modulus, on the p=3 anchor (k = 9, t = 3) and the p=5 anchor
+    # (k = 65, t = 5); on the first, the row is sympy's adjugate in ZZ[x]
+    # (at k = 65, DomainMatrix.adjugate takes about a minute)
+    for row, k, t in ((ROADMAP_ROWS[0], 9, 3), (ROADMAP_ROWS[1], 65, 5)):
+        product = _product(row)
+        assert len(product) == k and len(faddeev_leverrier(product)[1]) == t
+        q = dense(product, k)
+        adj_row = _adjugate_row(q)
+        if k == 9:
+            ring = sympy.ZZ[X]
+            xi_minus_q = DomainMatrix(
+                [[ring.from_sympy((X if i == j else 0) - q[i][j]) for j in range(k)]
+                 for i in range(k)],
+                (k, k),
+                ring,
+            )
+            adj = xi_minus_q.adjugate()
+            for j, col in enumerate(adj_row):
+                assert adj[0, j].element == ring.from_sympy(sum(c * X**d for d, c in enumerate(col))), j
+        field, start = _perron_field(product)
+        assert_start_is_a_multiple_of(field, start, adj_row)
 
 
 def test_dropped_charpoly_is_chi_without_its_trivial_factors():
@@ -145,8 +170,8 @@ def test_field_mul_and_inv_match_sympy():
         _, product = ms.primitive_rotation()
         field, start = _perron_field(product)
         m = _sym((field.modulus.coeffs, 1))
-        # adjugate entries at lambda (the eigenvector the fixed point starts
-        # from), the generator, and small random elements with denominators
+        # entries of the eigenvector the fixed point starts from, the
+        # generator, and small random elements with denominators
         elems = [start[j] for j in range(0, ms.k, max(1, ms.k // 6))]
         elems.append(field.generator())
         for _ in range(4):

@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 
 from altbase.errors import InvariantViolation, NotPrimitive, ZeroLeadDigit
 from altbase.numerics import Dyadic, IntPoly, IntervalReal, faddeev_leverrier
+from altbase.numerics.polynomials import int_divmod, int_mul
 from altbase.perron import (
     FiniteShape,
     MatrixSeq,
     ParryShape,
     _certified_enclosure,
     _is_primitive,
+    _kernel,
     _perron_field,
     build_finite_matrices,
     build_parry_matrices,
     check_identities,
+    left_mul,
     periodic_fixed_point,
 )
 from altbase.words import ExpansionList, canonicalize, check_parry, parse_word, quasi_greedy_transform
@@ -291,7 +294,15 @@ def sparse_rows(m):
 
 
 def _dense_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    """a @ b, each row of the product a combination of the rows of b (zeros of a skipped)."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(acc)
+    return out
 
 
 def _dense_faddeev_leverrier(m):
@@ -310,6 +321,23 @@ def _dense_faddeev_leverrier(m):
         terms.append(mk)
     adj = [[[terms[n - 1 - d][i][j] for d in range(n)] for j in range(n)] for i in range(n)]
     return coeffs, adj
+
+
+def _assert_e_kills_the_adjugate_row_mod_chi(E, chi, row):
+    """E(x) c = 0 mod chi for c the first t entries of adj(xI - m)[0].
+
+    The row is a left null vector of xI - m modulo chi (row (xI - m) = chi
+    e_0), so it is U(x) c modulo chi, and the last t columns of U(x) c
+    (xI - m) are E(x) c.
+    """
+    for e_row in E:
+        acc = []
+        for g, c in zip(e_row, row):
+            prod = int_mul(g, c)
+            acc += [0] * (len(prod) - len(acc))
+            for i, v in enumerate(prod):
+                acc[i] += v
+        assert int_divmod(acc, chi.coeffs)[1] == []
 
 
 @st.composite
@@ -367,10 +395,10 @@ def test_sparse_products_match_dense(ms, n):
         want = _dense_mul(want, dense(ms.sparse(n - step), ms.k))
     product = ms.rotation_product(n)
     assert product == sparse_rows(want)
-    chi, row = faddeev_leverrier(product)
+    chi, E = faddeev_leverrier(product)
     coeffs, dense_adj = _dense_faddeev_leverrier(want)
     assert chi.coeffs == IntPoly(coeffs).coeffs
-    assert row == dense_adj[0]
+    _assert_e_kills_the_adjugate_row_mod_chi(E, chi, dense_adj[0])
 
 
 @st.composite
@@ -413,10 +441,10 @@ def square_matrices(draw):
 @example([[1, 2, 0, 1], [0, 3, 1, 0], [2, 0, 0, -1], [-1, 1, 2, 1]])
 @settings(max_examples=300, deadline=None)
 def test_charpoly_and_row_match_dense_recursion(m):
-    chi, row = faddeev_leverrier(sparse_rows(m))
+    chi, E = faddeev_leverrier(sparse_rows(m))
     coeffs, dense_adj = _dense_faddeev_leverrier(m)
     assert chi.coeffs == IntPoly(coeffs).coeffs
-    assert row == dense_adj[0]
+    _assert_e_kills_the_adjugate_row_mod_chi(E, chi, dense_adj[0])
 
 
 def test_primitive_rotation_returns_its_product():
@@ -643,13 +671,22 @@ def test_large_perron_root_costs_few_sign_evaluations(monkeypatch):
     assert len(calls) < 2000
 
 
-# -- the start vector from its first t adjugate entries ------------------------
+# -- the start vector from the cofactors of E(lambda) --------------------------
 
 
-def _assert_start_is_the_reduced_adjugate_row(ms):
+def assert_start_is_a_multiple_of(field, start, row):
+    """start = a row in Q(lambda) with a != 0, row given as ascending integer coefficient lists."""
+    row = [field.reduce(c) for c in row]
+    assert not field.is_zero(start[0]) and not field.is_zero(row[0])
+    for s, r in zip(start, row, strict=True):
+        assert field.is_zero(field.sub(field.mul(s, row[0]), field.mul(start[0], r)))
+
+
+def _assert_start_is_a_multiple_of_the_adjugate_row(ms):
+    # the start's scale is free: it is a non-zero multiple of adj(lambda I - Q)[0]
     _, product = ms.primitive_rotation()
     field, start = _perron_field(product)
-    assert start == tuple(field.reduce(c) for c in faddeev_leverrier(product)[1])
+    assert_start_is_a_multiple_of(field, start, _dense_faddeev_leverrier(dense(product, ms.k))[1][0])
 
 
 def _parry_seq(texts):
@@ -677,23 +714,24 @@ def test_start_vector_on_the_period_workload_and_the_anchors():
     rows = _period_workload_rows()
     assert len(rows) >= 10
     ks = []
-    for texts in rows + [["3(1)", "2(21)", "(211)"], ["3(12)", "2(211)", "(2111)", "31(1)", "(22)"]]:
+    anchors = [("3(1)", "2(21)", "(211)"), ("3(12)", "2(211)", "(2111)", "31(1)", "(22)")]
+    for texts in dict.fromkeys(list(map(tuple, rows)) + anchors):  # each list once
         ms = _parry_seq(texts)
         ks.append(ms.k)
-        _assert_start_is_the_reduced_adjugate_row(ms)
+        _assert_start_is_a_multiple_of_the_adjugate_row(ms)
     assert max(ks) >= 40 and 65 in ks
 
 
 @pytest.mark.parametrize("texts", [["(21)"], ["(2)"], ["2(1)"], ["(1)"], ["31(2)"], ["(201)"], ["(9)"]])
 def test_start_vector_for_one_word(texts):
-    _assert_start_is_the_reduced_adjugate_row(_parry_seq(texts))
+    _assert_start_is_a_multiple_of_the_adjugate_row(_parry_seq(texts))
 
 
 @pytest.mark.parametrize("directive", [
     [(1, 1)], [(2, 1)], [(1, 1, 1)], [(2, 2), (1, 1)], [(3, 2, 1)], [(1, 1, 1), (1, 1, 0), (1, 0, 1)],
 ])
 def test_start_vector_on_finite_products(directive):
-    _assert_start_is_the_reduced_adjugate_row(build_finite_matrices(directive))
+    _assert_start_is_a_multiple_of_the_adjugate_row(build_finite_matrices(directive))
 
 
 @st.composite
@@ -720,4 +758,44 @@ def admissible_lists(draw):
 @settings(max_examples=60, deadline=None)
 def test_start_vector_on_admissible_lists(lst):
     entries = quasi_greedy_transform(lst.entries)
-    _assert_start_is_the_reduced_adjugate_row(build_parry_matrices(ExpansionList(entries))[0])
+    _assert_start_is_a_multiple_of_the_adjugate_row(build_parry_matrices(ExpansionList(entries))[0])
+
+
+@given(digit_rows_and_shapes(max_k=12, max_q=5))
+@settings(max_examples=60, deadline=None)
+def test_start_is_a_left_eigenvector(rows_shape):
+    # start != 0 and start Q = lambda start, exactly, for either shape and t up to 5
+    ms = MatrixSeq(*rows_shape)
+    try:
+        _, product = ms.primitive_rotation()
+    except NotPrimitive:
+        assume(False)
+    field, start = _perron_field(product)
+    lam = field.generator()
+    assert not all(field.is_zero(s) for s in start)
+    for got, s in zip(left_mul(field, start, product), start, strict=True):
+        assert field.is_zero(field.sub(got, field.mul(lam, s)))
+
+
+@pytest.mark.parametrize("directive", [
+    [(2, 1)],
+    [(2, 2, 1), (1, 1, 1)],
+    [(3, 2, 2, 1, 1), (2, 2, 1, 1, 1), (1, 1, 1, 1, 1)],
+    [(3, 3, 2, 1), (3, 3, 3, 2), (3, 2, 2, 1), (3, 2, 2, 1)],
+    [(3, 3, 2, 2, 1), (3, 2, 1, 1, 1), (3, 2, 2, 1, 1), (3, 3, 2, 1, 1), (3, 2, 2, 2, 1)],
+])
+def test_kernel_solves_e_at_lambda(directive):
+    # t = q = 1..5: every row of E(lambda) c is exactly zero, and c is not
+    _, product = build_finite_matrices(directive).primitive_rotation()
+    _, E = faddeev_leverrier(product)
+    field, _ = _perron_field(product)
+    c = _kernel(field, E)
+    assert len(c) == len(E) == len(directive)
+    if len(c) == 1:
+        assert c == [field.from_fraction(1)]
+    assert not all(field.is_zero(x) for x in c)
+    for row in E:
+        acc = field.from_fraction(0)
+        for g, x in zip(row, c, strict=True):
+            acc = field.add(acc, field.mul(field.reduce(g), x))
+        assert field.is_zero(acc)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from itertools import product
@@ -190,6 +191,43 @@ def test_roundtrip_and_bounds_on_random_lists(lst):
 
 
 # -- verify_value_one ---------------------------------------------------------
+
+
+def _patched_bounds(monkeypatch, **ends):
+    """bounds() with these ends replaced, and the list of precisions refine() is asked for."""
+    from altbase import synthesis
+
+    real, calls, refine = synthesis.bounds, [], AlternateBase.refine
+    monkeypatch.setattr(synthesis, "bounds", lambda lst: dataclasses.replace(real(lst), **ends))
+    monkeypatch.setattr(AlternateBase, "refine", lambda self, prec: calls.append(prec) or refine(self, prec))
+    return calls
+
+
+def test_refinement_clears_a_lower_bound_the_first_enclosure_straddles(monkeypatch):
+    lst = words(((), (2, 1)))  # 1 + sqrt(3)
+    beta = synthesize_periodic(lst, tol_bits=200)[0].betas[0]
+    lower = beta.lo.as_fraction() - Fraction(1, 2**100)  # below beta, inside a 2^-64 enclosure
+    assert synthesize_periodic(lst, tol_bits=64)[0].betas[0].lo.as_fraction() <= lower
+    calls = _patched_bounds(monkeypatch, lower=lower)
+    base, _ = synthesize_periodic(lst, tol_bits=64)
+    assert calls == [128]
+    got = base.betas[0]
+    assert lower < got.lo.as_fraction() and got.hi.as_fraction() <= bounds(lst).C
+
+
+# beta = 1 + sqrt(3) lies in (lower, C] = (9/8, 3]: no enclosure of it has
+# its lower end above 3, nor its upper end at most 2
+@pytest.mark.parametrize("ends", [{"lower": Fraction(3)}, {"C": 2}])
+def test_refinement_that_cannot_meet_the_bounds_exits_five(capsys, monkeypatch, ends):
+    from altbase.cli import main
+
+    calls = _patched_bounds(monkeypatch, **ends)
+    code = main(["synthesize", "-p", "1", "(21)", "--tol", "64"])
+    out, err = capsys.readouterr()
+    assert code == 5 and out == ""
+    assert err.startswith("error: invariant violated: beta enclosures settled outside (lower, C]")
+    assert "Traceback" not in err
+    assert calls == [128, 256, 512, 1024, 2048, 4096]  # max(4096, 64 * tol) bits at most
 
 
 def test_residuals_zero_for_realized_pair():

@@ -18,7 +18,11 @@ word values meet every period block and preperiod residue, then
 `validate_argv`: `validate` and `synthesize`, in text and JSON, on
 fixed-seed lists for p = 1-5 (preperiod up to 3, period up to 4, digits up
 to 3, zero tails and entries equal up to rotation), half of them failing
-Parry, and on two lists with long pairwise-coprime periods.  Each
+Parry, and on two lists with long pairwise-coprime periods, then
+`directive_argv`: `code --directive ... --len 60 --check`, in text and
+JSON, on fixed-seed periodic directives of q = 3-5 non-increasing blocks
+of one arity in q-5 with entries 1-3, whose finite-shape products need a
+t x t start with t = q (the other families reach t <= 2).  Each
 one runs in-process through `altbase.cli.main` with COLUMNS=80 and an
 empty stdin, and OUT gets one line per argv: the sha256 of (exit code,
 stdout, stderr), then the argv as JSON.  Two runs
@@ -41,6 +45,7 @@ SEEDS = (1, 2, 3)
 NEAR_MISS_SEED, NEAR_MISS_SAMPLE = 0, 400
 SYNTHESIZE_SEED = 0
 VALIDATE_SEED, VALIDATE_PER_P = 0, 12
+DIRECTIVE_SEED, DIRECTIVE_PER_Q = 0, 6
 # three coprime period lengths: the Parry bound is 505, and the second list
 # has 955 violations
 LONG_PERIOD_LISTS = (["3(1000001)", "3(10000001)", "3(100000001)"],
@@ -207,6 +212,21 @@ def validate_argv() -> list[list[str]]:
             for form in ((), ("--format", "json"))]
 
 
+def directive_argv() -> list[list[str]]:
+    """code --check, text and JSON, on DIRECTIVE_PER_Q periodic directives per q = 3-5."""
+    rng = random.Random(DIRECTIVE_SEED)
+    out = []
+    for q in range(3, 6):
+        for _ in range(DIRECTIVE_PER_Q):
+            arity = rng.randint(q, 5)
+            blocks = [sorted((rng.randint(1, 3) for _ in range(arity)), reverse=True)
+                      for _ in range(q)]
+            argv = ["code", "--directive", ";".join(",".join(map(str, b)) for b in blocks),
+                    "--len", "60", "--check"]
+            out += [argv, argv + ["--format", "json"]]
+    return out
+
+
 def pin_argv() -> list[list[str]]:
     with open(os.path.join(HERE, os.pardir, "tests", "cli_pins.json"), encoding="utf-8") as fh:
         return [pin["argv"] for pin in json.load(fh)]
@@ -257,7 +277,7 @@ def main(args: list[str]) -> int:
     os.environ["COLUMNS"] = "80"
     all_argv = (benchmark_argv() + pin_argv()
                 + near_miss_argv(NEAR_MISS_SEED, NEAR_MISS_SAMPLE) + sweep_argv()
-                + synthesize_argv() + validate_argv())
+                + synthesize_argv() + validate_argv() + directive_argv())
     sys.path.insert(0, os.path.abspath(src))
     from altbase.cli import main as cli_main
 
