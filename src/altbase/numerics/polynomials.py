@@ -4,11 +4,12 @@ Coefficients are stored in ascending order, and Z[x] has one product
 (int_mul), one division in integers (int_divmod), under exact division and
 reduction, and one pseudo-division (_pseudo_divmod), under remainder
 sequences and the inverse modulo a polynomial.  A characteristic
-polynomial is a small determinant over Z[x] taken by fraction-free
-elimination, so no fraction or power series appears.  Root
-work is done with exact sign evaluations at dyadic points, in integers
-only, plus Sturm-sequence counting, so every returned enclosure is
-certified.
+polynomial is a small determinant over Z[x]: one fraction-free
+elimination of all rows but the first gives the cofactors along the first
+row, and the determinant is the expansion along it, so no fraction or
+power series appears.  Root work is done with exact sign evaluations at dyadic
+points, in integers only, plus Sturm-sequence counting, so every returned
+enclosure is certified.
 """
 
 from __future__ import annotations
@@ -108,15 +109,8 @@ def _shift_depth(sparse: SparseRows) -> int:
         [(c, v) for c, v in sparse[i] if c < n - t] == [(i - t, 1)] for i in range(t, n))), n)
 
 
-def faddeev_leverrier(sparse: SparseRows) -> tuple[IntPoly, list[list[tuple[int, ...]]]]:
-    """chi = det(xI - m), exactly, and the t x t matrix E(x) over Z[x] with det E = +-chi.
-
-    m is any square integer matrix, given as its n sparse rows: row i lists
-    the (column, value) pairs of its non-zero entries, each column in [0, n).
-    E[r][e] is the ascending integer coefficient list of E(x)[r][e].  The
-    name stays because the benchmark's tracing binds
-    altbase.perron.faddeev_leverrier, requires its span and reads the
-    degree of chi from its result.
+def _e_matrix(sparse: SparseRows) -> list[list[tuple[int, ...]]]:
+    """The t x t matrix E(x) over Z[x] with det E = +-det(xI - m), E[r][e] ascending coefficients.
 
     t = _shift_depth(m) is the least t >= 1 such that every row i >= t of m
     is the unit e_(i-t) on the columns below n - t (t <= q for a product of
@@ -124,9 +118,7 @@ def faddeev_leverrier(sparse: SparseRows) -> tuple[IntPoly, list[list[tuple[int,
     x u_j - sum_(d<t) m[d][j] u_d, so u = U(x) c with c = (u_0, ..., u_(t-1)),
     and E(x) is the last t columns of U(x)(xI - m) acting on c (row r is
     column n - t + r): u(xI - m) = 0 exactly when E(x) c = 0.  Eliminating
-    the n - t unit pivots is unimodular over Z[x], so det E = +-chi, the
-    last pivot of _echelon on a copy of E; the sign is read from chi being
-    monic.
+    the n - t unit pivots is unimodular over Z[x], so det E = +-chi.
     """
     n = len(sparse)
     if any(not 0 <= c < n for row in sparse for c, _ in row):
@@ -146,61 +138,68 @@ def faddeev_leverrier(sparse: SparseRows) -> tuple[IntPoly, list[list[tuple[int,
                 for g, f in zip(E[c - n + t], u_row(i)):
                     for l, y in enumerate(f):
                         g[l] -= v * y
-    E = [[_trim(g) for g in row] for row in E]
-    B = [list(row) for row in E]
-    _echelon(B)
-    chi = B[-1][-1] if t else (1,)
-    return IntPoly([c * chi[-1] for c in chi]), E  # det E = +-chi, and chi is monic
+    return [[_trim(g) for g in row] for row in E]
 
 
-def _echelon(B: list[list[Sequence[int]]]) -> tuple[list[int], int]:
-    """Bareiss's fraction-free elimination of B over Z[x] to echelon form, in place.
+def faddeev_leverrier(sparse: SparseRows) -> tuple[IntPoly, list[Sequence[int]]]:
+    """chi = det(xI - m), exactly, and the cofactors c along row 0 of E = _e_matrix(m).
 
-    Returns the pivot columns and the sign of the row swaps; a column with
-    no pivot left is skipped.  The step on pivot (k, j) sets each entry
-    (i, l) below and right of it to (piv a_il - a_ij a_kl) / prev, prev the
-    pivot before; every result is a minor of the row-swapped input (Math.
-    Comp. 22, 1968), so each division is exact, and the last pivot is the
-    minor on the pivot columns.  O(m^2 n) products for m rows of n entries.
+    m is any square integer matrix, given as its n sparse rows: row i lists
+    the (column, value) pairs of its non-zero entries, each column in [0, n).
+    c_e = (-1)^e det(E without row 0 and column e) is int_cofactors(E[1:]),
+    ascending coefficient lists, so E(x) c = (det E) e_0 with det E = +-chi:
+    one elimination gives both, chi being the Laplace sum of c against row
+    0 made monic; n = 0 gives chi = 1 and no c.  The name stays because the
+    benchmark's tracing binds altbase.perron.faddeev_leverrier, requires its
+    span and reads the degree of chi from its result.
     """
+    E = _e_matrix(sparse)
+    if not E:
+        return IntPoly([1]), []
+    c = int_cofactors(E[1:])
+    det = _trim([sum(v) for v in zip_longest(*map(int_mul, E[0], c), fillvalue=0)])
+    return IntPoly([v * det[-1] for v in det]), c
+
+
+def int_cofactors(rows: Sequence[Sequence[Sequence[int]]]) -> list[Sequence[int]]:
+    """c_e = (-1)^e det(rows without column e), for m rows of m + 1 entries over Z[x].
+
+    c spans the kernel of the rows if their rank is m, else c = 0.  Bareiss's
+    fraction-free elimination (Math. Comp. 22, 1968) brings the rows to
+    echelon form, skipping a column with no pivot left: the step on pivot
+    (k, j) sets each entry (i, l) below and right of it to (piv a_il - a_ij
+    a_kl) / prev, prev the pivot before, and every result is a minor of the
+    row-swapped input, so each division is exact.  The column f left
+    without a pivot gets c_f = (-1)^f s d, d the last pivot (1 for m = 0)
+    and s the sign of the swaps, and back substitution gives the rest, its
+    divisions exact since c is integral.  O(m^3) products in all.
+    """
+    B = [list(row) for row in rows]
+    m = len(B)
     pivots: list[int] = []
     s, prev = 1, (1,)
-    for j in range(len(B[0]) if B else 0):
+    for j in range(m + 1):
         k = len(pivots)
-        r = next((r for r in range(k, len(B)) if B[r][j]), None)
+        r = next((r for r in range(k, m) if B[r][j]), None)
         if r is None:
             continue
         if r != k:
             B[k], B[r], s = B[r], B[k], -s
         piv = B[k][j]
         for row in B[k + 1 :]:
-            for l in range(j + 1, len(row)):
+            for l in range(j + 1, m + 1):
                 a, b = int_mul(piv, row[l]), int_mul(row[j], B[k][l])
                 row[l] = int_divmod([x - y for x, y in zip_longest(a, b, fillvalue=0)], prev)[0]
         pivots.append(j)
         prev = piv
-    return pivots, s
-
-
-def int_cofactors(rows: Sequence[Sequence[Sequence[int]]]) -> list[Sequence[int]]:
-    """c_e = (-1)^e det(rows without column e), for m rows of m + 1 entries over Z[x].
-
-    c spans the kernel of the rows if their rank is m, else c = 0.  After
-    _echelon, O(m^3) products, the column f left without a pivot gets c_f =
-    (-1)^f s d, d the last pivot (1 for m = 0) and s the sign of the swaps,
-    and back substitution gives the rest, its divisions exact since c is
-    integral.
-    """
-    B = [list(row) for row in rows]
-    pivots, s = _echelon(B)
-    if len(pivots) < len(B):
-        return [()] * (len(B) + 1)
-    free = min(set(range(len(B) + 1)).difference(pivots))
-    c: list[Sequence[int]] = [()] * (len(B) + 1)
-    c[free] = [(-s if free % 2 else s) * v for v in (B[-1][pivots[-1]] if B else (1,))]
+    if len(pivots) < m:
+        return [()] * (m + 1)
+    free = min(set(range(m + 1)).difference(pivots))
+    c: list[Sequence[int]] = [()] * (m + 1)
+    c[free] = [(-s if free % 2 else s) * v for v in prev]
     for row, j in zip(reversed(B), reversed(pivots)):
         acc: list[int] = []
-        for l in range(j + 1, len(row)):
+        for l in range(j + 1, m + 1):
             acc = [x - y for x, y in zip_longest(acc, int_mul(row[l], c[l]), fillvalue=0)]
         c[j] = int_divmod(acc, row[j])[0]
     return c

@@ -16,22 +16,24 @@ test, the charpoly and the start of the fixed point go through those
 entries only.  The fixed point is computed exactly.  Below its p digit
 rows Q is a shift by p plus at most p corner units, so its charpoly is
 det E(x) for a t x t matrix E over Z[x], t <= p (faddeev_leverrier
-eliminates the shift).  Its zero roots and cyclotomic factors (artefacts
-of padding the periods to a common length) are divided out first; the
-Perron root lambda of Q is isolated on what is left, and the field
-Q(lambda) is built on that same polynomial, dividing out any other
-factor that an inverse runs into.  A left eigenvector u of Q starts from
-the cofactors along row 0 of E(lambda), its first t entries, and the
-shift gives the others, one multiply by x each.  u is carried around the
-cycle unnormalised, u_{n-1} = u_n A_n, by additions and small integer
-scalings over the sparse rows (left_mul); gamma_n = u_{n-1}[0] / u_n[0]
-costs one inverse per step, and the cycle closes exactly when u comes
-back as lambda times itself; by Perron-Frobenius, u is then a multiple
-of a positive vector, and neither gamma nor f_n = u_n / u_n[0], built on
-first read like every enclosure, depends on that multiple.  Checks, the
-summation identities included, are exact and raise InvariantViolation,
-not assert, so gamma = 1 is decided, not approximated, also under python
--O.
+eliminates the shift), and one elimination of E's last t - 1 rows gives
+the cofactors c along row 0 of E, from which both the charpoly (their
+Laplace sum against row 0) and the start of the fixed point come.  The
+charpoly's zero roots and cyclotomic factors (artefacts of padding the
+periods to a common length) are divided out first; the Perron root
+lambda of Q is isolated on what is left, and the field Q(lambda) is
+built on that same polynomial, dividing out any other factor that an
+inverse runs into.  A left eigenvector u of Q starts from c at lambda,
+its first t entries, and the shift gives the others, one multiply by x
+each.  u is carried around the cycle unnormalised, u_{n-1} = u_n A_n, by
+additions and small integer scalings over the sparse rows (left_mul);
+gamma_n = u_{n-1}[0] / u_n[0] costs one inverse per step, and the cycle
+closes exactly when u comes back as lambda times itself; by
+Perron-Frobenius, u is then a multiple of a positive vector, and neither
+gamma nor f_n = u_n / u_n[0], built on first read like every enclosure,
+depends on that multiple.  Checks, the summation identities included, are
+exact and raise InvariantViolation, not assert, so gamma = 1 is decided,
+not approximated, also under python -O.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .numerics import (
     isolate_dominant,
 )
 from .numerics.algebraic import Elem, _normal
-from .numerics.polynomials import SparseRows, int_cofactors
+from .numerics.polynomials import SparseRows
 from .words import ExpansionList, UPWord
 
 
@@ -332,20 +334,6 @@ def _certified_enclosure(
             raise Undecidable(f"sign certification stalled at {bits // 2} bits")
 
 
-def _kernel(field: RealAlgebraicField, E: Sequence[Sequence[Sequence[int]]]) -> list[Elem]:
-    """c != 0 with E(lambda) c = 0: c_e = (-1)^e det(E(lambda) without row 0 and column e).
-
-    Row 0 of E(lambda) c is det E(lambda) = +-chi(lambda) = 0, any other a
-    determinant with a repeated row.  c != 0: every u = U(lambda) c meets
-    the first n - t columns of u(lambda I - Q) = 0, so the right Perron
-    vector w > 0 of the primitive Q gives (w_(n-t), ..., w_(n-1)) E(lambda)
-    = 0, and E(lambda) has rank t - 1 (lambda is simple); the rows of the
-    rank-one adj E(lambda) are multiples of that positive vector, so its
-    column 0, c, is not 0.  c stays integral: E is, the modulus is monic.
-    """
-    return [field.reduce(g) for g in int_cofactors(E[1:])]
-
-
 def _perron_field(product: SparseRows) -> tuple[RealAlgebraicField, tuple[Elem, ...]]:
     """Q(lambda) for the Perron root lambda of a primitive product, and a left eigenvector at lambda.
 
@@ -353,26 +341,33 @@ def _perron_field(product: SparseRows) -> tuple[RealAlgebraicField, tuple[Elem, 
     cyclotomic factors, and the field is built on that polynomial.  lambda
     stays: no row of Q is zero and row 0 sums to >= 2, so lambda > 1.  Any
     other factor is divided out later by the field (RealAlgebraicField.inv).
-    The first t = len(E) entries are the kernel vector of E(lambda)
-    (_kernel); row i >= t of Q is the unit e_(i-t) below column n - t, so
+
+    The first t = len(c) entries are the cofactors c along row 0 of E
+    (faddeev_leverrier) reduced in Q(lambda), and E(lambda) c = det
+    E(lambda) e_0 = 0.  c != 0: every u = U(lambda) c meets the first n - t
+    columns of u(lambda I - Q) = 0, so the right Perron vector w > 0 of the
+    primitive Q gives (w_(n-t), ..., w_(n-1)) E(lambda) = 0, and E(lambda)
+    has rank t - 1 (lambda is simple); the rows of the rank-one adj
+    E(lambda) are multiples of that positive vector, so its column 0, c, is
+    not 0.  Row i >= t of Q is the unit e_(i-t) below column n - t, so
     column j < n - t of u(lambda I - Q) = 0 gives u_(j+t) = x u_j -
-    sum_(d<t) Q[d][j] u_d at x = lambda.  The entries are integral and the
-    modulus monic: a step is one multiply by x, one cancel against it and
-    at most t integer scalings.
+    sum_(d<t) Q[d][j] u_d at x = lambda.  The entries are integral (E is,
+    the modulus is monic): a step is one multiply by x, one cancel against
+    it and at most t integer scalings.
     """
-    chi, E = faddeev_leverrier(product)
+    chi, c = faddeev_leverrier(product)
     upper = max(sum(v for _, v in row) for row in product)
     field = RealAlgebraicField(isolate_dominant(drop_trivial_factors(chi), upper))
-    mod, t = field.modulus.coeffs, len(E)
+    mod, t = field.modulus.coeffs, len(c)
     top = [dict(row) for row in product[:t]]
-    u = [list(c[0]) + [0] * (len(mod) - 1 - len(c[0])) for c in _kernel(field, E)]
+    u = [list(e) + [0] * (len(mod) - 1 - len(e)) for e, _ in map(field.reduce, c)]
     for j in range(len(product) - t):
-        c = [a - u[j][-1] * m for a, m in zip([0] + u[j][:-1], mod)]
+        w = [a - u[j][-1] * m for a, m in zip([0] + u[j][:-1], mod)]
         for d, row in enumerate(top):
             if v := row.get(j):
-                c = [a - v * y for a, y in zip(c, u[d])]
-        u.append(c)
-    return field, tuple(_normal(c, 1) for c in u)
+                w = [a - v * y for a, y in zip(w, u[d])]
+        u.append(w)
+    return field, tuple(_normal(w, 1) for w in u)
 
 
 def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPoint:

@@ -649,25 +649,25 @@ def test_src_has_no_unread_private_definition():
     assert not unread, f"private definitions that nothing in src reads: {unread}"
 
 
-def _corrupt_e(monkeypatch, corrupt):
-    """Make the fixed point read a corrupted E, the t x t matrix its start solves."""
+def _corrupt_c(monkeypatch, corrupt):
+    """Make the fixed point start from corrupted cofactors c, the first t entries of its start."""
     import altbase.perron as perron
 
     real = perron.faddeev_leverrier
 
     def corrupted(m):
-        chi, E = real(m)
-        corrupt(E)
-        return chi, E
+        chi, c = real(m)
+        corrupt(c)
+        return chi, c
 
     monkeypatch.setattr(perron, "faddeev_leverrier", corrupted)
 
 
 def test_invariant_violation_exits_five(capsys, monkeypatch):
-    def off_by_one(E):
-        E[1][0] = (E[1][0][0] + 1, *E[1][0][1:])  # the start no longer solves E(lambda) c = 0
+    def off_by_one(c):
+        c[1] = [c[1][0] + 1, *c[1][1:]]  # the start no longer solves E(lambda) c = 0
 
-    _corrupt_e(monkeypatch, off_by_one)
+    _corrupt_c(monkeypatch, off_by_one)
     # the product of (21) (12) has t = 2, so the start is (E[1][1], -E[1][0]) at lambda
     code, out, err = run(capsys, "synthesize", "-p", "2", "(21)", "(12)")
     assert code == 5
@@ -675,24 +675,24 @@ def test_invariant_violation_exits_five(capsys, monkeypatch):
     assert err.startswith("error: invariant violated: fixed point failed to close")
 
 
-def test_negated_e_gives_the_clean_bytes(capsys, monkeypatch):
-    # -E has the kernel of E, so the start only changes scale, and gamma,
-    # lambda and f = u / u[0] do not depend on it, sign included
+def test_negated_c_gives_the_clean_bytes(capsys, monkeypatch):
+    # -c is still in the kernel of E(lambda), so the start only changes
+    # scale, and gamma, lambda and f = u / u[0] do not depend on it, sign included
     clean = run(capsys, "synthesize", "-p", "2", "(21)", "(12)")
 
-    def negate_all(E):
-        E[:] = [[tuple(-c for c in g) for g in row] for row in E]
+    def negate_all(c):
+        c[:] = [[-v for v in g] for g in c]
 
-    _corrupt_e(monkeypatch, negate_all)
+    _corrupt_c(monkeypatch, negate_all)
     assert run(capsys, "synthesize", "-p", "2", "(21)", "(12)") == clean
     assert clean[0] == 0
 
 
-def test_one_negated_entry_of_e_exits_five(capsys, monkeypatch):
-    def negate_one(E):
-        E[1][0] = tuple(-c for c in E[1][0])
+def test_one_negated_entry_of_c_exits_five(capsys, monkeypatch):
+    def negate_one(c):
+        c[1] = [-v for v in c[1]]
 
-    _corrupt_e(monkeypatch, negate_one)
+    _corrupt_c(monkeypatch, negate_one)
     code, out, err = run(capsys, "synthesize", "-p", "2", "(21)", "(12)")
     assert code == 5
     assert out == ""
@@ -711,11 +711,11 @@ def test_synthesize_twenty_entry_list_in_polynomial_time(capsys):
     assert out.startswith("p = 20\n")
 
 
-def test_zero_row_of_e_exits_five(capsys, monkeypatch):
-    def zero_row(E):
-        E[1] = [() for _ in E[1]]  # every cofactor along row 0 is then zero
+def test_zero_c_exits_five(capsys, monkeypatch):
+    def zero_all(c):
+        c[:] = [[] for _ in c]
 
-    _corrupt_e(monkeypatch, zero_row)
+    _corrupt_c(monkeypatch, zero_all)
     # a zero start is refused by the first inverse, not by a traceback
     code, out, err = run(capsys, "synthesize", "-p", "2", "(21)", "(12)")
     assert code == 5

@@ -24,6 +24,7 @@ from altbase.numerics import (
 from altbase.numerics import algebraic, polynomials
 from altbase.numerics.polynomials import (
     IsolatedRoot,
+    _e_matrix,
     _nonroot_near,
     exact_div,
     int_cofactors,
@@ -181,14 +182,19 @@ def test_charpoly_block_triangular(a, c):
        st.integers(-4, 4))
 @settings(max_examples=40)
 def test_adjugate_identity(m, x0):
-    # E(x0) times column 0 of adj E(x0), the cofactors along row 0 that the
-    # Perron start takes, is det E(x0) e_0 = +-chi(x0) e_0
-    chi, E = _charpoly(m)
+    # the returned c at x0 is column 0 of adj E(x0), the cofactors along
+    # row 0 that the Perron start takes, and E(x0) times it is det E(x0) e_0
+    # = +-chi(x0) e_0
+    from test_perron import sparse_rows
+
+    chi, c = _charpoly(m)
+    E = _e_matrix(sparse_rows(m))
     t = len(E)
-    assert 1 <= t <= 3 and all(len(row) == t for row in E)
+    assert 1 <= t <= 3 and all(len(row) == t for row in E) and len(c) == t
     at = [[eval_fraction(IntPoly(g), x0) for g in row] for row in E]
     col = [(-1) ** e * _det([r[:e] + r[e + 1 :] for r in at[1:]]) for e in range(t)]
-    prod = [sum(a * c for a, c in zip(row, col)) for row in at]
+    assert [eval_fraction(IntPoly(g), x0) for g in c] == col
+    prod = [sum(a * v for a, v in zip(row, col)) for row in at]
     want = eval_fraction(chi, x0)
     assert prod in ([want] + [0] * (t - 1), [-want] + [0] * (t - 1))
 

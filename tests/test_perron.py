@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from altbase.errors import InvariantViolation, NotPrimitive, ZeroLeadDigit
 from altbase.numerics import Dyadic, IntPoly, IntervalReal, faddeev_leverrier
-from altbase.numerics.polynomials import int_divmod, int_mul
+from altbase.numerics.polynomials import _e_matrix, int_mul
 from altbase.perron import (
     FiniteShape,
     MatrixSeq,
     ParryShape,
     _certified_enclosure,
     _is_primitive,
-    _kernel,
     _perron_field,
     build_finite_matrices,
     build_parry_matrices,
@@ -323,21 +322,30 @@ def _dense_faddeev_leverrier(m):
     return coeffs, adj
 
 
-def _assert_e_kills_the_adjugate_row_mod_chi(E, chi, row):
-    """E(x) c = 0 mod chi for c the first t entries of adj(xI - m)[0].
+def _assert_e_times_c_is_chi_e0(sparse, chi, c, adj=None):
+    """E(x) c = s chi e_0 in Z[x], exactly, with s = +-1, and c = s adj(xI - m)[n - t][:t].
 
-    The row is a left null vector of xI - m modulo chi (row (xI - m) = chi
-    e_0), so it is U(x) c modulo chi, and the last t columns of U(x) c
-    (xI - m) are E(x) c.
+    c is column 0 of adj E(x), so E(x) c = (det E) e_0 with det E = +-chi.
+    With u = U(x) c, whose first t entries are c, u (xI - m) is E(x) c on
+    the last t columns and 0 on the others, so u = s adj(xI - m)[n - t]
+    when adj, the dense adjugate, is given.
     """
-    for e_row in E:
+    E = _e_matrix(sparse)
+    assert len(c) == len(E)
+    image = []
+    for row in E:
         acc = []
-        for g, c in zip(e_row, row):
-            prod = int_mul(g, c)
+        for g, x in zip(row, c, strict=True):
+            prod = int_mul(g, x)
             acc += [0] * (len(prod) - len(acc))
             for i, v in enumerate(prod):
                 acc[i] += v
-        assert int_divmod(acc, chi.coeffs)[1] == []
+        image.append(IntPoly(acc).coeffs)
+    s = 1 if image[0] == chi.coeffs else -1
+    assert image == [tuple(s * v for v in chi.coeffs)] + [()] * (len(E) - 1)
+    if adj is not None:
+        row = adj[len(sparse) - len(E)][: len(E)]
+        assert [IntPoly(x).coeffs for x in c] == [IntPoly(s * v for v in r).coeffs for r in row]
 
 
 @st.composite
@@ -395,10 +403,10 @@ def test_sparse_products_match_dense(ms, n):
         want = _dense_mul(want, dense(ms.sparse(n - step), ms.k))
     product = ms.rotation_product(n)
     assert product == sparse_rows(want)
-    chi, E = faddeev_leverrier(product)
+    chi, c = faddeev_leverrier(product)
     coeffs, dense_adj = _dense_faddeev_leverrier(want)
     assert chi.coeffs == IntPoly(coeffs).coeffs
-    _assert_e_kills_the_adjugate_row_mod_chi(E, chi, dense_adj[0])
+    _assert_e_times_c_is_chi_e0(product, chi, c, dense_adj)
 
 
 @st.composite
@@ -441,10 +449,10 @@ def square_matrices(draw):
 @example([[1, 2, 0, 1], [0, 3, 1, 0], [2, 0, 0, -1], [-1, 1, 2, 1]])
 @settings(max_examples=300, deadline=None)
 def test_charpoly_and_row_match_dense_recursion(m):
-    chi, E = faddeev_leverrier(sparse_rows(m))
+    chi, c = faddeev_leverrier(sparse_rows(m))
     coeffs, dense_adj = _dense_faddeev_leverrier(m)
     assert chi.coeffs == IntPoly(coeffs).coeffs
-    _assert_e_kills_the_adjugate_row_mod_chi(E, chi, dense_adj[0])
+    _assert_e_times_c_is_chi_e0(sparse_rows(m), chi, c, dense_adj)
 
 
 def test_primitive_rotation_returns_its_product():
@@ -526,6 +534,9 @@ def test_every_index_of_a_rotation_product_reaches_index_0(rows_shape):
 
 def test_charpoly_needs_every_column_inside_the_matrix():
     assert faddeev_leverrier([[(0, 1), (1, 1)], [(0, 1)]])[0].coeffs == (-1, -1, 1)
+    # the 0 x 0 matrix: chi = det of nothing = 1, and no cofactor
+    chi, c = faddeev_leverrier([])
+    assert (chi.coeffs, c) == ((1,), [])
     for bad in ([[(0, 1), (2, 1)], [(0, 1)]], [[(0, 1)], [(-1, 1)]]):
         with pytest.raises(ValueError, match="outside"):
             faddeev_leverrier(bad)
@@ -785,17 +796,14 @@ def test_start_is_a_left_eigenvector(rows_shape):
     [(3, 3, 2, 2, 1), (3, 2, 1, 1, 1), (3, 2, 2, 1, 1), (3, 3, 2, 1, 1), (3, 2, 2, 2, 1)],
 ])
 def test_kernel_solves_e_at_lambda(directive):
-    # t = q = 1..5: every row of E(lambda) c is exactly zero, and c is not
+    # t = q = 1..5: E(x) c = +-chi e_0 in Z[x], so E(lambda) c = 0, c is not
+    # 0 at lambda, and t = 1 gives c = (1)
     _, product = build_finite_matrices(directive).primitive_rotation()
-    _, E = faddeev_leverrier(product)
-    field, _ = _perron_field(product)
-    c = _kernel(field, E)
-    assert len(c) == len(E) == len(directive)
+    chi, c = faddeev_leverrier(product)
+    assert len(c) == len(directive)
     if len(c) == 1:
-        assert c == [field.from_fraction(1)]
-    assert not all(field.is_zero(x) for x in c)
-    for row in E:
-        acc = field.from_fraction(0)
-        for g, x in zip(row, c, strict=True):
-            acc = field.add(acc, field.mul(field.reduce(g), x))
-        assert field.is_zero(acc)
+        assert c == [[1]]
+    adj = _dense_faddeev_leverrier(dense(product, len(product)))[1]
+    _assert_e_times_c_is_chi_e0(product, chi, c, adj)
+    field, start = _perron_field(product)
+    assert not all(field.is_zero(x) for x in start[: len(c)])

@@ -22,7 +22,9 @@ Parry, and on two lists with long pairwise-coprime periods, then
 `directive_argv`: `code --directive ... --len 60 --check`, in text and
 JSON, on fixed-seed periodic directives of q = 3-5 non-increasing blocks
 of one arity in q-5 with entries 1-3, whose finite-shape products need a
-t x t start with t = q (the other families reach t <= 2).  Each
+t x t start with t = q, then `wide_argv`: `synthesize`, in text and JSON,
+on fixed-seed admissible lists for p = 6-12, whose period products need a
+t x t start with t = p (the other families reach t <= 5).  Each
 one runs in-process through `altbase.cli.main` with COLUMNS=80 and an
 empty stdin, and OUT gets one line per argv: the sha256 of (exit code,
 stdout, stderr), then the argv as JSON.  Two runs
@@ -46,6 +48,7 @@ NEAR_MISS_SEED, NEAR_MISS_SAMPLE = 0, 400
 SYNTHESIZE_SEED = 0
 VALIDATE_SEED, VALIDATE_PER_P = 0, 12
 DIRECTIVE_SEED, DIRECTIVE_PER_Q = 0, 6
+WIDE_SEED, WIDE_PER_P = 0, 2
 # three coprime period lengths: the Parry bound is 505, and the second list
 # has 955 violations
 LONG_PERIOD_LISTS = (["3(1000001)", "3(10000001)", "3(100000001)"],
@@ -227,6 +230,29 @@ def directive_argv() -> list[list[str]]:
     return out
 
 
+def wide_argv() -> list[list[str]]:
+    """synthesize, text and JSON, on WIDE_PER_P lists per p = 6-12 of words 3w(v), w and v over 0-2.
+
+    Every suffix of such a word leads with a digit below 3, so every list
+    is admissible; w has length 0-2 and v, not all zeros, length 1-3.
+    """
+    jobs = _jobs()
+    rng = random.Random(WIDE_SEED)
+    out = []
+    for p in range(6, 13):
+        for _ in range(WIDE_PER_P):
+            words = []
+            for _ in range(p):
+                per = [0]
+                while not any(per):
+                    per = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+                pre = [3] + [rng.randint(0, 2) for _ in range(rng.randint(0, 2))]
+                words.append(jobs.canon(pre, per))
+            argv = ["synthesize", "-p", str(p), *map(jobs.fmt, words)]
+            out += [argv, argv + ["--format", "json"]]
+    return out
+
+
 def pin_argv() -> list[list[str]]:
     with open(os.path.join(HERE, os.pardir, "tests", "cli_pins.json"), encoding="utf-8") as fh:
         return [pin["argv"] for pin in json.load(fh)]
@@ -277,7 +303,7 @@ def main(args: list[str]) -> int:
     os.environ["COLUMNS"] = "80"
     all_argv = (benchmark_argv() + pin_argv()
                 + near_miss_argv(NEAR_MISS_SEED, NEAR_MISS_SAMPLE) + sweep_argv()
-                + synthesize_argv() + validate_argv() + directive_argv())
+                + synthesize_argv() + validate_argv() + directive_argv() + wide_argv())
     sys.path.insert(0, os.path.abspath(src))
     from altbase.cli import main as cli_main
 
