@@ -20,16 +20,14 @@ hold exact values only, and a base's first gap table derives its words
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, starmap, zip_longest
+from itertools import accumulate, groupby, starmap, zip_longest
 from math import lcm
 from operator import add, itemgetter
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .bases import AlternateBase, _val_word
 from .errors import (
@@ -50,17 +48,21 @@ from .perron import (
     left_mul,
     periodic_fixed_point,
 )
+from .records import Record
 from .words import (ExpansionList, ParryReport, UPWord, canonicalize, check_parry,
                     format_word, shift_suffix)
 
 # -- substitutions ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(Record):
     """A letter-to-word map; letters are small non-negative integers."""
 
+    __slots__ = _key = ("rules",)
     rules: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def __init__(self, rules: tuple[tuple[int, tuple[int, ...]], ...]):
+        self._fill(rules)
 
     @staticmethod
     def from_map(images: Mapping[int, Sequence[int]]) -> "Substitution":
@@ -123,27 +125,27 @@ def _check_block(c: tuple[int, ...]) -> None:
         raise ValueError(f"directive block {c} is not non-increasing")
 
 
-@dataclass(frozen=True)
-class Directive:
+class Directive(Record):
     """A sequence of monotone blocks c = (c_1,...,c_k), one per substitution.
 
     `periodic` means the blocks repeat forever; otherwise they are a finite
     window of a longer, unspecified directive.
     """
 
+    __slots__ = _key = ("blocks", "periodic")
     blocks: tuple[tuple[int, ...], ...]
-    periodic: bool = True
+    periodic: bool
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, blocks: Sequence[Sequence[int]], periodic: bool = True):
+        if not blocks:
             raise ValueError("need at least one block")
-        blocks = tuple(tuple(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+        blocks = tuple(tuple(b) for b in blocks)
         for c in blocks:
             _check_block(c)
         arities = {len(c) for c in blocks}
         if len(arities) != 1:
             raise ValueError("all blocks must share one arity")
+        self._fill(blocks, periodic)
 
     @property
     def arity(self) -> int:
@@ -310,13 +312,17 @@ def _qg_digit_source(base: AlternateBase):
 # -- B-integers ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class BInteger:
+class BInteger(Record):
     """A B-integer: its integer-part digits and its value in the base's backend."""
 
+    __slots__ = ("digits", "exact", "base")
+    _key = ("digits",)  # the value takes no part in ==, hash and repr
     digits: tuple[int, ...]  # a_{N-1} ... a_0, empty for zero
-    exact: object = dataclasses.field(compare=False, repr=False)
-    base: AlternateBase = dataclasses.field(compare=False, repr=False)
+    exact: object
+    base: AlternateBase
+
+    def __init__(self, digits: tuple[int, ...], exact: object, base: AlternateBase):
+        self._fill(digits, exact, base)
 
     @property
     def value(self) -> IntervalReal:
@@ -459,12 +465,6 @@ class BIntegers(Sequence):
             v = ops.add(v, ops.mul(ops.lift(a), self.weights[n]))
         return v
 
-    def gap(self, i: int):
-        """Item i minus item i - 1, exact and canonical, for 0 < i < len on an exact backend."""
-        top = self._leads(i)
-        den = self._dens[top[0][0]]
-        return _normal(self._nums(top + [(n, -a) for n, a in self._leads(i - 1)], den), den)
-
 
 def enumerate_b_integers(
     base: AlternateBase, count: int, report: Optional[ParryReport] = None
@@ -531,14 +531,18 @@ def enumerate_b_integers(
 # -- gap tables and the faithful coding -----------------------------------------
 
 
-@dataclass(frozen=True)
-class GapTable:
+class GapTable(Record):
     """Gap values of S^m(B)-integers, exact in the base's field, with first-occurrence classing."""
 
+    __slots__ = ("m", "pi", "alphabet", "values")
+    _key = ("m", "pi", "alphabet")  # the values take no part in ==, hash and repr
     m: int
     pi: tuple[int, ...]  # pi[n] = first row with the same value
     alphabet: tuple[int, ...]  # representative rows, in order of appearance
-    values: tuple = dataclasses.field(compare=False, repr=False)  # exact row values
+    values: tuple  # exact row values
+
+    def __init__(self, m: int, pi: tuple[int, ...], alphabet: tuple[int, ...], values: tuple):
+        self._fill(m, pi, alphabet, values)
 
 
 def gap_table(base: AlternateBase, m: int = 0, depth: int = 16) -> GapTable:
@@ -563,7 +567,7 @@ def gap_table(base: AlternateBase, m: int = 0, depth: int = 16) -> GapTable:
     if table is None:
         table = _build_gap_table(base, key[0], depth)
         base._gap_tables[key] = table
-    return table if table.m == m else dataclasses.replace(table, m=m)
+    return table if table.m == m else GapTable(m, table.pi, table.alphabet, table.values)
 
 
 def _row_with_value(ops, v, rows: Sequence[int], values: Sequence) -> Optional[int]:
@@ -643,23 +647,34 @@ def _class_gaps(
     """Direct coding: class the consecutive gaps of the first B-integers.
 
     A block of B-integers translates the first ones, so its gaps repeat the
-    word's first letters and only its first gap is classed.  Every gap
-    equals some Delta_{0,n}, so a gap that matches no table row means the
-    table depth ran out.
+    word's first letters and only its first gap is classed.  The blocks of
+    words of length n + 1 follow the largest shorter word, top, and each
+    other: block a W_n + x_0, ... starts after (a - 1) W_n + top, so all of
+    their first gaps are W_n - top.  Every gap equals some Delta_{0,n}, so a
+    gap that matches no table row means the table depth ran out.
     """
     ops = base.ops
     ints = enumerate_b_integers(base, length + 1, report)
     word: list[int] = []
-    for start, stop, _, _ in ints.blocks:
-        letter = _row_with_value(ops, ints.gap(start), table.alphabet, table.values)
+    top: list[tuple[int, int]] = []  # the leads (n, a) of top, as BIntegers._leads gives them
+    for n, blocks in groupby(ints.blocks, key=itemgetter(2)):
+        blocks = list(blocks)
+        den = ints._dens[n]
+        gap = _normal(ints._nums([(n, 1)] + [(m, -a) for m, a in top], den), den)
+        letter = _row_with_value(ops, gap, table.alphabet, table.values)
         if letter is None:
             raise DepthExhausted(
                 f"a gap value is missing from the gap table of depth "
                 f"{len(table.pi)}; raise --depth",
                 depth=len(table.pi),
             )
-        word.append(letter)
-        word.extend(word[: stop - start - 1])
+        for start, stop, _, _ in blocks:
+            word.append(letter)
+            word.extend(word[: stop - start - 1])
+        # the new top is a W_n + x_{c-1} for the last lead a, and x_{c-1} is the
+        # old top unless that block is a prefix (blocks[0][0] counts the shorter words)
+        start, stop, _, a = blocks[-1]
+        top = [(n, a)] + (top if stop - start == blocks[0][0] else ints._leads(stop - start - 1))
     return tuple(word)
 
 
@@ -686,8 +701,7 @@ def faithful_coding(
 # -- bases from directives -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WindowedBase:
+class WindowedBase(NamedTuple):
     """Exact beta enclosures for a finite directive window.
 
     betas are stored like those of an alternate base, (beta_0, ...,

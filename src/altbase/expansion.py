@@ -14,11 +14,10 @@ taking ceilings minus one instead of floors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .bases import AlternateBase, _val_word
 from .errors import Undecidable
@@ -41,8 +40,7 @@ def val_up(base: AlternateBase, shift: int, w: UPWord) -> IntervalReal:
     return ops.enclosure(_val_word(ops, shift, w), base.prec)
 
 
-@dataclass(frozen=True)
-class GreedyExpansion:
+class GreedyExpansion(NamedTuple):
     """Greedy digits of x: integer part a_{N-1}..a_0, then a_{-1}..a_{-count}."""
 
     int_digits: tuple[int, ...]
@@ -120,8 +118,7 @@ def _qg_steps(ops, shift: int) -> Iterator[tuple[int, object]]:
         yield d, r
 
 
-@dataclass(frozen=True)
-class GreedyVerdict:
+class GreedyVerdict(NamedTuple):
     ok: bool
     violation_k: Optional[int] = None  # least k with a suffix value >= 1
 

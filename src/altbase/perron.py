@@ -38,10 +38,9 @@ not approximated, also under python -O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .bases import FieldOps, _fold
 from .errors import InvariantViolation, NotPrimitive, Undecidable, ZeroLeadDigit
@@ -55,19 +54,20 @@ from .numerics import (
 )
 from .numerics.algebraic import Elem, _normal
 from .numerics.polynomials import SparseRows
+from .records import Record
 from .words import ExpansionList, UPWord
 
 
-@dataclass(frozen=True)
-class ParryShape:
+class ParryShape(NamedTuple):
     """First row of digits, identity below-left, extra unit at (h+1, k)."""
 
     h: int
 
 
-@dataclass(frozen=True)
-class FiniteShape:
+class FiniteShape(Record):
     """First row of digits, identity below-left, zero last column below."""
+
+    __slots__ = ()
 
 
 Shape = Union[ParryShape, FiniteShape]
@@ -248,7 +248,6 @@ def build_finite_matrices(directive: Sequence[Sequence[int]]) -> MatrixSeq:
 # -- the fixed point -----------------------------------------------------------
 
 
-@dataclass
 class FixedPoint:
     """The exact fixed point in Q(lambda), enclosed on read.
 
@@ -258,18 +257,24 @@ class FixedPoint:
     built on first read.  Every enclosure is certified and at most
     2^-tol_bits wide whatever the order of reads, but its endpoints depend
     on how far other enclosures had refined the field's shared root before
-    that read.  dataclasses.replace(fp, tol_bits=t) encloses the same point
-    at t bits.
+    that read.  fp.replace(tol_bits=t) encloses the same point at t bits.
     """
 
-    shape: Shape
-    field: RealAlgebraicField
-    rotation: int
-    gamma_elems: tuple[Elem, ...]
-    gamma_vs_one: tuple[int, ...]
-    u_elems: tuple[tuple[Elem, ...], ...]
-    u_lead_invs: tuple[Elem, ...]
-    tol_bits: int
+    _fields = ("shape", "field", "rotation", "gamma_elems", "gamma_vs_one", "u_elems",
+               "u_lead_invs", "tol_bits")
+
+    def __init__(
+        self, shape: Shape, field: RealAlgebraicField, rotation: int,
+        gamma_elems: tuple[Elem, ...], gamma_vs_one: tuple[int, ...],
+        u_elems: tuple[tuple[Elem, ...], ...], u_lead_invs: tuple[Elem, ...], tol_bits: int,
+    ):
+        self.shape, self.field, self.rotation = shape, field, rotation
+        self.gamma_elems, self.gamma_vs_one = gamma_elems, gamma_vs_one
+        self.u_elems, self.u_lead_invs, self.tol_bits = u_elems, u_lead_invs, tol_bits
+
+    def replace(self, **changes) -> FixedPoint:
+        """A new record with these fields changed and nothing built on read yet."""
+        return FixedPoint(**{name: getattr(self, name) for name in self._fields} | changes)
 
     @property
     def q(self) -> int:
@@ -430,15 +435,13 @@ def periodic_fixed_point(ms: MatrixSeq, tol_bits: int = DEFAULT_PREC) -> FixedPo
 # -- identity checks -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     n: int
     item: str
     ok: bool
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     checks: tuple[IdentityCheck, ...]
 
     @property

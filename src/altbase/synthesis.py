@@ -15,9 +15,8 @@ synthesis are decoupled here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bases import AlternateBase, _fold, _val_word
 from .errors import DepthExhausted, InvariantViolation, NoSecondNonzero
@@ -43,8 +42,7 @@ UNKNOWN = "Unknown"
 _STREAM_SCAN_CAP = 4096
 
 
-@dataclass(frozen=True)
-class BoundsCert:
+class BoundsCert(NamedTuple):
     """Digit bound H, two-nonzero prefix length L, and the derived range.
 
     Every base realizing the expansions has C^L/(C^L-1) < beta_i <= C with
@@ -241,8 +239,7 @@ def synthesize_general(
     )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Parry verdicts, value-1 residuals, and a uniqueness flag for a base."""
 
     parry_ok: tuple[bool, ...]

@@ -7,13 +7,13 @@ preperiod, so equality of streams is equality of representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count
 from math import lcm
 from operator import ge, gt, ne
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import DigitRangeError, FailsIfAllZeroTail, ParseError
+from .records import Record
 
 #: digits must fit an unsigned machine word by default
 DEFAULT_DIGIT_MAX = 2**32 - 1
@@ -168,8 +168,7 @@ GREEDY = "greedy"
 QUASI_GREEDY = "quasi-greedy"
 
 
-@dataclass(frozen=True)
-class ExpansionList:
+class ExpansionList(Record):
     """A length-p list of candidate expansions of 1, one per base index.
 
     entries[i] is the candidate attached to shift i.  Ultimately periodic
@@ -177,18 +176,20 @@ class ExpansionList:
     streams) are quasi-greedy candidates.
     """
 
+    __slots__ = _key = ("entries",)
     entries: tuple[Entry, ...]
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[Entry, ...]):
+        if not entries:
             raise ValueError("need at least one entry")
-        for a in self.entries:
+        for a in entries:
             if isinstance(a, UPWord):
                 if not a.gt_ten_zero():
                     raise ValueError(f"{a!r} is not lexicographically above 1 0^w")
             else:
                 if a.digit(1) < 1:
                     raise ValueError("stream entry must start with a non-zero digit")
+        self._fill(entries)
 
     @property
     def p(self) -> int:

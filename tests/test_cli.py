@@ -894,3 +894,16 @@ def test_refinement_sign_evaluation_count(capsys, monkeypatch):
     code, _, _ = run(capsys, "synthesize", "-p", "1", "(21)", "--format", "json", "--tol", "4096")
     assert code == 0
     assert len(calls) == 22
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # dataclasses pulls in inspect, ast and dis, which every fresh process
+    # would pay for at start-up; the records are NamedTuples and slot classes
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import altbase; import altbase.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(src)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 from itertools import product
@@ -198,7 +197,7 @@ def _patched_bounds(monkeypatch, **ends):
     from altbase import synthesis
 
     real, calls, refine = synthesis.bounds, [], AlternateBase.refine
-    monkeypatch.setattr(synthesis, "bounds", lambda lst: dataclasses.replace(real(lst), **ends))
+    monkeypatch.setattr(synthesis, "bounds", lambda lst: real(lst)._replace(**ends))
     monkeypatch.setattr(AlternateBase, "refine", lambda self, prec: calls.append(prec) or refine(self, prec))
     return calls
 
