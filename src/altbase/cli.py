@@ -142,14 +142,10 @@ def cmd_code(ns) -> int:
         texts = _gather_words(ns.base)
         lst = ExpansionList(tuple(parse_word(t) for t in texts))
         # --depth is the gap-table depth here, so Parry runs at its own default
-        report = _parry_report(ns, lst, None)
-        if not report.ok:
+        if not _parry_report(ns, lst, None).ok:
             return EXIT_INVALID
         base, _ = synthesize_periodic(lst, tol_bits=ns.tol)
-        # the B-integers check the base's quasi-greedy words; when those are
-        # the list's own words, this report is theirs
-        same = base.qg_words == lst.entries
-        word = faithful_coding(base, ns.len, depth=ns.depth, report=report if same else None)
+        word = faithful_coding(base, ns.len, depth=ns.depth)
     payload, footer = {"length": len(word), "word": word}, []
     if ns.check:
         # faithful_coding raises unless its two codings agree

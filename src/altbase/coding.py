@@ -49,8 +49,7 @@ from .perron import (
     periodic_fixed_point,
 )
 from .records import Record
-from .words import (ExpansionList, ParryReport, UPWord, canonicalize, check_parry,
-                    format_word, shift_suffix)
+from .words import UPWord, canonicalize, format_word, shift_suffix
 
 # -- substitutions ------------------------------------------------------------
 
@@ -356,7 +355,8 @@ class _RankTable:
     i exactly when r(w) <= i.  Prepending the digit a maps rank r to
     row(a)[r] = #{tau : tau_1 < a} + #{tau : tau_1 = a, index(S tau) < r}.
     This is the alternate-base Parry automaton; its shift is sofic because
-    every word is ultimately periodic (Charlier & Cisternino 2021).
+    every word is ultimately periodic (Charlier & Cisternino 2021), and it
+    checks its own words' Parry conditions by comparing tail indices.
     """
 
     def __init__(self, words: Sequence[UPWord]):
@@ -365,8 +365,9 @@ class _RankTable:
         tails = {
             shift_suffix(w, j) for w in words for j in range(len(w.preperiod) + len(w.period))
         }
-        # two tails that differ do so within this many digits
-        horizon = max(len(w.preperiod) for w in words) + lcm(*(len(w.period) for w in words))
+        pre, periods = max(len(w.preperiod) for w in words), [len(w.period) for w in words]
+        horizon = pre + lcm(*periods)  # two tails that differ do so within this many digits
+        self._parry_bound = pre + lcm(len(words), *periods)  # (S^j w_i, w_{i-j}) recur past it
         self.tails = tuple(sorted(tails, key=lambda t: t.digits(horizon)))
         index = {t: i for i, t in enumerate(self.tails)}
         self.qg = tuple(index[w] for w in words)  # index of each shift's word
@@ -384,6 +385,16 @@ class _RankTable:
                 marks[self._next[i] + 1] += 1
             row = self._rows[a] = [lo + c for c in accumulate(marks)]
         return row
+
+    def parry_violation(self) -> Optional[tuple[int, int]]:
+        """The first (i, j), by entry and then shift, where S^j(w_i) > w_{(i-j) mod p}."""
+        p = len(self.qg)
+        for i, t in enumerate(self.qg):
+            for j in range(1, self._parry_bound + 1):
+                t = self._next[t]
+                if t > self.qg[(i - j) % p]:
+                    return i, j
+        return None
 
 
 class BIntegers(Sequence):
@@ -466,9 +477,7 @@ class BIntegers(Sequence):
         return v
 
 
-def enumerate_b_integers(
-    base: AlternateBase, count: int, report: Optional[ParryReport] = None
-) -> BIntegers:
+def enumerate_b_integers(base: AlternateBase, count: int) -> BIntegers:
     """The `count` smallest B-integers with their digit words and exact values.
 
     Words come in radix order (length, then lexicographic), which for
@@ -478,12 +487,11 @@ def enumerate_b_integers(
     the words of length n are the B-integers found so far, in order, and
     each nonzero lead digit a extends a prefix of them: the block a W_n + x_j
     of BIntegers.  On a base that carries its quasi-greedy words, which must
-    pass the Parry check (or ValueError), the words' ranks among the sorted
-    tails are non-decreasing, and so is _RankTable.row(a), so a block's
-    length is one bisection; a base without words bisects with the
-    quasi-greedy digit scan.  `report` is check_parry on the base's words
-    when the caller already has it, else it is computed.  Enumeration stops
-    at `count`, and each BInteger is built when it is read.
+    lie above 1 0^omega and pass the Parry check of their _RankTable (or
+    ValueError), the words' ranks among the sorted tails are non-decreasing,
+    and so is _RankTable.row(a), so a block's length is one bisection; a base
+    without words bisects with the quasi-greedy digit scan.  Enumeration
+    stops at `count`, and each BInteger is built when it is read.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -492,14 +500,12 @@ def enumerate_b_integers(
     words = base.qg_words
     table = _RankTable(words) if words is not None else None
     if table is not None:
-        # after the table, so that a zero-tail word gets the table's error
-        if report is None:
-            report = check_parry(ExpansionList(words))
-        if not report.ok:
-            v = report.violations[0]
-            raise ValueError(
-                f"word {format_word(words[v.entry])} at shift {v.entry} fails Parry at j={v.shift}"
-            )
+        for w in words:
+            if not w.gt_ten_zero():
+                raise ValueError(f"{w!r} is not lexicographically above 1 0^w")
+        if (bad := table.parry_violation()) is not None:
+            i, j = bad
+            raise ValueError(f"word {format_word(words[i])} at shift {i} fails Parry at j={j}")
     ints = BIntegers(base, count)
     # rank[j]: the rank of item j as a word of the current length
     rank, size, n = [0], 1, 0
@@ -641,9 +647,7 @@ def gap_substitution(
     return Substitution.from_map(images)
 
 
-def _class_gaps(
-    base: AlternateBase, table: GapTable, length: int, report: Optional[ParryReport] = None
-) -> tuple[int, ...]:
+def _class_gaps(base: AlternateBase, table: GapTable, length: int) -> tuple[int, ...]:
     """Direct coding: class the consecutive gaps of the first B-integers.
 
     A block of B-integers translates the first ones, so its gaps repeat the
@@ -654,12 +658,13 @@ def _class_gaps(
     gap that matches no table row means the table depth ran out.
     """
     ops = base.ops
-    ints = enumerate_b_integers(base, length + 1, report)
+    ints = enumerate_b_integers(base, length + 1)
     word: list[int] = []
-    top: list[tuple[int, int]] = []  # the leads (n, a) of top, as BIntegers._leads gives them
     for n, blocks in groupby(ints.blocks, key=itemgetter(2)):
         blocks = list(blocks)
         den = ints._dens[n]
+        # top is the last of the shorter words, which blocks[0][0] counts
+        top = ints._leads(blocks[0][0] - 1)
         gap = _normal(ints._nums([(n, 1)] + [(m, -a) for m, a in top], den), den)
         letter = _row_with_value(ops, gap, table.alphabet, table.values)
         if letter is None:
@@ -671,24 +676,18 @@ def _class_gaps(
         for start, stop, _, _ in blocks:
             word.append(letter)
             word.extend(word[: stop - start - 1])
-        # the new top is a W_n + x_{c-1} for the last lead a, and x_{c-1} is the
-        # old top unless that block is a prefix (blocks[0][0] counts the shorter words)
-        start, stop, _, a = blocks[-1]
-        top = [(n, a)] + (top if stop - start == blocks[0][0] else ints._leads(stop - start - 1))
     return tuple(word)
 
 
-def faithful_coding(
-    base: AlternateBase, length: int, depth: int = 16, report: Optional[ParryReport] = None
-) -> tuple[int, ...]:
+def faithful_coding(base: AlternateBase, length: int, depth: int = 16) -> tuple[int, ...]:
     """The coding of the B-integer gaps, cross-checked two ways.
 
     Computes the direct gap classification and the S-adic limit of the
-    phi_m substitutions and raises CodingMismatch unless they agree.
-    `report` goes to enumerate_b_integers.
+    phi_m substitutions and raises CodingMismatch unless they agree.  The
+    B-integers check the base's quasi-greedy words on their own.
     """
     table0 = gap_table(base, 0, depth)
-    direct = _class_gaps(base, table0, length, report)
+    direct = _class_gaps(base, table0, length)
     phis = tuple(gap_substitution(base, m, depth) for m in range(base.p))
     sadic = sadic_limit(phis, length)
     if direct != sadic:

@@ -21,11 +21,11 @@ DEFAULT_DIGIT_MAX = 2**32 - 1
 Word = tuple[int, ...]
 
 
-def _check_digits(digits: Iterable[int], digit_max: int) -> tuple[int, ...]:
+def _check_digits(digits: Iterable[int]) -> tuple[int, ...]:
     out = tuple(map(int, digits))
-    if out and (min(out) < 0 or max(out) > digit_max):
-        d = next(d for d in out if d < 0 or d > digit_max)
-        raise DigitRangeError(f"digit {d} outside [0, {digit_max}]")
+    if out and (min(out) < 0 or max(out) > DEFAULT_DIGIT_MAX):
+        d = next(d for d in out if d < 0 or d > DEFAULT_DIGIT_MAX)
+        raise DigitRangeError(f"digit {d} outside [0, {DEFAULT_DIGIT_MAX}]")
     return out
 
 
@@ -51,15 +51,9 @@ class UPWord:
 
     __slots__ = ("preperiod", "period")
 
-    def __init__(
-        self,
-        preperiod: Sequence[int] = (),
-        period: Sequence[int] = (0,),
-        digit_max: int = DEFAULT_DIGIT_MAX,
-    ):
-        pre = _check_digits(preperiod, digit_max)
-        per = _check_digits(period, digit_max)
-        self.preperiod, self.period = _canonical_parts(pre, per)
+    def __init__(self, preperiod: Sequence[int] = (), period: Sequence[int] = (0,)):
+        self.preperiod, self.period = _canonical_parts(
+            _check_digits(preperiod), _check_digits(period))
 
     def digit(self, n: int) -> int:
         """1-indexed digit of the infinite word."""
@@ -350,7 +344,7 @@ def _parse_digits(chunk: str, bracketed_ok: bool, text: str) -> tuple[int, ...]:
         raise ParseError(f"bad digit in {text!r}") from exc
 
 
-def parse_word(text: str, digit_max: int = DEFAULT_DIGIT_MAX) -> UPWord:
+def parse_word(text: str) -> UPWord:
     """Parse `pre(period)`; digits above 9 use brackets/commas: [12,3](4,1), (10,)."""
     s = text.strip()
     if not s.endswith(")") or "(" not in s:
@@ -364,7 +358,7 @@ def parse_word(text: str, digit_max: int = DEFAULT_DIGIT_MAX) -> UPWord:
     if not per:
         raise ParseError(f"empty period in {text!r}")
     try:
-        return UPWord(pre, per, digit_max)
+        return UPWord(pre, per)
     except DigitRangeError as exc:
         raise ParseError(str(exc)) from exc
 

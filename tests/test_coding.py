@@ -32,7 +32,8 @@ from altbase.expansion import greedy_expand, is_greedy, val_up
 from altbase.numerics import Dyadic, IntPoly, IsolatedRoot, alpha_root
 from altbase.numerics.algebraic import RealAlgebraicField, _normal
 from altbase.synthesis import synthesize_periodic
-from altbase.words import ExpansionList, UPWord, lex_compare_up, parse_word, shift_suffix
+from altbase.words import (ExpansionList, UPWord, check_parry, lex_compare_up, parse_word,
+                           shift_suffix)
 from test_numerics import eval_fraction
 
 
@@ -380,6 +381,20 @@ def test_rank_table_rejects_zero_tail_words():
         coding._RankTable((UPWord((1,), (0,)),))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(UPWord, st.lists(st.integers(0, 3), max_size=3),
+                          st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
+                .filter(UPWord.gt_ten_zero), min_size=1, max_size=4))
+@example([UPWord((), (2, 1))])
+@example([UPWord((), (2, 1, 1)), UPWord((), (1, 2, 1)), UPWord((), (1, 1, 2))])
+def test_rank_table_parry_violation_is_check_parry_first(words):
+    # the table's tail indices decide the conditions check_parry decides on digits
+    report = check_parry(ExpansionList(tuple(words)))
+    got = coding._RankTable(words).parry_violation()
+    v = None if report.ok else report.violations[0]
+    assert got == (None if v is None else (v.entry, v.shift))
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -574,6 +589,11 @@ def test_words_that_fail_parry_are_refused():
         else:
             with pytest.raises(ValueError, match="Parry"):
                 enumerate_b_integers(base, 12)
+    # 0(2) is worth 1 in base 2, so the base takes it, but it starts below 1 0^w
+    base2 = AlternateBase.from_rationals([2])
+    base = AlternateBase(base2.betas, ops=base2.ops, qg_words=(UPWord((0,), (2,)),))
+    with pytest.raises(ValueError, match="above 1 0"):
+        enumerate_b_integers(base, 4)
 
 
 def test_derive_qg_words_rejects_aperiodic():

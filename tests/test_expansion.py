@@ -62,6 +62,12 @@ def test_base_rejects_beta_at_most_one():
         AlternateBase.from_rationals([1])
     with pytest.raises(ValueError):
         AlternateBase.from_rationals([2, Fraction(9, 10)])
+    with pytest.raises(ValueError, match="at least one beta"):
+        AlternateBase([])
+    with pytest.raises(ValueError, match="one quasi-greedy word per shift"):
+        AlternateBase([2, 3], qg_words=(UPWord((), (1,)),))
+    with pytest.raises(ValueError, match="no quasi-greedy"):
+        BASE32.qg_word(0)
 
 
 def test_shifted_rotates_indices():

@@ -279,6 +279,12 @@ def test_perron_root_one_plus_sqrt3():
 def test_perron_root_exact_hit():
     enc = refine_root_bisect(IntPoly([-1, 1]), Dyadic(1, -1), Dyadic(3, -1), 64)
     assert enc.is_point() and enc.lo == Dyadic(1)
+    # a root at either end of the bracket is that end, as a point
+    for root in (1, 2):
+        enc = refine_root_bisect(IntPoly([-root, 1]), Dyadic(1), Dyadic(2), 64)
+        assert enc.is_point() and enc.lo == Dyadic(root)
+    with pytest.raises(NoSignChange):
+        refine_root_bisect(IntPoly([-3, 1]), Dyadic(1), Dyadic(2), 64)
 
 
 def test_alpha_root_values():

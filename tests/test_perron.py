@@ -99,6 +99,9 @@ def test_shape_validation():
         MatrixSeq([[0, 1]], FiniteShape())
     with pytest.raises(ValueError):
         MatrixSeq([[1, 1]], ParryShape(2))  # h out of range
+    for h in (0, 3):
+        with pytest.raises(ValueError, match=r"outside \[1, 2\]"):
+            MatrixSeq([[1, 1, 1]], ParryShape(h))
     with pytest.raises(ValueError):
         MatrixSeq([[1, -1]], FiniteShape())
     with pytest.raises(ValueError):

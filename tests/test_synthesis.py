@@ -298,7 +298,8 @@ def test_general_constant_stream():
         ExpansionList((ones,)), tol_bits=40, max_depth=200
     )
     assert base.beta(0).contains(Fraction(2))
-    assert depth <= 20
+    # the plateau of 1^w truncations is accepted once it has lasted 4 depths
+    assert depth == 6
 
 
 def test_general_depth_exhausted_reports_best():

@@ -62,7 +62,7 @@ def test_digit_indexing():
 
 def test_digit_range_checked():
     with pytest.raises(DigitRangeError):
-        UPWord((), (5,), digit_max=4)
+        UPWord((), (2**32,))
     with pytest.raises(DigitRangeError):
         UPWord((-1,), (1,))
 

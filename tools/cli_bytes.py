@@ -30,6 +30,15 @@ empty stdin, and OUT gets one line per argv: the sha256 of (exit code,
 stdout, stderr), then the argv as JSON.  Two runs
 over the same perfbench/jobs.py list the same argv in the same order, so
 `cmp` on their outputs is the byte check of a change.
+
+The byte check cannot vouch for `isolate_dominant`'s rounding search, the
+path that rounds λ's bracket ends out when they lie off the 2^-16 grid: no
+argv here ends its isolation off that grid, and neither did any of 780,317
+random admissible lists (p <= 3, preperiod <= 3, period <= 5, digits <= 3,
+repeated entries included).  Two tests of tests/test_numerics.py guard that
+path instead:
+`test_isolate_dominant_separates_close_roots_with_no_bracket_cap` and
+`test_isolate_dominant_matches_the_fraction_route_on_repeated_factors`.
 """
 
 from __future__ import annotations
